@@ -1,18 +1,18 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation section (DESIGN.md section 4 maps each experiment to its
-// benchmark). Custom metrics attach the headline numbers of each
-// artifact to the benchmark output, so `go test -bench=.` doubles as
-// a reproduction report:
+// evaluation section. Custom metrics attach the headline numbers of
+// each artifact to the benchmark output, so `go test -bench=.` doubles
+// as a reproduction report:
 //
 //	BER@48h/worst  — figure 5/6/7 end points
 //	BER@24mo/top   — figure 8/9/10 top-curve end points
 //	cycles, gates  — Section 6 decoder cost comparison
 //	chainP, mcP    — cross-validation pair
 //
-// The Ablation* benchmarks quantify the modeling decisions DESIGN.md
-// calls out: the duplex fail semantics, the paper's transition-B rate
-// typo, single- vs double-sided erasure counting, exponential vs
-// periodic scrubbing, and cross-repairing scrub controllers.
+// The Ablation* benchmarks quantify the repository's modeling
+// decisions, each described in its benchmark's comment: the duplex
+// fail semantics, the paper's transition-B rate typo, single- vs
+// double-sided erasure counting, exponential vs periodic scrubbing,
+// and cross-repairing scrub controllers.
 package repro
 
 import (
@@ -246,7 +246,7 @@ func BenchmarkExtMBUBurstSweep(b *testing.B) {
 	})
 }
 
-// --- Ablations over DESIGN.md modeling decisions -------------------
+// --- Ablations over the modeling decisions --------------------------
 
 // BenchmarkAblationDuplexFailSemantics compares the paper's strict
 // fail condition (either word beyond capability kills the system)

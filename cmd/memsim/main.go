@@ -9,7 +9,7 @@
 //
 // Rates here are per HOUR (simulation units); use elevated rates so a
 // modest trial count resolves the failure probability, exactly like
-// the cross-validation experiment (see DESIGN.md).
+// the cross-validation experiment (BenchmarkCrossValidationMonteCarlo).
 //
 // The simulation runs on the shared internal/campaign engine, which
 // adds resumable checkpointing (-checkpoint) and early stopping once

@@ -15,7 +15,8 @@
 //
 // The benchmarks in this root package drive the registry: one
 // benchmark per paper figure and table, plus ablations over the
-// modeling decisions documented in DESIGN.md. Run
+// modeling decisions (the Ablation* benchmarks in bench_test.go, whose
+// comments describe each decision). Run
 //
 //	go test -bench=. -benchmem
 //
@@ -91,8 +92,7 @@
 // partition's shards over a goroutine pool of per-worker codec
 // workspaces and appends each completed shard to a self-describing
 // partial-result artifact (an append-only JSON Lines file that
-// doubles as the resumable checkpoint — legacy single-object
-// checkpoints migrate transparently — and as the spill target that
+// doubles as the resumable checkpoint and as the spill target that
 // keeps executor memory bounded for million-sample campaigns: spilled
 // samples leave the heap once durably on disk). The merger folds any
 // set of partials — one process or many — in global shard order into
@@ -106,7 +106,16 @@
 // contiguous prefix, while partitioned executors deliberately
 // over-run (they cannot see the global prefix) and the merger
 // re-decides the stop on the same prefix, landing on the identical
-// shard.
+// shard. One type owns that decision: campaign.PrefixFold folds
+// completed shards in global order — counters and recorded weight
+// moments over the prefix [0, Next()) — and evaluates the stop rule
+// after each shard (Wilson, or relative error for weighted campaigns,
+// behind the per-trial binomial guard). The single-process executor,
+// the merger and the fabric registry all call it, so the layers cannot
+// disagree about when a campaign stops, and a stop counter no rule can
+// use (one that counts more than once per trial, or carries no weight
+// moments in a weighted campaign) is refused by every layer at the
+// same shard with the same error.
 //
 // The cmd/ binaries are thin scenario frontends: memsim, mbusim,
 // bercurve, sweep and tradeoff each build one scenario and format its
@@ -135,9 +144,8 @@
 // estimator (Result.WeightedFraction, StdErr, RelErr,
 // EffectiveSamples) and a relative-error early-stop rule
 // (StopRule.RelHalfWidth, weighted or not) that complements the
-// Wilson rule; the merger and the fabric coordinator re-decide
-// weighted stops on the contiguous prefix exactly as they do Wilson
-// stops, preserving the determinism law.
+// Wilson rule; every layer decides weighted stops through the same
+// PrefixFold as Wilson stops, preserving the determinism law.
 //
 // The first weighted scenario family is exponential tilting of the
 // fault processes in memsim and pagesim: all fault rates are jointly
@@ -145,7 +153,12 @@
 // never the event-type split — and each trial carries the likelihood
 // ratio theta^-k * exp((theta-1)*R0*H) of its k arrivals, making rare
 // failures common in the biased measure while the weighted estimator
-// stays unbiased for the true probability. Spec entries opt in with a
+// stays unbiased for the true probability. Both simulators run their
+// event loops on one scrub.Clock: it interleaves the (optionally
+// tilted) Poisson arrivals with the scrub schedule scrub.New selects,
+// reports each next event as a Fault, Scrub or Done, and returns the
+// trial's likelihood ratio, so the tilted arrival draw and its
+// correction exist once. Spec entries opt in with a
 // "sampling" block: {"method":"tilt","factor":F} sets the factor
 // explicitly, and {"method":"auto"} solves it from the analytic
 // simplex chain (bisecting the jointly tilted rates until the chain's
@@ -251,11 +264,11 @@
 // SIGKILLed — is stolen by the next executor asking for work, and
 // because slices are pure functions of the global trial index, the
 // recomputed upload is byte-identical and any zombie duplicate is
-// simply ignored. Between arrivals the registry folds the
-// contiguous shard prefix incrementally and re-decides Wilson-CI
-// early stopping exactly as the merger does, cancelling slices past
-// the stopping shard so a fleet never computes work a single process
-// would have skipped. When a job's last slice lands, the ordinary
+// simply ignored. Between arrivals the registry feeds the contiguous
+// shard prefix to each entry's PrefixFold, cancelling slices past the
+// stopping shard so a fleet never computes work a single process
+// would have skipped; a fold error fails the job and cancels its
+// remaining slices. When a job's last slice lands, the ordinary
 // merge runs server-side into the job's namespace (or in the -serve
 // process in legacy single-spec mode): the fabric's end-to-end law,
 // enforced by CI with two concurrent jobs on three shared executors
@@ -277,7 +290,9 @@
 // # Continuous integration gates
 //
 // The ci workflow builds and tests on the current and previous Go
-// release, race-gates the worker-pool engine (go test -race ./...),
+// release (plus go vet and go test of the separate perfbench module,
+// whose tests pin its layer map and BENCHMARK.json against the
+// program), race-gates the worker-pool engine (go test -race ./...),
 // enforces gofmt/go vet plus a pinned staticcheck, smoke-runs every
 // binary's error paths
 // (non-zero exits), a multi-scenario campaign spec, the matrix

@@ -82,7 +82,7 @@ func report(cfg memsim.Config) {
 	}
 	// The physically consistent variant counts erasure arrivals on
 	// both modules of a position (the paper's Figure 4 counts one);
-	// see DESIGN.md "Modeling decisions".
+	// BenchmarkAblationDoubleSidedErasures measures the gap.
 	params.Opts.DoubleSidedErasures = true
 	chain2, err := duplex.FailProbabilities(params, []float64{cfg.Horizon})
 	if err != nil {

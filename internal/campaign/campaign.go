@@ -36,12 +36,12 @@
 //     rule fires; partitioned executors cannot see the global prefix,
 //     so they run their whole slice (deliberately over-running the
 //     stopping point) and the merger re-decides the stop on the
-//     contiguous prefix, which lands on the identical shard;
+//     contiguous prefix, which lands on the identical shard. Every
+//     layer decides through one PrefixFold;
 //   - checkpointing: every completed shard is appended to the partial
 //     artifact, and a rerun pointed at the same file resumes with
 //     only the missing shards — a resumed campaign is bit-identical
-//     to an uninterrupted one (legacy single-object checkpoints are
-//     migrated transparently);
+//     to an uninterrupted one;
 //   - structured results: trials report named int64 counters, (x, y)
 //     samples grouped into labeled series, and free-form notes, which
 //     downstream formatting (internal/expdata, the cmd/ binaries)
@@ -84,10 +84,9 @@ type Worker interface {
 // WeightedScenario is implemented by scenarios whose trials carry
 // importance-sampling weights (per-trial likelihood ratios recorded
 // through Acc.AddWeighted). The planner stamps the flag into the plan
-// so every layer — executor early stop, merger, fabric coordinator —
-// evaluates the relative-error rule on the weighted estimator instead
-// of the Wilson interval, and partial artifacts carry the version-3
-// weight-moment records.
+// so the PrefixFold evaluates the relative-error rule on the weighted
+// estimator instead of the Wilson interval, and partial artifacts
+// carry the version-3 weight-moment records.
 type WeightedScenario interface {
 	Scenario
 	// Weighted reports whether trials record likelihood-ratio weights.
@@ -234,17 +233,6 @@ func (s *EarlyStop) z() float64 {
 	return s.Z
 }
 
-// Satisfied reports whether the stop rule fires at the given
-// contiguous-prefix totals (successes of the stop counter over the
-// trials folded so far). Exported for layers that re-decide the stop
-// between merge rounds — the fabric coordinator evaluates it shard by
-// shard as partial uploads arrive, exactly as Merge does, so the
-// slices it cancels are the ones a single-process run would never
-// have executed.
-func (s *EarlyStop) Satisfied(successes int64, trials int) bool {
-	return s.satisfied(successes, trials)
-}
-
 // satisfied reports whether the interval is narrow enough at the
 // given prefix totals.
 func (s *EarlyStop) satisfied(successes int64, trials int) bool {
@@ -256,14 +244,13 @@ func (s *EarlyStop) satisfied(successes int64, trials int) bool {
 	return (hi-lo)/2 <= s.RelHalfWidth*p
 }
 
-// SatisfiedWeighted is the stop rule's form for weighted campaigns: it
+// satisfiedWeighted is the stop rule's form for weighted campaigns: it
 // fires when the relative error of the weighted estimator — z times
 // its standard error over the point estimate — is at most
 // RelHalfWidth. Like the Wilson form it is evaluated only on
 // contiguous shard prefixes, so the stopping shard stays a pure
-// function of the shard contents. Exported for the fabric
-// coordinator's incremental re-decision, mirroring Satisfied.
-func (s *EarlyStop) SatisfiedWeighted(m Moments, trials int) bool {
+// function of the shard contents.
+func (s *EarlyStop) satisfiedWeighted(m Moments, trials int) bool {
 	if trials < s.MinTrials || m.WSum <= 0 {
 		return false
 	}
@@ -306,8 +293,7 @@ type Config struct {
 	// Checkpoint is the path of the resumable partial-result artifact;
 	// "" disables checkpointing. If the file exists it must describe
 	// the same scenario (name, trials, shard size) and its completed
-	// shards are not recomputed (legacy version-1 checkpoints are
-	// migrated in place).
+	// shards are not recomputed.
 	Checkpoint string
 	// CheckpointEvery appends progress after every N newly completed
 	// shards; 0 throttles adaptively (about one append batch per

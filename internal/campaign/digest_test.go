@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -112,52 +110,5 @@ func TestMergeRefusesConflictingDigests(t *testing.T) {
 	empty := execute(Partition{Index: 1, Count: 2}, "")
 	if _, err := Merge([]*Partial{a, empty}, MergeConfig{ParamsDigest: "digest-a"}); err != nil {
 		t.Errorf("pre-digest partial refused: %v", err)
-	}
-}
-
-// TestV1MigrationStaysDigestless: migrating a version-1 checkpoint
-// must keep the artifact's digest-less identity, not stamp the
-// current plan's digest onto legacy shards whose params provenance
-// the old format never recorded — otherwise reverting a spec edit
-// (the remedy the mismatch errors themselves suggest) would wrongly
-// refuse shards that actually match.
-func TestV1MigrationStaysDigestless(t *testing.T) {
-	scn := &coinScenario{name: "legacy", trials: 600, seed: 4, p: 0.3}
-	plan, err := NewPlan(scn, 100, Whole)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := Execute(scn, plan, ExecConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := legacyCheckpoint{Version: 1, Scenario: scn.name, Trials: scn.trials, ShardSize: 100}
-	for _, idx := range mem.Shards()[:3] {
-		cp.Shards = append(cp.Shards, *mem.mem[idx])
-	}
-	data, err := json.Marshal(&cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "legacy.ckpt.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume under one digest (allowed: pre-digest caveat, migrating
-	// to v2), then under a different one: if the migration had stamped
-	// the first digest, this second resume would be refused.
-	for _, digest := range []string{"digest-a", "digest-b"} {
-		if _, err := Run(scn, Config{ShardSize: 100, Checkpoint: path, ParamsDigest: digest}); err != nil {
-			t.Fatalf("digest %q: migrated legacy checkpoint refused: %v", digest, err)
-		}
-	}
-	p, err := OpenPartial(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.ParamsDigest() != "" {
-		t.Errorf("migration certified legacy shards under digest %q", p.ParamsDigest())
 	}
 }

@@ -22,12 +22,11 @@ type ExecConfig struct {
 	// Artifact is the path of the partial-result file; "" keeps the
 	// partition's output in memory. When the file exists it must
 	// describe the same plan (scenario, trials, shard size, partition)
-	// and its completed shards are not recomputed; a legacy version-1
-	// checkpoint is migrated to the version-2 format in place. Once a
-	// shard record has been appended to the artifact its samples and
-	// notes are dropped from memory (Merge re-reads them), so a
-	// file-backed execution's memory use is bounded by the flush
-	// cadence, not the campaign size.
+	// and its completed shards are not recomputed. Once a shard record
+	// has been appended to the artifact its samples and notes are
+	// dropped from memory (Merge re-reads them), so a file-backed
+	// execution's memory use is bounded by the flush cadence, not the
+	// campaign size.
 	Artifact string
 	// FlushEvery appends buffered shard records after every N newly
 	// completed shards; 0 flushes after maxBufferedShards shards or
@@ -38,9 +37,8 @@ type ExecConfig struct {
 	// plan covers the whole campaign (its local shard prefix is then
 	// the global prefix); a partitioned executor runs its entire slice
 	// — over-running a would-be stopping point — and Merge decides the
-	// stop deterministically on the contiguous global prefix. Weighted
-	// plans decide the stop with the relative-error rule
-	// (SatisfiedWeighted) instead of the Wilson interval.
+	// stop deterministically on the contiguous global prefix. Both
+	// decide through a PrefixFold.
 	Stop *EarlyStop
 	// MaxShards, when positive, bounds how many pending (not yet
 	// completed) shards this call executes, in shard order. The
@@ -91,58 +89,32 @@ func Execute(scn Scenario, plan *Plan, cfg ExecConfig) (*Partial, error) {
 		pending = pending[:cfg.MaxShards]
 	}
 
-	// Early-stop and contiguous-prefix state, meaningful only for a
-	// full plan (local prefix == global prefix). An artifact-restored
-	// prefix is evaluated shard by shard exactly like live progress,
-	// so a resumed run reproduces the original stopping point even
-	// when the artifact holds in-flight shards beyond it.
+	// The early stop is decided only for a full plan, whose local
+	// prefix is the global one. An artifact-restored prefix is folded
+	// shard by shard exactly like live progress, so a resumed run
+	// reproduces the original stopping point even when the artifact
+	// holds in-flight shards beyond it.
 	var (
-		firstErr     error
-		stopFlag     int64
-		prefix       = plan.First
-		prefixCounts = make(map[string]int64)
-		prefixW      Moments
-		stopped      = false
+		firstErr error
+		stopFlag int64
+		fold     *PrefixFold
 	)
-	useStop := cfg.Stop != nil && plan.Full()
-	checkStop := func() {
-		if !useStop || stopped || firstErr != nil {
-			return
-		}
-		_, trialsSoFar := plan.ShardSpan(prefix - 1)
-		successes := prefixCounts[cfg.Stop.Counter]
-		if err := checkBinomial(scn.Name(), cfg.Stop.Counter, successes, trialsSoFar); err != nil {
-			firstErr = err
-			atomic.StoreInt64(&stopFlag, 1)
-			return
-		}
-		fired := false
-		if plan.Weighted {
-			fired = cfg.Stop.SatisfiedWeighted(prefixW, trialsSoFar)
-		} else {
-			fired = cfg.Stop.satisfied(successes, trialsSoFar)
-		}
-		if fired {
-			stopped = true
-			atomic.StoreInt64(&stopFlag, 1)
-		}
+	if cfg.Stop != nil && plan.Full() {
+		fold = NewPrefixFold(plan, cfg.Stop)
 	}
 	advancePrefix := func() {
-		for prefix < plan.End && partial.has(prefix) {
-			for k, v := range partial.counters[prefix] {
-				prefixCounts[k] += v
-			}
-			if useStop && plan.Weighted {
-				if m, ok := partial.ShardWeights(prefix, cfg.Stop.Counter); ok {
-					prefixW.add(m)
-				}
-			}
-			prefix++
-			checkStop()
+		if fold == nil || fold.Stopped() || firstErr != nil {
+			return
+		}
+		if err := fold.Advance(partial); err != nil {
+			firstErr = err
+		}
+		if firstErr != nil || fold.Stopped() {
+			atomic.StoreInt64(&stopFlag, 1)
 		}
 	}
 	advancePrefix()
-	if stopped || firstErr != nil {
+	if firstErr != nil || (fold != nil && fold.Stopped()) {
 		// The restored prefix already decided the campaign; don't
 		// start workers for shards that would be discarded anyway.
 		pending = nil
@@ -299,21 +271,10 @@ func Execute(scn Scenario, plan *Plan, cfg ExecConfig) (*Partial, error) {
 	return partial, nil
 }
 
-// checkBinomial guards the early-stop rule: a counter that increments
-// more than once per trial is not a binomial proportion; the Wilson
-// width would be NaN and the stop rule would silently never fire.
-func checkBinomial(scenario, counter string, successes int64, trials int) error {
-	if successes > int64(trials) {
-		return fmt.Errorf("campaign: %s: early-stop counter %q is not per-trial (%d over %d trials)",
-			scenario, counter, successes, trials)
-	}
-	return nil
-}
-
 // preparePartial builds the partition's output store: an in-memory
 // partial when no artifact is configured, otherwise the existing
-// artifact (validated against the plan, migrating version-1
-// checkpoints) or a freshly created one, opened for appending.
+// artifact (validated against the plan) or a freshly created one,
+// opened for appending.
 func preparePartial(plan *Plan, artifact string) (*Partial, *partialAppender, error) {
 	if artifact == "" {
 		return newMemPartial(plan), nil, nil
@@ -330,7 +291,7 @@ func preparePartial(plan *Plan, artifact string) (*Partial, *partialAppender, er
 			loc:      make(map[int][2]int64),
 			path:     artifact,
 		}
-		appender, err := createPartialFile(artifact, header, nil, p.loc)
+		appender, err := createPartialFile(artifact, header)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -364,26 +325,6 @@ func preparePartial(plan *Plan, artifact string) (*Partial, *partialAppender, er
 		}
 	}
 	existing.resumed = existing.DoneTrials()
-	if appendAt == appendRewrite {
-		// Version-1 checkpoint: rewrite as version 2 so new shards can
-		// be appended. The in-memory records move to the file. The
-		// migrated header keeps the checkpoint's own (digest-less)
-		// identity rather than the plan's: stamping the current digest
-		// onto legacy shards would certify params provenance the old
-		// format never recorded — and wrongly refuse the artifact
-		// later if the spec edit it was blind to gets reverted.
-		records := make([]*shardRecord, 0, len(existing.mem))
-		for _, idx := range existing.Shards() {
-			records = append(records, existing.mem[idx])
-		}
-		existing.loc = make(map[int][2]int64)
-		appender, err := createPartialFile(artifact, existing.header, records, existing.loc)
-		if err != nil {
-			return nil, nil, err
-		}
-		existing.mem = nil
-		return existing, appender, nil
-	}
 	appender, err := openAppender(artifact, appendAt)
 	if err != nil {
 		return nil, nil, err

@@ -128,78 +128,39 @@ func Merge(partials []*Partial, cfg MergeConfig) (*Result, error) {
 	// on the contiguous prefix, exactly as a single-process run does.
 	// A shard missing before the stopping point (or the end) means the
 	// partition set is incomplete.
-	span := func(idx int) (lo, hi int) {
-		return shardSpan(idx, head.ShardSize, head.Trials)
-	}
-	counters := make(map[string]int64)
-	weighted := head.Version == partialVersionWeighted
-	var weights map[string]Moments
-	if weighted {
-		weights = make(map[string]Moments)
-	}
-	useShards := numShards
-	earlyStopped := false
-	for i := 0; i < numShards; i++ {
-		p, ok := owner[i]
+	fold := newPrefixFold(head, cfg.Stop)
+	for !fold.stopped && fold.next < numShards {
+		p, ok := owner[fold.next]
 		if !ok {
 			// With AllowIncomplete the contiguous complete prefix is the
 			// result; without it a missing shard is a refused merge.
-			if cfg.AllowIncomplete && i > 0 {
-				useShards = i
+			if cfg.AllowIncomplete && fold.next > 0 {
 				break
 			}
 			return nil, fmt.Errorf("campaign: %s: incomplete merge: shard %d of %d missing from the %d given partial(s)",
-				head.Scenario, i, numShards, len(partials))
+				head.Scenario, fold.next, numShards, len(partials))
 		}
-		for k, v := range p.counters[i] {
-			counters[k] += v
-		}
-		if weighted {
-			// Only counters recorded via AddWeighted carry moments;
-			// diagnostics folded with Add stay integer-only.
-			for k, m := range p.weights[i] {
-				w := weights[k]
-				w.add(m)
-				weights[k] = w
-			}
-		}
-		if cfg.Stop != nil {
-			_, trialsSoFar := span(i)
-			successes := counters[cfg.Stop.Counter]
-			if err := checkBinomial(head.Scenario, cfg.Stop.Counter, successes, trialsSoFar); err != nil {
-				return nil, err
-			}
-			var fired bool
-			if weighted {
-				fired = cfg.Stop.SatisfiedWeighted(weights[cfg.Stop.Counter], trialsSoFar)
-			} else {
-				fired = cfg.Stop.satisfied(successes, trialsSoFar)
-			}
-			if fired {
-				useShards = i + 1
-				earlyStopped = useShards < numShards
-				break
-			}
+		if err := fold.Advance(p); err != nil {
+			return nil, err
 		}
 	}
+	useShards := fold.next
 
 	resumed := 0
 	for _, p := range sorted {
 		resumed += p.resumed
 	}
-	_, trials := span(useShards - 1)
+	_, trials := shardSpan(useShards-1, head.ShardSize, head.Trials)
 	res := &Result{
 		Scenario:      head.Scenario,
 		Requested:     head.Trials,
 		Trials:        trials,
-		EarlyStopped:  earlyStopped,
+		EarlyStopped:  fold.stopped && useShards < numShards,
 		ResumedTrials: resumed,
-		// The prefix loop stops folding counters at the stopping shard,
-		// so the totals cover exactly [0, useShards).
-		Counters: counters,
-	}
-	if weighted {
-		res.Weights = weights
+		// The fold stops at the stopping shard, so the totals cover
+		// exactly [0, useShards).
+		Counters: fold.counters,
+		Weights:  fold.weights,
 	}
 
 	// Pass 2: stream samples and notes in shard (= trial) order,

@@ -24,29 +24,23 @@ import (
 // growing checkpoint — the bounded-memory path for million-sample
 // campaigns. A torn final line (crash mid-append) is dropped on read
 // and truncated away before the next append, so the file is always
-// resumable. Version 1 is the legacy single-object checkpoint written
-// by earlier releases; readPartial migrates it transparently (same
-// shard contents, partition 0/1 implied). Version 3 is version 2 plus
-// per-shard weight moments for importance-sampled campaigns; version-2
-// files load as unit-weight (nil moments), exactly as version-1 files
-// load as partition 0/1.
+// resumable. Version 3 is version 2 plus per-shard weight moments for
+// importance-sampled campaigns; version-2 files load as unit-weight
+// (nil moments). The version-1 single-object checkpoint of earlier
+// releases is refused.
 //
 // Artifacts may also be stored gzip-compressed at rest (the fabric
 // coordinator's format): readPartial sniffs the gzip magic bytes and
 // decompresses transparently. Compressed artifacts are read-only —
 // they merge and adopt normally but refuse resume-appending.
 const (
-	partialVersionLegacy   = 1
 	partialVersion         = 2
 	partialVersionWeighted = 3
 )
 
-// appendAt sentinel values returned by readPartial for artifacts that
-// cannot be appended to in place.
-const (
-	appendRewrite = -1 // legacy version 1: rewrite as JSONL first
-	appendGzip    = -2 // gzip at rest: read-only
-)
+// appendGzip is the appendAt value readPartial returns for a gzip
+// artifact, which is read-only at rest.
+const appendGzip = -2
 
 // partialHeader is the first line of a version-2 artifact.
 type partialHeader struct {
@@ -154,15 +148,6 @@ func parseWeights(m map[string]momentWire) (map[string]Moments, error) {
 		out[k] = Moments{WSum: wsum, WSum2: wsum2}
 	}
 	return out, nil
-}
-
-// legacyCheckpoint is the version-1 single-object schema.
-type legacyCheckpoint struct {
-	Version   int           `json:"version"`
-	Scenario  string        `json:"scenario"`
-	Trials    int           `json:"trials"`
-	ShardSize int           `json:"shard_size"`
-	Shards    []shardRecord `json:"shards"`
 }
 
 // sampleWire is the JSON form of Sample. Coordinates travel as
@@ -307,38 +292,6 @@ func (p *Partial) load(idx int) (*shardRecord, error) {
 	return &rec, nil
 }
 
-// ShardCounter returns the value a completed shard recorded for one
-// named counter (0 for counters the shard never touched). ok is false
-// when the shard is not complete in this partial. Layers that fold
-// arrivals incrementally — the fabric coordinator re-deciding the
-// early stop on the contiguous prefix between merge rounds — read
-// per-shard counters through this instead of waiting for a full Merge.
-func (p *Partial) ShardCounter(idx int, name string) (v int64, ok bool) {
-	c, ok := p.counters[idx]
-	if !ok {
-		return 0, false
-	}
-	return c[name], true
-}
-
-// ShardWeights returns the weight moments a completed shard recorded
-// for one counter. Unit-weight shards (and version-2 artifacts, which
-// predate moments) report the integer counter as both moments —
-// exactly the unit-weight identity WSum == WSum2 == count — so prefix
-// folds can mix old and new shards without special cases. ok mirrors
-// ShardCounter.
-func (p *Partial) ShardWeights(idx int, name string) (m Moments, ok bool) {
-	c, ok := p.counters[idx]
-	if !ok {
-		return Moments{}, false
-	}
-	if w, found := p.weights[idx][name]; found {
-		return w, true
-	}
-	v := float64(c[name])
-	return Moments{WSum: v, WSum2: v}, true
-}
-
 // MatchesPlan validates that this partial is the output of exactly the
 // given plan: same campaign geometry (scenario, trials, shard size),
 // same partition, no params-digest conflict, and every completed shard
@@ -455,11 +408,10 @@ func (p *Partial) record(rec *shardRecord) error {
 	return nil
 }
 
-// OpenPartial reads a partial-result artifact (version 2 or 3, or a
-// legacy version-1 checkpoint, which loads as partition 0/1 with
-// identical shard contents) for merging. A plain JSONL file keeps
-// only per-shard counters resident (samples are re-read on demand);
-// a gzip-compressed one loads fully into memory.
+// OpenPartial reads a partial-result artifact (version 2 or 3) for
+// merging. A plain JSONL file keeps only per-shard counters resident
+// (samples are re-read on demand); a gzip-compressed one loads fully
+// into memory.
 func OpenPartial(path string) (*Partial, error) {
 	p, _, err := readPartial(path)
 	if err != nil {
@@ -483,9 +435,8 @@ func ReadPartial(path string) (*Partial, error) {
 // readPartial loads an artifact in any format. It returns the
 // partial, the byte offset at which a plain JSONL file's next append
 // belongs (the end of the last complete record — a torn tail is
-// excluded), and nil, nil, nil for a missing file. Version-1 files
-// return appendRewrite (they must be rewritten before appending);
-// gzip-compressed files return appendGzip (read-only at rest).
+// excluded), and nil, nil, nil for a missing file. Gzip-compressed
+// files return appendGzip (read-only at rest).
 func readPartial(path string) (*Partial, int64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -524,49 +475,6 @@ func readPartial(path string) (*Partial, int64, error) {
 		return nil, 0, fmt.Errorf("campaign: partial %s has no version field", path)
 	}
 	switch header.Version {
-	case partialVersionLegacy:
-		if gzipped {
-			return nil, 0, fmt.Errorf("campaign: partial %s is a compressed legacy checkpoint (not supported)", path)
-		}
-		// The whole file is one version-1 JSON object; the "header" we
-		// just parsed is the object itself (field names overlap), but
-		// re-read it as the legacy schema to get the shards.
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil, 0, fmt.Errorf("campaign: read partial: %w", rerr)
-		}
-		var cp legacyCheckpoint
-		if uerr := json.Unmarshal(data, &cp); uerr != nil {
-			return nil, 0, fmt.Errorf("campaign: parse checkpoint %s: %w", path, uerr)
-		}
-		p := &Partial{
-			header: partialHeader{
-				Version:        partialVersion,
-				Scenario:       cp.Scenario,
-				Trials:         cp.Trials,
-				ShardSize:      cp.ShardSize,
-				PartitionIndex: 0,
-				PartitionCount: 1,
-			},
-			counters: make(map[int]map[string]int64),
-			mem:      make(map[int]*shardRecord),
-			path:     path,
-		}
-		numShards := p.header.numShards()
-		for i := range cp.Shards {
-			rec := cp.Shards[i]
-			if rec.Index < 0 || rec.Index >= numShards {
-				return nil, 0, fmt.Errorf("campaign: checkpoint %s has out-of-range shard %d", path, rec.Index)
-			}
-			if rec.Counters == nil {
-				rec.Counters = make(map[string]int64)
-			}
-			if err := p.record(&rec); err != nil {
-				return nil, 0, fmt.Errorf("campaign: checkpoint %s: %w", path, err)
-			}
-		}
-		return p, appendRewrite, nil
-
 	case partialVersion, partialVersionWeighted:
 		if header.Trials <= 0 || header.ShardSize <= 0 {
 			return nil, 0, fmt.Errorf("campaign: partial %s has invalid geometry (%d trials, shard %d)", path, header.Trials, header.ShardSize)
@@ -640,33 +548,20 @@ type partialAppender struct {
 	offset int64
 }
 
-// createPartialFile writes a fresh version-2 artifact holding the
-// header and the given records (used both for new artifacts and for
-// migrating a version-1 checkpoint), atomically via rename, and
-// returns an appender positioned at its end. The records' file
-// locations are recorded into loc.
-func createPartialFile(path string, header partialHeader, records []*shardRecord, loc map[int][2]int64) (*partialAppender, error) {
+// createPartialFile writes a fresh artifact holding only the header,
+// atomically via rename, and returns an appender positioned at its
+// end.
+func createPartialFile(path string, header partialHeader) (*partialAppender, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: partial dir: %w", err)
 	}
-	var buf bytes.Buffer
 	head, err := json.Marshal(header)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: encode partial header: %w", err)
 	}
-	buf.Write(head)
-	buf.WriteByte('\n')
-	for _, rec := range records {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: encode shard %d: %w", rec.Index, err)
-		}
-		loc[rec.Index] = [2]int64{int64(buf.Len()), int64(len(line) + 1)}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
+	head = append(head, '\n')
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(tmp, head, 0o644); err != nil {
 		return nil, fmt.Errorf("campaign: write partial: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -676,11 +571,11 @@ func createPartialFile(path string, header partialHeader, records []*shardRecord
 	if err != nil {
 		return nil, fmt.Errorf("campaign: reopen partial: %w", err)
 	}
-	if _, err := f.Seek(int64(buf.Len()), io.SeekStart); err != nil {
+	if _, err := f.Seek(int64(len(head)), io.SeekStart); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("campaign: seek partial: %w", err)
 	}
-	return &partialAppender{f: f, path: path, offset: int64(buf.Len())}, nil
+	return &partialAppender{f: f, path: path, offset: int64(len(head))}, nil
 }
 
 // openAppender opens an existing version-2 artifact for appending at

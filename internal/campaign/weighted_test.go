@@ -16,14 +16,16 @@ import (
 // trial "hits" with probability pBiased and carries likelihood ratio
 // lr, so the weighted estimator targets pBiased*lr. With unit=true it
 // declares itself unweighted and records plain counters — the control
-// arm for unit-weight equivalence tests.
+// arm for unit-weight equivalence tests. With plainHits=true it stays
+// weighted but records hits with Add, leaving them without moments.
 type tiltScenario struct {
-	name    string
-	trials  int
-	seed    int64
-	pBiased float64
-	lr      float64
-	unit    bool
+	name      string
+	trials    int
+	seed      int64
+	pBiased   float64
+	lr        float64
+	unit      bool
+	plainHits bool
 }
 
 func (s *tiltScenario) Name() string   { return s.name }
@@ -42,7 +44,7 @@ func (w *tiltWorker) Trial(i int, acc *Acc) error {
 	w.rng.Seed(TrialSeed(w.scn.seed, i))
 	acc.Add("raw_events", 2) // diagnostics stay integer in weighted runs too
 	if w.rng.Float64() < w.scn.pBiased {
-		if w.scn.unit {
+		if w.scn.unit || w.scn.plainHits {
 			acc.Add("hits", 1)
 		} else {
 			acc.AddWeighted("hits", w.scn.lr)
@@ -171,6 +173,37 @@ func TestWeightedPartitionMerge(t *testing.T) {
 	}
 }
 
+// TestWeightedStopOnIntegerOnlyCounter: in a weighted campaign a stop
+// counter recorded with plain Add has no weight moments, so the
+// relative-error rule has no estimator to judge. The whole run and a
+// 3-way partitioned merge must refuse it with the same error naming
+// the counter, instead of the executor stopping on unit weights while
+// the merger never fires and then misses the shards the executor
+// skipped.
+func TestWeightedStopOnIntegerOnlyCounter(t *testing.T) {
+	scn := &tiltScenario{name: "tilt", trials: 20000, seed: 3, pBiased: 0.25, lr: 1e-8, plainHits: true}
+	stop := &EarlyStop{Counter: "hits", RelHalfWidth: 0.1, MinTrials: 500}
+	const want = `early-stop counter "hits" carries no weight moments`
+	if _, err := Run(scn, Config{Workers: 4, ShardSize: 128, Stop: stop}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("whole run: err = %v, want %q", err, want)
+	}
+	var partials []*Partial
+	for i := 0; i < 3; i++ {
+		plan, err := NewPlan(scn, 128, Partition{Index: i, Count: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Execute(scn, plan, ExecConfig{Workers: 2, Stop: stop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		partials = append(partials, p)
+	}
+	if _, err := Merge(partials, MergeConfig{Stop: stop}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("3-way merge: err = %v, want %q", err, want)
+	}
+}
+
 // TestWeightedPartialRoundTrip: version-3 records must reload their
 // weight moments exactly, and resuming from the artifact must not
 // recompute anything.
@@ -195,7 +228,7 @@ func TestWeightedPartialRoundTrip(t *testing.T) {
 	}
 	wantMoments := map[int]Moments{}
 	for _, idx := range p.Shards() {
-		wantMoments[idx], _ = p.ShardWeights(idx, "hits")
+		wantMoments[idx] = p.weights[idx]["hits"]
 	}
 	p.Close()
 
@@ -205,8 +238,7 @@ func TestWeightedPartialRoundTrip(t *testing.T) {
 	}
 	defer re.Close()
 	for idx, want := range wantMoments {
-		got, ok := re.ShardWeights(idx, "hits")
-		if !ok || got != want {
+		if got := re.weights[idx]["hits"]; !re.has(idx) || got != want {
 			t.Fatalf("shard %d moments did not round-trip: %+v vs %+v", idx, got, want)
 		}
 	}
@@ -230,8 +262,8 @@ func TestWeightedPartialRoundTrip(t *testing.T) {
 }
 
 // TestUnweightedPartialLoadsAsUnitWeight: version-2 artifacts predate
-// weight moments; ShardWeights must report the unit-weight identity so
-// prefix folds can mix artifact generations.
+// weight moments, so a reloaded one carries none and its merge stays
+// unit-weight.
 func TestUnweightedPartialLoadsAsUnitWeight(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "coin.part")
@@ -253,12 +285,8 @@ func TestUnweightedPartialLoadsAsUnitWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	for _, idx := range re.Shards() {
-		c, _ := re.ShardCounter(idx, "hits")
-		m, ok := re.ShardWeights(idx, "hits")
-		if !ok || m.WSum != float64(c) || m.WSum2 != float64(c) {
-			t.Fatalf("shard %d: unit fallback broken: count %d, moments %+v", idx, c, m)
-		}
+	if re.weights != nil {
+		t.Fatalf("version-2 partial loaded weight moments: %+v", re.weights)
 	}
 	// The merged result of an unweighted campaign must not carry a
 	// weights map at all — its JSON artifact bytes are pinned by the
@@ -485,21 +513,21 @@ func TestSatisfiedWeighted(t *testing.T) {
 	w := 1e-9
 	k, n := 400.0, 10000
 	m := Moments{WSum: k * w, WSum2: k * w * w}
-	if !stop.SatisfiedWeighted(m, n) {
+	if !stop.satisfiedWeighted(m, n) {
 		t.Error("tight weighted estimate did not satisfy the stop")
 	}
 	// k=20 of 10000: ~22% relative error — outside.
 	m = Moments{WSum: 20 * w, WSum2: 20 * w * w}
-	if stop.SatisfiedWeighted(m, n) {
+	if stop.satisfiedWeighted(m, n) {
 		t.Error("loose weighted estimate satisfied the stop")
 	}
 	// Below MinTrials: never.
 	m = Moments{WSum: 40 * w, WSum2: 40 * w * w}
-	if stop.SatisfiedWeighted(m, 50) {
+	if stop.satisfiedWeighted(m, 50) {
 		t.Error("stop fired below MinTrials")
 	}
 	// No weight mass: never.
-	if stop.SatisfiedWeighted(Moments{}, 10000) {
+	if stop.satisfiedWeighted(Moments{}, 10000) {
 		t.Error("stop fired with zero weight mass")
 	}
 }

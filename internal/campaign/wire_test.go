@@ -114,8 +114,8 @@ func TestMatchesPlanRejectsMismatches(t *testing.T) {
 
 // TestTruncatedUploadIncomplete drops the tail of a serialized partial
 // and checks Complete detects the missing shards (the coordinator's
-// truncated-upload rejection) while ShardCounter still reads the
-// shards that survived.
+// truncated-upload rejection) while the shards that survived still
+// load with their counters.
 func TestTruncatedUploadIncomplete(t *testing.T) {
 	scn := &coinScenario{name: "wire-coin", trials: 600, seed: 9, p: 0.4}
 	plan, err := NewPlan(scn, 64, Whole)
@@ -147,10 +147,10 @@ func TestTruncatedUploadIncomplete(t *testing.T) {
 	if p.Complete(plan) {
 		t.Fatal("truncated partial reported complete")
 	}
-	if v, ok := p.ShardCounter(0, "trials_seen"); !ok || v != 64 {
-		t.Fatalf("ShardCounter(0, trials_seen) = %d, %v; want 64, true", v, ok)
+	if v, ok := p.counters[0]["trials_seen"]; !ok || v != 64 {
+		t.Fatalf("shard 0 trials_seen = %d, %v; want 64, true", v, ok)
 	}
-	if _, ok := p.ShardCounter(plan.NumShards-1, "trials_seen"); ok {
+	if p.has(plan.NumShards - 1) {
 		t.Fatal("dropped shard still readable")
 	}
 }

@@ -62,7 +62,9 @@ var fail = State{Fail: true}
 
 // Options selects between paper-faithful transition rates and
 // dimensionally consistent variants for the two spots where the paper
-// text is ambiguous (see DESIGN.md, "Modeling decisions").
+// text is ambiguous; BenchmarkAblationPaperBRate and
+// BenchmarkAblationDoubleSidedErasures in the repository root measure
+// both.
 type Options struct {
 	// BRateUsesY reproduces the paper's literal rate "lambda_e * Y"
 	// for the transition converting a b position into an X position

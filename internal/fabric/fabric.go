@@ -55,11 +55,11 @@
 // match the slice's plan exactly (scenario, trials, shard size,
 // partition, params digest) and must cover every shard of the slice —
 // a stale, foreign or truncated upload is rejected with a 409 and the
-// slice is immediately re-queued. Between arrivals the registry folds
-// each entry's contiguous shard prefix incrementally and re-decides
-// the Wilson-CI (or weighted relative-error) early stop exactly as
-// campaign.Merge does, cancelling every slice strictly beyond the
-// stopping shard.
+// slice is immediately re-queued. Between arrivals the registry feeds
+// each entry's contiguous shard prefix to a campaign.PrefixFold, the
+// same stop decision campaign.Merge makes, cancelling every slice
+// strictly beyond the stopping shard; a stop counter the fold refuses
+// fails the job and cancels its remaining slices.
 //
 // # Auth
 //

@@ -329,6 +329,40 @@ func TestFabricEarlyStopCancelsSlices(t *testing.T) {
 	}
 }
 
+// seuStopDoc stops on memsim's seus, which counts every upset and so
+// exceeds one event per trial: no stop rule can use it.
+const seuStopDoc = `{"seed": 5, "shard_size": 64, "scenarios": [{
+  "name": "seu-stop", "kind": "memsim",
+  "params": {"duplex": false, "lambda_bit_per_hour": 2e-3,
+             "lambda_symbol_per_hour": 0, "horizon_hours": 24,
+             "trials": 1024},
+  "stop": {"counter": "seus", "rel_half_width": 0.05, "min_trials": 64}
+}]}`
+
+// TestFabricNonBinomialStopFailsJob: a stop counter that counts more
+// than once per trial fails the job at the shard where the
+// single-process run refuses it, with the same message, and the slices
+// not yet run are cancelled instead of computed for a doomed merge.
+func TestFabricNonBinomialStopFailsJob(t *testing.T) {
+	r, srv, f, built, _ := startRegistry(t, seuStopDoc, 4, time.Minute, nil)
+	_, runErr := campaign.Run(built[0].Scenario, built[0].EngineConfig(f))
+	if runErr == nil || !strings.Contains(runErr.Error(), "not per-trial") {
+		t.Fatalf("single-process run: err = %v, want the not-per-trial refusal", runErr)
+	}
+
+	runExecutors(t, srv.URL, 1)
+	waitDone(t, r)
+
+	job := r.Status().Jobs[0]
+	if job.State != JobFailed || job.Error != runErr.Error() {
+		t.Errorf("job %s with error %q, want failed with %q", job.State, job.Error, runErr.Error())
+	}
+	if job.SlicesPending != 0 || job.SlicesLeased != 0 || job.SlicesCancelled == 0 {
+		t.Errorf("slices after the failure: %d pending, %d leased, %d cancelled; want the rest cancelled",
+			job.SlicesPending, job.SlicesLeased, job.SlicesCancelled)
+	}
+}
+
 // TestFabricRejectsBadUploads: garbage, wrong-slice and truncated
 // bodies are all rejected with 409 and the slice is re-queued; a
 // correct retry then completes it.

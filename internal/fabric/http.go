@@ -268,8 +268,11 @@ func (r *Registry) handleUpload(w http.ResponseWriter, req *http.Request) {
 	j.uploads++
 	r.log.Printf("fabric: job %s: accepted %s slice %s (%d trials) from %s",
 		j.id, t.built.Entry.Name, s.plan.Part, s.plan.PartitionTrials(), s.holder)
-	r.advanceTask(j, t)
-	r.maybeCompleteLocked(j)
+	if err := r.advanceTask(j, t); err != nil {
+		r.failJobLocked(j, err.Error())
+	} else {
+		r.maybeCompleteLocked(j)
+	}
 	writeJSON(w, uploadReply{Accepted: true})
 }
 

@@ -96,20 +96,13 @@ type slice struct {
 // task is one spec entry being distributed.
 type task struct {
 	built   *spec.Built
-	cfg     campaign.Config // engine config: shard size, stop rule, digest
 	slices  []*slice
 	arrived map[int]*campaign.Partial // slice index -> accepted partial (counters resident)
 
-	// Contiguous-prefix early-stop state, mirroring campaign.Merge's
-	// pass 1: prefix is the next global shard not yet folded,
-	// slicePtr the slice owning it.
-	prefix        int
-	slicePtr      int
-	prefixSuccess int64
-	prefixW       campaign.Moments // weighted plans: folded stop-counter moments
-	prefixTrials  int
-	stopped       bool
-	stopShard     int
+	// fold decides the early stop on the contiguous shard prefix of
+	// the arrived slices; slicePtr is the slice owning fold.Next().
+	fold     *campaign.PrefixFold
+	slicePtr int
 
 	doneTrials int
 	done       bool
@@ -274,7 +267,7 @@ func (r *Registry) Submit(specBytes []byte, opts SubmitOptions) (*JobStatus, err
 	r.jobs[id] = j
 	r.order = append(r.order, j)
 	if buildErr != nil {
-		r.finishJobLocked(j, JobFailed, buildErr.Error())
+		r.failJobLocked(j, buildErr.Error())
 		return r.jobStatusLocked(j, false), nil
 	}
 	r.log.Printf("fabric: job %s: submitted by tenant %q: %d entries, %d slices each (dir %s)",
@@ -308,7 +301,7 @@ func (r *Registry) buildJob(j *job) error {
 	j.built = built
 	for _, b := range built {
 		ecfg := b.EngineConfig(f)
-		t := &task{built: b, cfg: ecfg, arrived: make(map[int]*campaign.Partial)}
+		t := &task{built: b, arrived: make(map[int]*campaign.Partial)}
 		expected := make(map[string]*slice, r.cfg.Slices)
 		for i := 0; i < r.cfg.Slices; i++ {
 			part := campaign.Partition{Index: i, Count: r.cfg.Slices}
@@ -324,11 +317,14 @@ func (r *Registry) buildJob(j *job) error {
 			expected[s.path] = s
 			t.slices = append(t.slices, s)
 		}
+		t.fold = campaign.NewPrefixFold(t.slices[0].plan, ecfg.Stop)
 		if err := r.adoptExisting(j, t, expected); err != nil {
 			return err
 		}
-		r.advanceTask(j, t)
 		j.tasks = append(j.tasks, t)
+		if err := r.advanceTask(j, t); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -376,15 +372,15 @@ func (r *Registry) adoptExisting(j *job, t *task, expected map[string]*slice) er
 	return nil
 }
 
-// advanceTask folds newly contiguous shards into the prefix and
-// re-decides the early stop, mirroring campaign.Merge's pass 1 shard
-// for shard; on a stop it cancels every slice strictly beyond the
-// stopping shard. Must be called with mu held (or before the job is
-// inserted).
-func (r *Registry) advanceTask(j *job, t *task) {
+// advanceTask folds newly contiguous shards into the task's prefix
+// fold; when the fold decides the early stop it cancels every slice
+// strictly beyond the stopping shard. A fold error (a stop counter the
+// rule cannot use) is returned for the caller to fail the job. Must be
+// called with mu held (or before the job is inserted).
+func (r *Registry) advanceTask(j *job, t *task) error {
 	numShards := t.numShards()
-	for !t.stopped && t.prefix < numShards {
-		for t.slicePtr < len(t.slices) && t.slices[t.slicePtr].plan.End <= t.prefix {
+	for !t.fold.Stopped() && t.fold.Next() < numShards {
+		for t.slicePtr < len(t.slices) && t.slices[t.slicePtr].plan.End <= t.fold.Next() {
 			t.slicePtr++
 		}
 		if t.slicePtr >= len(t.slices) {
@@ -394,45 +390,18 @@ func (r *Registry) advanceTask(j *job, t *task) {
 		if s.state != sliceDone {
 			break
 		}
-		p := t.arrived[s.plan.Part.Index]
-		stop := t.cfg.Stop
-		weighted := s.plan.Weighted
-		var v int64
-		if stop != nil {
-			v, _ = p.ShardCounter(t.prefix, stop.Counter)
-			if weighted {
-				m, _ := p.ShardWeights(t.prefix, stop.Counter)
-				t.prefixW.WSum += m.WSum
-				t.prefixW.WSum2 += m.WSum2
-			}
+		if err := t.fold.Advance(t.arrived[s.plan.Part.Index]); err != nil {
+			return err
 		}
-		t.prefixSuccess += v
-		_, t.prefixTrials = s.plan.ShardSpan(t.prefix)
-		t.prefix++
-		// Weighted plans stop on the relative-error rule over the folded
-		// moments, exactly as Merge re-decides it; unweighted plans use
-		// Wilson. A counter that increments more than once per trial is
-		// not a binomial proportion; leave that stop to Merge's loud
-		// error.
-		fired := false
-		if stop != nil {
-			if weighted {
-				fired = stop.SatisfiedWeighted(t.prefixW, t.prefixTrials)
-			} else {
-				fired = t.prefixSuccess <= int64(t.prefixTrials) &&
-					stop.Satisfied(t.prefixSuccess, t.prefixTrials)
-			}
-		}
-		if fired {
-			t.stopped = true
-			t.stopShard = t.prefix - 1
+		if t.fold.Stopped() {
+			stopShard := t.fold.Next() - 1
 			for _, other := range t.slices {
-				if other.plan.First > t.stopShard && (other.state == slicePending || other.state == sliceLeased) {
+				if other.plan.First > stopShard && (other.state == slicePending || other.state == sliceLeased) {
 					other.state = sliceCancelled
 				}
 			}
 			r.log.Printf("fabric: job %s: %s: early stop decided at shard %d/%d; cancelled remaining slices",
-				j.id, t.built.Entry.Name, t.stopShard, numShards)
+				j.id, t.built.Entry.Name, stopShard, numShards)
 		}
 	}
 	if !t.done {
@@ -448,6 +417,7 @@ func (r *Registry) advanceTask(j *job, t *task) {
 			r.log.Printf("fabric: job %s: %s: complete (%d trials)", j.id, t.built.Entry.Name, t.doneTrials)
 		}
 	}
+	return nil
 }
 
 // maybeCompleteLocked transitions a job whose every task has finished:
@@ -539,6 +509,17 @@ func (r *Registry) Delete(id, tenant string) error {
 	if jobTerminal(j.state) {
 		return fmt.Errorf("%w: %s is %s", ErrJobTerminal, id, j.state)
 	}
+	// A job deleted mid-merge finishes here; the merge goroutine sees
+	// the terminal state and discards its verdict.
+	r.failJobLocked(j, "deleted by operator")
+	return nil
+}
+
+// failJobLocked fails a job: its outstanding leases are invalidated
+// (late uploads against them are refused as "lease gone") and its
+// remaining slices cancelled, with nothing re-queued. Must be called
+// with mu held.
+func (r *Registry) failJobLocked(j *job, errMsg string) {
 	for _, t := range j.tasks {
 		for _, s := range t.slices {
 			switch s.state {
@@ -550,10 +531,7 @@ func (r *Registry) Delete(id, tenant string) error {
 			}
 		}
 	}
-	// A job deleted mid-merge finishes here; the merge goroutine sees
-	// the terminal state and discards its verdict.
-	r.finishJobLocked(j, JobFailed, "deleted by operator")
-	return nil
+	r.finishJobLocked(j, JobFailed, errMsg)
 }
 
 // SetDraining tells the registry no further jobs are coming: new
@@ -757,9 +735,9 @@ func (r *Registry) jobStatusLocked(j *job, entries bool) *JobStatus {
 			Entry:        t.built.Entry.Name,
 			Scenario:     t.slices[0].plan.Scenario,
 			Done:         t.done,
-			EarlyStopped: t.stopped,
+			EarlyStopped: t.fold.Stopped(),
 			NumShards:    t.numShards(),
-			PrefixShards: t.prefix,
+			PrefixShards: t.fold.Next(),
 			DoneTrials:   t.doneTrials,
 			TotalTrials:  t.totalTrials(),
 		}

@@ -292,7 +292,7 @@ func (mo *module) erasuresInto(buf []int, t float64) []int {
 type worker struct {
 	cfg   Config
 	rng   *rand.Rand
-	sched scrub.Scheduler
+	clock *scrub.Clock // fault arrivals, scrub instants, likelihood ratio
 
 	batch *rs.BatchDecoder // scrub/read decode workspace
 	arb   *arbiter.Arbiter // duplex read path (owns its own decoders)
@@ -373,14 +373,7 @@ func newWorker(cfg Config) *worker {
 		}
 		w.arb = arb
 	}
-	w.sched = scrub.Never{}
-	if cfg.ScrubPeriod > 0 {
-		if cfg.ExponentialScrub {
-			w.sched = &scrub.Exponential{Period: cfg.ScrubPeriod, Rng: w.rng}
-		} else {
-			w.sched = scrub.Periodic{Period: cfg.ScrubPeriod}
-		}
-	}
+	w.clock = scrub.NewClock(w.rng, scrub.New(cfg.ScrubPeriod, cfg.ExponentialScrub, w.rng), cfg.TiltFactor, cfg.Horizon)
 	return w
 }
 
@@ -504,35 +497,20 @@ func (ws *worker) runTrial(trial int, acc *campaign.Acc) {
 
 	// Per-module stochastic rates. Importance sampling tilts only the
 	// arrival clock (all fault rates jointly, so module and fault-type
-	// selection keep their untilted distribution); the likelihood
-	// ratio of the realized arrival count corrects the estimator.
+	// selection keep their untilted distribution); the clock's
+	// likelihood ratio corrects the estimator.
 	seuRate := float64(n*m) * cfg.LambdaBit
 	permRate := float64(n) * cfg.LambdaSymbol
-	totalRate := float64(len(ws.mods)) * (seuRate + permRate)
-	tilt := cfg.TiltFactor
-	if tilt == 0 {
-		tilt = 1
-	}
-	arrivals := 0
-
-	t := 0.0
-	nextScrub := ws.sched.Next(0)
+	ws.clock.Start(float64(len(ws.mods)) * (seuRate + permRate))
 	for {
-		tEvent := math.Inf(1)
-		if totalRate > 0 {
-			tEvent = t + rng.ExpFloat64()/(totalRate*tilt)
-		}
-		if nextScrub < tEvent && nextScrub < cfg.Horizon {
-			t = nextScrub
-			ws.doScrub(t, acc)
-			nextScrub = ws.sched.Next(t)
-			continue
-		}
-		if tEvent >= cfg.Horizon {
+		t, ev := ws.clock.Next()
+		if ev == scrub.Done {
 			break
 		}
-		t = tEvent
-		arrivals++
+		if ev == scrub.Scrub {
+			ws.doScrub(t, acc)
+			continue
+		}
 		// Pick module, then fault type, then location.
 		mo := ws.mods[rng.Intn(len(ws.mods))]
 		if rng.Float64()*(seuRate+permRate) < seuRate {
@@ -544,13 +522,7 @@ func (ws *worker) runTrial(trial int, acc *campaign.Acc) {
 		}
 	}
 	ws.weighted = ws.cfg.weighted()
-	ws.lr = 1
-	if ws.weighted {
-		// Exponential tilt of a Poisson process over [0, H]: the clock
-		// redraws at scrub instants telescope, so only the arrival
-		// count and the total exposure enter the density ratio.
-		ws.lr = math.Exp((tilt-1)*totalRate*cfg.Horizon - float64(arrivals)*math.Log(tilt))
-	}
+	ws.lr = ws.clock.LikelihoodRatio()
 	ws.finalRead(cfg.Horizon, acc)
 }
 

@@ -575,12 +575,14 @@ func batchGoldenCases() []struct {
 	name     string
 	cfg      Config
 	counters map[string]int64
+	weights  map[string]campaign.Moments
 	digest   string
 } {
 	return []struct {
 		name     string
 		cfg      Config
 		counters map[string]int64
+		weights  map[string]campaign.Moments
 		digest   string
 	}{
 		{
@@ -614,6 +616,59 @@ func batchGoldenCases() []struct {
 			},
 			digest: "514887c9563b017358e3c6287b4394ba67310f9e520ac185f6d03d02d1cc4273",
 		},
+		// The tilted cases pin the importance-sampling path: the biased
+		// arrival clock interleaved with each scrub schedule, and the
+		// per-trial likelihood ratios through their weight moments.
+		{
+			name: "simplex/tilt+exp-scrub",
+			cfg: Config{
+				Code: code, LambdaBit: 2e-5, LambdaSymbol: 1e-5,
+				ScrubPeriod: 4, ExponentialScrub: true, TiltFactor: 10,
+				Horizon: 48, Trials: 800, Seed: 21,
+			},
+			counters: map[string]int64{
+				"capability_exceeded": 113, "correct": 687, "data_bit_errors": 73,
+				"no_output": 103, "permanent_faults": 66, "scrub_miscorrections": 27,
+				"scrub_ops": 9605, "seus": 1068, "wrong_output": 10,
+			},
+			weights: map[string]campaign.Moments{
+				"capability_exceeded": {WSum: 1.5628969191281556, WSum2: 0.05393700106026028},
+				"correct":             {WSum: 850.7446880505075, WSum2: 2798.832533684364},
+				"no_output":           {WSum: 1.5092218585524542, WSum2: 0.052473597379063895},
+				"wrong_output":        {WSum: 0.05367506057570115, WSum2: 0.0014634036811963858},
+			},
+			digest: "011aaef1b229c73e9b7eef5f654eeb2db3d91e03f4e3a5b0b93fd24a929bf721",
+		},
+		{
+			name: "duplex/tilt+periodic-scrub",
+			cfg: Config{
+				Code: code, Duplex: true, LambdaBit: 3e-5, LambdaSymbol: 2e-5,
+				ScrubPeriod: 8, TiltFactor: 6,
+				Horizon: 48, Trials: 500, Seed: 23,
+			},
+			counters: map[string]int64{
+				"capability_exceeded": 106, "correct": 489, "data_bit_errors": 9,
+				"no_output": 9, "permanent_faults": 105, "scrub_miscorrections": 16,
+				"scrub_ops": 2500, "seus": 1308,
+				"verdict/both-failed": 4, "verdict/corrected-agree": 142,
+				"verdict/differ-no-flags": 5, "verdict/flag-resolved": 2,
+				"verdict/no-error": 252, "verdict/one-word-failed": 95,
+				"wrong_output": 2,
+			},
+			weights: map[string]campaign.Moments{
+				"capability_exceeded":     {WSum: 2.808486915144673, WSum2: 0.5135124534638716},
+				"correct":                 {WSum: 510.0087608921951, WSum2: 3585.598454488194},
+				"no_output":               {WSum: 0.10279808386145402, WSum2: 0.003937619994254064},
+				"verdict/both-failed":     {WSum: 0.0004727901360250838, WSum2: 8.439417317078405e-08},
+				"verdict/corrected-agree": {WSum: 32.6523051643004, WSum2: 35.038568414358785},
+				"verdict/differ-no-flags": {WSum: 0.10232529372542894, WSum2: 0.003937535600080894},
+				"verdict/flag-resolved":   {WSum: 0.3063680081442547, WSum2: 0.07087490178221001},
+				"verdict/no-error":        {WSum: 474.6519835807512, WSum2: 3550.050312718404},
+				"verdict/one-word-failed": {WSum: 2.399320823138965, WSum2: 0.4386999316874077},
+				"wrong_output":            {WSum: 0.0012166841397312192, WSum2: 1.4780393722742866e-06},
+			},
+			digest: "02d1287f53476de74f206fcf5def28550405ba33a6ebe6b414041dcfdba5c1e6",
+		},
 	}
 }
 
@@ -633,8 +688,8 @@ func TestBatchGoldenOutputs(t *testing.T) {
 		}
 		sum := sha256.Sum256(data)
 		got := hex.EncodeToString(sum[:])
-		if got != tc.digest || !reflect.DeepEqual(cres.Counters, tc.counters) {
-			t.Errorf("%s: golden mismatch\ndigest   %q\ncounters %#v", tc.name, got, cres.Counters)
+		if got != tc.digest || !reflect.DeepEqual(cres.Counters, tc.counters) || !reflect.DeepEqual(cres.Weights, tc.weights) {
+			t.Errorf("%s: golden mismatch\ndigest   %q\ncounters %#v\nweights  %#v", tc.name, got, cres.Counters, cres.Weights)
 		}
 	}
 }

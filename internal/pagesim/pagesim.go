@@ -434,7 +434,7 @@ type worker struct {
 	page          *interleave.Page
 	codec         *interleave.Codec
 	rng           *rand.Rand
-	sched         scrub.Scheduler
+	clock         *scrub.Clock // fault arrivals, scrub instants, likelihood ratio
 
 	data   []gf.Elem // page payload scratch
 	truth  []gf.Elem // ground-truth stored page
@@ -481,14 +481,7 @@ func newWorker(cfg Config, dist burstlen.Dist, policy detectPolicy, page *interl
 		erasures:      make([]int, 0, page.StoredSymbols()),
 		failed:        make([]bool, page.Depth()),
 	}
-	w.sched = scrub.Never{}
-	if cfg.ScrubPeriod > 0 {
-		if cfg.ExponentialScrub {
-			w.sched = &scrub.Exponential{Period: cfg.ScrubPeriod, Rng: w.rng}
-		} else {
-			w.sched = scrub.Periodic{Period: cfg.ScrubPeriod}
-		}
-	}
+	w.clock = scrub.NewClock(w.rng, scrub.New(cfg.ScrubPeriod, cfg.ExponentialScrub, w.rng), cfg.TiltFactor, cfg.Horizon)
 	return w
 }
 
@@ -520,36 +513,25 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 
 	// Per-page event rates (per hour). Importance sampling tilts only
 	// the arrival clock — all rates jointly — so the event-type split
-	// below keeps its untilted distribution; the likelihood ratio of
-	// the realized arrival count corrects the estimator.
+	// below keeps its untilted distribution; the clock's likelihood
+	// ratio corrects the estimator.
 	seuRate := cfg.LambdaBit * float64(storedBits)
 	burstRate := cfg.BurstPerKilobit * float64(storedBits) / 1000
 	colRate := cfg.LambdaColumn * float64(storedSymbols)
 	totalRate := seuRate + burstRate + colRate
-	tilt := cfg.TiltFactor
-	if tilt == 0 {
-		tilt = 1
-	}
+	w.clock.Start(totalRate)
 
 	seus, bursts, cols := 0, 0, 0
 	lastBurstLen := 0
-	t := 0.0
-	nextScrub := w.sched.Next(0)
 	for {
-		tEvent := math.Inf(1)
-		if totalRate > 0 {
-			tEvent = t + rng.ExpFloat64()/(totalRate*tilt)
-		}
-		if nextScrub < tEvent && nextScrub < cfg.Horizon {
-			t = nextScrub
-			w.doScrub(t, trial, acc)
-			nextScrub = w.sched.Next(t)
-			continue
-		}
-		if tEvent >= cfg.Horizon {
+		t, ev := w.clock.Next()
+		if ev == scrub.Done {
 			break
 		}
-		t = tEvent
+		if ev == scrub.Scrub {
+			w.doScrub(t, trial, acc)
+			continue
+		}
 		switch u := rng.Float64() * totalRate; {
 		case u < seuRate:
 			w.flipBit(rng.Intn(storedBits))
@@ -591,15 +573,10 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 	acc.Add(CounterBursts, int64(bursts))
 	acc.Add(CounterStuckColumns, int64(cols))
 
-	// Per-trial likelihood ratio of the tilted arrival process: the
-	// clock redraws at scrub instants telescope, so only the arrival
-	// count (every event type) and total exposure enter the density
-	// ratio. classify records outcome counters weighted by it.
+	// classify records outcome counters weighted by the trial's
+	// likelihood ratio.
 	weighted := cfg.weighted()
-	lr := 1.0
-	if weighted {
-		lr = math.Exp((tilt-1)*totalRate*cfg.Horizon - float64(seus+bursts+cols)*math.Log(tilt))
-	}
+	lr := w.clock.LikelihoodRatio()
 	classify := func(counter string) {
 		if weighted {
 			acc.AddWeighted(counter, lr)

@@ -684,12 +684,14 @@ func batchGoldenCases() []struct {
 	name     string
 	cfg      Config
 	counters map[string]int64
+	weights  map[string]campaign.Moments
 	digest   string
 } {
 	return []struct {
 		name     string
 		cfg      Config
 		counters map[string]int64
+		weights  map[string]campaign.Moments
 		digest   string
 	}{
 		{
@@ -722,6 +724,29 @@ func batchGoldenCases() []struct {
 			},
 			digest: "3363ef0208864a56d6c3206535570d09b19afdc690b11f956e9b130b6c320ba3",
 		},
+		{
+			// SEUs, bursts and stuck columns under a tilted arrival clock
+			// and exponential scrubbing: pins the likelihood ratios
+			// through the page_* weight moments.
+			name: "mixed/tilt+exp-scrub",
+			cfg: Config{
+				Depth: 4, LambdaBit: 1e-5, BurstPerKilobit: 0.005, BurstBits: 12,
+				LambdaColumn: 2e-5, ScrubPeriod: 8, ExponentialScrub: true,
+				TiltFactor: 6, Horizon: 48, Trials: 800, Seed: 42,
+			},
+			counters: map[string]int64{
+				"bursts": 753, "corrected_symbols": 471, "failed_stripes": 384,
+				"page_correct": 527, "page_loss": 273, "page_silent_loss": 11,
+				"scrub_ops": 4839, "seus": 1273, "single_burst_trials": 45,
+				"stuck_columns": 292,
+			},
+			weights: map[string]campaign.Moments{
+				"page_correct":     {WSum: 820.2006767002651, WSum2: 6082.475797793973},
+				"page_loss":        {WSum: 8.53555159222269, WSum2: 1.546044405788624},
+				"page_silent_loss": {WSum: 0.861261866021952, WSum2: 0.20591181144926923},
+			},
+			digest: "9578a54daff1866816aef00a9c9ba684e9b7ff0cea1e388221af64665838f93c",
+		},
 	}
 }
 
@@ -738,8 +763,8 @@ func TestBatchGoldenOutputs(t *testing.T) {
 		}
 		sum := sha256.Sum256(data)
 		got := hex.EncodeToString(sum[:])
-		if got != tc.digest || !reflect.DeepEqual(cres.Counters, tc.counters) {
-			t.Errorf("%s: golden mismatch\ndigest   %q\ncounters %#v", tc.name, got, cres.Counters)
+		if got != tc.digest || !reflect.DeepEqual(cres.Counters, tc.counters) || !reflect.DeepEqual(cres.Weights, tc.weights) {
+			t.Errorf("%s: golden mismatch\ndigest   %q\ncounters %#v\nweights  %#v", tc.name, got, cres.Counters, cres.Weights)
 		}
 	}
 }

@@ -7,7 +7,10 @@
 // memory controllers implement, and the exponential schedule that
 // matches the Markov models' rate-1/Tsc treatment exactly. Comparing
 // the two quantifies the modeling error of the exponential
-// approximation (an ablation bench in the repository root).
+// approximation (an ablation bench in the repository root). Clock
+// interleaves a schedule with the Poisson fault arrivals of one
+// simulated trial, optionally tilted for importance sampling, and
+// returns the trial's likelihood ratio.
 package scrub
 
 import (

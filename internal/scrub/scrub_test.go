@@ -162,3 +162,65 @@ func TestSchedulerInterfaceCompliance(t *testing.T) {
 	var _ Scheduler = Periodic{}
 	var _ Scheduler = (*Exponential)(nil)
 }
+
+func TestNewSelectsSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, period := range []float64{0, -1, math.NaN()} {
+		if _, ok := New(period, true, rng).(Never); !ok {
+			t.Errorf("New(%v) did not disable scrubbing", period)
+		}
+	}
+	if p, ok := New(2, false, rng).(Periodic); !ok || p.Period != 2 {
+		t.Errorf("New(2, periodic) = %#v", New(2, false, rng))
+	}
+	if e, ok := New(2, true, rng).(*Exponential); !ok || e.Period != 2 || e.Rng != rng {
+		t.Errorf("New(2, exponential) = %#v", New(2, true, rng))
+	}
+}
+
+// TestClockEvents: scrub instants and arrivals come out in time order,
+// Done ends the horizon, and the likelihood ratio is
+// exp((θ-1)·R0·H − k·ln θ) over the k reported arrivals.
+func TestClockEvents(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c := NewClock(rng, Periodic{Period: 1}, 0, 3.5)
+	c.Start(0)
+	for _, want := range []float64{1, 2, 3} {
+		if at, ev := c.Next(); ev != Scrub || at != want {
+			t.Fatalf("got (%v, %v), want a scrub at %v", at, ev, want)
+		}
+	}
+	if _, ev := c.Next(); ev != Done {
+		t.Fatalf("got %v after the last scrub, want Done", ev)
+	}
+	if lr := c.LikelihoodRatio(); lr != 1 {
+		t.Errorf("untilted likelihood ratio %v, want 1", lr)
+	}
+
+	const rate, tilt, horizon = 0.5, 4.0, 10.0
+	c = NewClock(rng, Periodic{Period: 1}, tilt, horizon)
+	c.Start(rate)
+	last, faults, scrubs := 0.0, 0, 0
+	for {
+		at, ev := c.Next()
+		if ev == Done {
+			break
+		}
+		if at <= last || at >= horizon {
+			t.Fatalf("event at %v after %v (horizon %v)", at, last, horizon)
+		}
+		last = at
+		if ev == Fault {
+			faults++
+		} else {
+			scrubs++
+		}
+	}
+	if scrubs != 9 || faults == 0 {
+		t.Fatalf("%d scrubs and %d faults, want 9 and some", scrubs, faults)
+	}
+	want := math.Exp((tilt-1)*rate*horizon - float64(faults)*math.Log(tilt))
+	if lr := c.LikelihoodRatio(); lr != want {
+		t.Errorf("likelihood ratio %v, want %v", lr, want)
+	}
+}
