@@ -128,6 +128,26 @@
 // the slices into results byte-identical to an unpartitioned run —
 // the multi-process sharding workflow CI smoke-tests end to end.
 //
+// # Trial RNG
+//
+// Each simulator worker owns one generator and reseeds it with
+// campaign.TrialSeed(base, i) before trial i, so a trial's draws do
+// not depend on which worker runs it. math/rand's Seed rebuilds its
+// whole 607-word lagged-Fibonacci state (1,841 LCG steps), which cost
+// more than the rest of a memsim trial, while a trial makes only a few
+// dozen draws. The workers therefore draw from campaign.NewTrialRand:
+// a *rand.Rand whose source is math/rand's, reproduced bit for bit,
+// but whose Seed only records the seed. Each state word is built the
+// first time a draw reads it, from a precomputed table of LCG
+// multiplier powers, so a trial of d draws builds at most 2d words.
+// The stream must stay byte-identical to math/rand's because every
+// fixed-seed golden, artifact sha256, checkpoint and benchmark digest
+// in the repository was produced with it; a new generator would
+// silently change them all. The 607 seeding constants are copied from
+// the Go distribution's src/math/rand/rng.go with its BSD notice, and
+// a law test plus FuzzTrialRand compare the source with math/rand
+// across seeds, draw kinds and reseeds.
+//
 // # Weighted trials: importance sampling for the 1e-9..1e-15 regime
 //
 // The engine's counters are weighted: a Worker may record a trial's

@@ -99,6 +99,8 @@ type WeightedScenario interface {
 // scenario in this repository uses: reseeding a worker-owned
 // generator with TrialSeed(base, i) makes trial i reproducible
 // regardless of which worker runs it, without per-trial allocation.
+// Workers draw from NewTrialRand, whose reseed is O(1) and whose
+// stream is math/rand's for the same seed.
 func TrialSeed(base int64, trial int) int64 {
 	return base + int64(trial)*0x9E3779B9
 }

@@ -386,7 +386,7 @@ func (s *scenario) Trials() int { return s.cfg.Trials }
 
 // NewWorker implements campaign.Scenario.
 func (s *scenario) NewWorker() (campaign.Worker, error) {
-	return &worker{scn: s, rng: rand.New(rand.NewSource(0))}, nil
+	return &worker{scn: s, rng: campaign.NewTrialRand(0)}, nil
 }
 
 // worker owns the per-goroutine RNG and the recycled burst buffer.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/gf"
 	"repro/internal/interleave"
 	"repro/internal/rs"
@@ -47,7 +48,7 @@ func TestDefaultSystemsGeometry(t *testing.T) {
 }
 
 func TestSystemsRecoverCleanAndSingleBurst(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := campaign.NewTrialRand(1)
 	for _, s := range defaultSystems(t) {
 		// No events: always recovered.
 		for i := 0; i < 20; i++ {
@@ -75,7 +76,7 @@ func TestSystemsRecoverCleanAndSingleBurst(t *testing.T) {
 }
 
 func TestRSWordSurvivesIntraSymbolBurst(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	rng := campaign.NewTrialRand(2)
 	f8 := gf.MustField(8)
 	code := rs.MustNew(f8, 18, 16)
 	s, err := NewRSWord(code)
@@ -97,7 +98,7 @@ func TestRSWordSurvivesIntraSymbolBurst(t *testing.T) {
 }
 
 func TestSECDEDLosesToBurst(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := campaign.NewTrialRand(3)
 	s, err := NewSECDEDBlock()
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +122,7 @@ func TestSECDEDLosesToBurst(t *testing.T) {
 }
 
 func TestTMRSurvivesSingleCopyBursts(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	rng := campaign.NewTrialRand(4)
 	s := TMRBlock{}
 	// Any single burst is confined to one copy (bursts don't wrap),
 	// so the vote always recovers.
@@ -247,7 +248,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 // behind the campaign: one 6-bit burst touches at most two adjacent
 // symbols, within t=2.
 func TestRS2016SurvivesAnySingleSixBitBurst(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
+	rng := campaign.NewTrialRand(12)
 	f8 := gf.MustField(8)
 	s, err := NewRSWord(rs.MustNew(f8, 20, 16))
 	if err != nil {
@@ -434,7 +435,7 @@ func TestGeometricCampaignDeterministic(t *testing.T) {
 }
 
 func TestPoissonMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	rng := campaign.NewTrialRand(11)
 	const mean = 2.5
 	var sum int
 	const n = 100000

@@ -336,7 +336,7 @@ func newWorker(cfg Config) *worker {
 	pair := make([]gf.Elem, 2*n)
 	w := &worker{
 		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		rng:    campaign.NewTrialRand(cfg.Seed),
 		batch:  code.NewBatchDecoder(),
 		data:   make([]gf.Elem, k),
 		truth:  make([]gf.Elem, n),

@@ -537,29 +537,38 @@ func TestWilsonInterval(t *testing.T) {
 	}
 }
 
+// BenchmarkTrialSimplex times one simplex trial on a warm worker: the
+// reseed, the fault and scrub events, the decodes and the counter
+// updates, without planning, worker construction or merging.
 func BenchmarkTrialSimplex(b *testing.B) {
-	cfg := Config{
+	benchTrial(b, Config{
 		Code: code, LambdaBit: 1e-4, LambdaSymbol: 1e-5,
 		ScrubPeriod: 12, Horizon: 48, Trials: 1, Seed: 13, Workers: 1,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }
 
+// BenchmarkTrialDuplex is BenchmarkTrialSimplex for the duplex pair.
 func BenchmarkTrialDuplex(b *testing.B) {
-	cfg := Config{
+	benchTrial(b, Config{
 		Code: code, Duplex: true, LambdaBit: 1e-4, LambdaSymbol: 1e-5,
 		ScrubPeriod: 12, Horizon: 48, Trials: 1, Seed: 14, Workers: 1,
+	})
+}
+
+func benchTrial(b *testing.B, cfg Config) {
+	scn, err := cfg.Scenario()
+	if err != nil {
+		b.Fatal(err)
 	}
+	w, err := scn.NewWorker()
+	if err != nil {
+		b.Fatal(err)
+	}
+	acc := campaign.NewAcc()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		if _, err := Run(cfg); err != nil {
+		if err := w.Trial(i, acc); err != nil {
 			b.Fatal(err)
 		}
 	}

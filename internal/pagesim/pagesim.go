@@ -470,7 +470,7 @@ func newWorker(cfg Config, dist burstlen.Dist, policy detectPolicy, page *interl
 		guaranteeBits: (page.CorrectableBurst()-1)*m + 1,
 		page:          page,
 		codec:         page.NewCodec(),
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
+		rng:           campaign.NewTrialRand(cfg.Seed),
 		data:          make([]gf.Elem, page.DataSymbols()),
 		truth:         make([]gf.Elem, page.StoredSymbols()),
 		stored:        make([]gf.Elem, page.StoredSymbols()),

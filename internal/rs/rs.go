@@ -139,6 +139,35 @@ type Code struct {
 // undetected remainder surfaces as mis-correction.
 var ErrUncorrectable = errors.New("rs: uncorrectable word")
 
+// uncorrectableError is a detected decoding failure: it wraps
+// ErrUncorrectable and keeps its detail as a format and up to three
+// ints, formatted only when Error is called. Scrub loops meet a failed
+// word in many trials and read only whether the error is nil, so the
+// failure path must not pay for fmt.
+type uncorrectableError struct {
+	format string
+	args   [3]int
+	nargs  int
+}
+
+// uncorrectable returns the failure whose Error text is
+// "rs: uncorrectable word: " followed by format applied to args.
+func uncorrectable(format string, args ...int) error {
+	e := &uncorrectableError{format: format, nargs: len(args)}
+	copy(e.args[:], args)
+	return e
+}
+
+func (e *uncorrectableError) Error() string {
+	args := make([]any, e.nargs)
+	for i := range args {
+		args[i] = e.args[i]
+	}
+	return ErrUncorrectable.Error() + ": " + fmt.Sprintf(e.format, args...)
+}
+
+func (e *uncorrectableError) Unwrap() error { return ErrUncorrectable }
+
 // New returns the code RS(n,k) over the field f with the conventional
 // first consecutive root alpha^1.
 func New(f *gf.Field, n, k int) (*Code, error) { return NewWithFCR(f, n, k, 1) }
@@ -556,7 +585,7 @@ func (dec *Decoder) decode(received []gf.Elem, erasures []int, euclid bool) (*Re
 	}
 	rho := len(erasures)
 	if rho > d {
-		return nil, fmt.Errorf("%w: %d erasures exceed n-k=%d", ErrUncorrectable, rho, d)
+		return nil, uncorrectable("%d erasures exceed n-k=%d", rho, d)
 	}
 
 	c.syndromes(dec.syn, received)
@@ -606,14 +635,14 @@ func (dec *Decoder) decode(received []gf.Elem, erasures []int, euclid bool) (*Re
 	if nroots != dec.psiDeg {
 		// Some locator roots fall outside the (possibly shortened)
 		// codeword: the error pattern exceeded the capability.
-		return nil, fmt.Errorf("%w: errata locator has %d roots in word, degree %d", ErrUncorrectable, nroots, dec.psiDeg)
+		return nil, uncorrectable("errata locator has %d roots in word, degree %d", nroots, dec.psiDeg)
 	}
 	// Re-check: a successful bounded-distance decode must land on a
 	// codeword; anything else is a detected failure. The sweep folded
 	// every correction into the syndrome register, so the register now
 	// holds the corrected word's syndromes without re-scanning it.
 	if !allZero(dec.syn) {
-		return nil, fmt.Errorf("%w: residual syndromes after correction", ErrUncorrectable)
+		return nil, uncorrectable("residual syndromes after correction")
 	}
 	return dec.buildResult(received), nil
 }
@@ -690,11 +719,11 @@ func (dec *Decoder) decodeWithSyndromes(received []gf.Elem, ent *erasureEntry) (
 			return nil, err
 		}
 		if nroots != dec.psiDeg {
-			return nil, fmt.Errorf("%w: errata locator has %d roots in word, degree %d", ErrUncorrectable, nroots, dec.psiDeg)
+			return nil, uncorrectable("errata locator has %d roots in word, degree %d", nroots, dec.psiDeg)
 		}
 	}
 	if !allZero(dec.syn) {
-		return nil, fmt.Errorf("%w: residual syndromes after correction", ErrUncorrectable)
+		return nil, uncorrectable("residual syndromes after correction")
 	}
 	return dec.buildResult(received), nil
 }
@@ -827,7 +856,7 @@ func (dec *Decoder) chienForney() (int, error) {
 			// location: Psi(alpha^-p) = 0.
 			nroots++
 			if odd == 0 {
-				return 0, fmt.Errorf("%w: repeated errata locator root", ErrUncorrectable)
+				return 0, uncorrectable("repeated errata locator root")
 			}
 			p := c.n - 1 - i
 			xInv := f.Exp(-p)
@@ -933,7 +962,7 @@ func (dec *Decoder) berlekampMassey(rho int) error {
 	}
 	errs := length - rho
 	if errs < 0 || 2*errs+rho > d || deg != length {
-		return fmt.Errorf("%w: %d errors with %d erasures exceed n-k=%d", ErrUncorrectable, errs, rho, d)
+		return uncorrectable("%d errors with %d erasures exceed n-k=%d", errs, rho, d)
 	}
 	dec.psiDeg = deg
 	return nil
@@ -972,12 +1001,12 @@ func (dec *Decoder) euclidSolve(rho int) error {
 	lambda := tCur
 	l0 := lambda.Coeff(0)
 	if l0 == 0 {
-		return fmt.Errorf("%w: euclid locator has zero constant term", ErrUncorrectable)
+		return uncorrectable("euclid locator has zero constant term")
 	}
 	lambda = ring.Scale(lambda, c.f.Inv(l0))
 	errs := lambda.Degree()
 	if 2*errs+rho > d {
-		return fmt.Errorf("%w: %d errors with %d erasures exceed n-k=%d", ErrUncorrectable, errs, rho, d)
+		return uncorrectable("%d errors with %d erasures exceed n-k=%d", errs, rho, d)
 	}
 	return dec.setPsi(ring.Mul(lambda, g))
 }
@@ -987,7 +1016,7 @@ func (dec *Decoder) setPsi(psi gfpoly.Poly) error {
 	d := dec.c.n - dec.c.k
 	deg := psi.Degree()
 	if deg > d {
-		return fmt.Errorf("%w: errata locator degree %d exceeds n-k=%d", ErrUncorrectable, deg, d)
+		return uncorrectable("errata locator degree %d exceeds n-k=%d", deg, d)
 	}
 	for i := range dec.psi {
 		dec.psi[i] = psi.Coeff(i)

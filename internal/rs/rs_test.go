@@ -2,6 +2,7 @@ package rs
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -369,6 +370,93 @@ func TestDecodeTooManyErasures(t *testing.T) {
 	_, err := c.Decode(cw, []int{0, 1, 2})
 	if !errors.Is(err, ErrUncorrectable) {
 		t.Errorf("3 erasures on RS(18,16): err=%v, want ErrUncorrectable", err)
+	}
+}
+
+// TestUncorrectableErrorText pins every detail the decoders report on
+// an uncorrectable word to the text fmt.Errorf("%w: ...",
+// ErrUncorrectable, ...) printed before failures were formatted
+// lazily.
+func TestUncorrectableErrorText(t *testing.T) {
+	cases := []struct {
+		err  error
+		old  error
+		want string
+	}{
+		{uncorrectable("%d erasures exceed n-k=%d", 3, 2),
+			fmt.Errorf("%w: %d erasures exceed n-k=%d", ErrUncorrectable, 3, 2),
+			"rs: uncorrectable word: 3 erasures exceed n-k=2"},
+		{uncorrectable("errata locator has %d roots in word, degree %d", 0, 1),
+			fmt.Errorf("%w: errata locator has %d roots in word, degree %d", ErrUncorrectable, 0, 1),
+			"rs: uncorrectable word: errata locator has 0 roots in word, degree 1"},
+		{uncorrectable("residual syndromes after correction"),
+			fmt.Errorf("%w: residual syndromes after correction", ErrUncorrectable),
+			"rs: uncorrectable word: residual syndromes after correction"},
+		{uncorrectable("repeated errata locator root"),
+			fmt.Errorf("%w: repeated errata locator root", ErrUncorrectable),
+			"rs: uncorrectable word: repeated errata locator root"},
+		{uncorrectable("%d errors with %d erasures exceed n-k=%d", 2, 1, 20),
+			fmt.Errorf("%w: %d errors with %d erasures exceed n-k=%d", ErrUncorrectable, 2, 1, 20),
+			"rs: uncorrectable word: 2 errors with 1 erasures exceed n-k=20"},
+		{uncorrectable("euclid locator has zero constant term"),
+			fmt.Errorf("%w: euclid locator has zero constant term", ErrUncorrectable),
+			"rs: uncorrectable word: euclid locator has zero constant term"},
+		{uncorrectable("errata locator degree %d exceeds n-k=%d", -7, 2),
+			fmt.Errorf("%w: errata locator degree %d exceeds n-k=%d", ErrUncorrectable, -7, 2),
+			"rs: uncorrectable word: errata locator degree -7 exceeds n-k=2"},
+	}
+	for _, c := range cases {
+		if got := c.err.Error(); got != c.want || got != c.old.Error() {
+			t.Errorf("Error() = %q, want %q (fmt.Errorf gives %q)", got, c.want, c.old.Error())
+		}
+		if !errors.Is(c.err, ErrUncorrectable) {
+			t.Errorf("%q does not wrap ErrUncorrectable", c.err)
+		}
+	}
+
+	// The same text reaches callers through a real decode.
+	c := MustNew(f8, 18, 16)
+	cw, _ := c.Encode(make([]gf.Elem, 16))
+	_, err := c.NewDecoder().Decode(cw, []int{0, 1, 2})
+	if want := "rs: uncorrectable word: 3 erasures exceed n-k=2"; err == nil || err.Error() != want {
+		t.Errorf("3 erasures: err = %v, want %q", err, want)
+	}
+}
+
+// TestUncorrectableDecodeAllocs gates the failure path of the
+// workspace decoder: an uncorrectable word costs at most the one
+// allocation of its error value.
+func TestUncorrectableDecodeAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	c := MustNew(f8, 18, 16)
+	dec := c.NewDecoder()
+	cw, _ := c.Encode(randData(rng, c))
+	var bad []gf.Elem
+	for try := 0; ; try++ {
+		if try == 100 {
+			t.Fatal("no detected failure among 100 double errors")
+		}
+		bad, _ = corrupt(rng, c, cw, 2)
+		if _, err := dec.Decode(bad, nil); errors.Is(err, ErrUncorrectable) {
+			break
+		}
+	}
+	cases := []struct {
+		name string
+		ers  []int
+	}{
+		{"errors", nil},
+		{"erasures", []int{0, 1, 2}},
+	}
+	for _, cse := range cases {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := dec.Decode(bad, cse.ers); err == nil {
+				t.Fatal("uncorrectable word decoded")
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s: %.1f allocs per uncorrectable decode, want at most 1", cse.name, allocs)
+		}
 	}
 }
 
