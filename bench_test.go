@@ -136,8 +136,8 @@ func BenchmarkTableDecoderArea(b *testing.B) {
 }
 
 // BenchmarkCrossValidationMonteCarlo runs a trimmed-down xval (the
-// full experiment lives in the registry for cmd/sweep) comparing the
-// chain against fault injection on the duplex arrangement.
+// full experiment lives in the expdata registry) comparing the chain
+// against fault injection on the duplex arrangement.
 func BenchmarkCrossValidationMonteCarlo(b *testing.B) {
 	f8 := gf.MustField(8)
 	code := rs.MustNew(f8, 18, 16)

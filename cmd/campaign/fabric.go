@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -13,21 +12,15 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/campaign/spec"
 	"repro/internal/fabric"
 )
 
-// serveOptions configures -serve, both the legacy single-spec
-// coordinator (with -spec) and the multi-tenant job service (without).
+// serveOptions configures -serve, the multi-tenant job service.
 type serveOptions struct {
-	specPath     string
 	addr         string
 	baseDir      string // -partials: each job's namespace lands under it
 	slices       int
 	leaseTimeout time.Duration
-	outDir       string
-	quiet        bool
-	stream       bool
 	tenants      string // -tenants name=token[:maxLeases],...
 	drainAfter   int    // -drain-after: exit after N jobs all finished
 }
@@ -58,13 +51,18 @@ func parseTenants(s string) ([]fabric.Tenant, error) {
 	return tenants, nil
 }
 
-// newRegistry assembles the fabric registry shared by both serve
-// modes.
-func newRegistry(opts serveOptions, logger *log.Logger) *fabric.Registry {
+// runService is the multi-tenant job service: no spec of its own —
+// jobs arrive over POST /jobs, are scheduled onto the shared executor
+// fleet, and merge server-side into their own namespace. With
+// -drain-after N the service exits once N jobs have been submitted and
+// all of them finished (the CI shape); otherwise it serves until
+// killed.
+func runService(opts serveOptions) int {
 	tenants, err := parseTenants(opts.tenants)
 	if err != nil {
 		fatal(err)
 	}
+	logger := log.New(os.Stderr, "", log.LstdFlags)
 	reg, err := fabric.NewRegistry(fabric.RegistryConfig{
 		Dir:          opts.baseDir,
 		Slices:       opts.slices,
@@ -76,74 +74,13 @@ func newRegistry(opts serveOptions, logger *log.Logger) *fabric.Registry {
 	if err != nil {
 		fatal(err)
 	}
-	return reg
-}
-
-// serveRegistry starts the HTTP listener; the returned server is
-// closed by the caller once the registry drains.
-func serveRegistry(reg *fabric.Registry, addr string) (*http.Server, net.Addr) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", opts.addr)
 	if err != nil {
 		fatal(err)
 	}
 	srv := &http.Server{Handler: reg.Handler()}
 	go srv.Serve(ln)
-	return srv, ln.Addr()
-}
-
-// runServe is the legacy single-spec coordinator: submit the spec as
-// the registry's only job, serve leases until every slice arrived (or
-// was cancelled by an early stop), then run the ordinary merge
-// pipeline here — so -serve ends with exactly the artifacts, renders
-// and expectation verdicts an unpartitioned run would produce.
-func runServe(f *spec.File, built []*spec.Built, opts serveOptions) int {
-	specBytes, err := os.ReadFile(opts.specPath)
-	if err != nil {
-		fatal(err)
-	}
-	logger := log.New(os.Stderr, "", log.LstdFlags)
-	reg := newRegistry(opts, logger)
-	// AutoMerge off: this process merges below, with rendering and
-	// expectation checking, exactly as the pre-registry coordinator did.
-	job, err := reg.Submit(specBytes, fabric.SubmitOptions{})
-	if err != nil {
-		fatal(err)
-	}
-	if job.State == fabric.JobFailed {
-		fatal(errors.New(job.Error))
-	}
-	// The one job is all this mode serves: drain the fleet as soon as
-	// it completes.
-	reg.SetDraining(true)
-	srv, addr := serveRegistry(reg, opts.addr)
-	logger.Printf("campaign: fabric coordinator on http://%s (uploads -> %s)", addr, job.Dir)
-
-	<-reg.Done()
-	// Merge while still serving, so executors polling for work learn
-	// the campaign is done and drain cleanly instead of timing out
-	// against a vanished coordinator.
-	code := runCampaigns(f, built, runOptions{
-		outDir: opts.outDir,
-		quiet:  opts.quiet,
-		merge:  true,
-		stream: opts.stream,
-		dir:    job.Dir,
-	})
-	srv.Close()
-	return code
-}
-
-// runService is the multi-tenant job service: no spec of its own —
-// jobs arrive over POST /jobs, are scheduled onto the shared executor
-// fleet, and merge server-side into their own namespace. With
-// -drain-after N the service exits once N jobs have been submitted and
-// all of them finished (the CI shape); otherwise it serves until
-// killed.
-func runService(opts serveOptions) int {
-	logger := log.New(os.Stderr, "", log.LstdFlags)
-	reg := newRegistry(opts, logger)
-	srv, addr := serveRegistry(reg, opts.addr)
-	logger.Printf("campaign: fabric job service on http://%s (work dir %s)", addr, reg.Dir())
+	logger.Printf("campaign: fabric job service on http://%s (work dir %s)", ln.Addr(), reg.Dir())
 
 	<-reg.Done()
 	// Linger before closing the socket: executors poll at up to a 2s

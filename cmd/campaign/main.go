@@ -33,8 +33,8 @@
 // block {"round_trials":N,"max_rounds":M} re-plans the trial budget
 // across scenarios between merge rounds, spending each round's trials
 // where the relative error is widest; adaptive specs run
-// single-process (-partition/-merge/-serve are rejected). See
-// examples/campaign/rare.json.
+// single-process (-partition/-merge are rejected, and so is a -submit
+// to the job service). See examples/campaign/rare.json.
 //
 // # Multi-process sharding
 //
@@ -70,25 +70,18 @@
 // # Distributed fabric
 //
 // The same partitioning can run as a coordinated fleet instead of
-// hand-launched -partition processes. With -spec, -serve is the
-// legacy single-campaign coordinator: it registers the spec as its
-// only job, hands slice leases to executors over HTTP, and merges in
-// this process once every slice arrived:
-//
-//	campaign -spec spec.json -serve :9618 -partials work/ -out results/
-//	campaign -executor http://coordinator:9618        # on any machine, any number of times
-//	campaign -status http://coordinator:9618          # progress, lease states, trials/sec
-//	campaign -status http://coordinator:9618 -json    # the same snapshot as JSON
-//
-// Without -spec, -serve is a multi-tenant job service: campaigns are
-// submitted while it runs, many jobs share one executor fleet, and
-// each job merges server-side into its own namespace:
+// hand-launched -partition processes. -serve hosts a multi-tenant job
+// service: campaigns are submitted while it runs, many jobs share one
+// executor fleet, and each job merges server-side into its own
+// namespace:
 //
 //	campaign -serve :9618 -partials work/ -tenants alice=s3cret:4,bob=hunter2
 //	campaign -submit http://svc:9618 -spec spec.json -token s3cret   # prints the job URL
 //	campaign -jobs   http://svc:9618                                 # job table
 //	campaign -watch  http://svc:9618/jobs/j-abc123def456             # block until done; prints results dir
-//	campaign -executor http://svc:9618 -token s3cret                 # shared fleet, drains across jobs
+//	campaign -executor http://svc:9618 -token s3cret                 # on any machine, any number of times
+//	campaign -status http://svc:9618                                 # progress, lease states, trials/sec
+//	campaign -status http://svc:9618 -json                           # the same snapshot as JSON
 //
 // Jobs are keyed by the spec's content digest (resubmitting identical
 // bytes returns the same job), and a spec that fails validation is
@@ -103,8 +96,8 @@
 // been submitted and all of them finished (the CI shape); otherwise
 // it serves until killed.
 //
-// In both modes every scenario is planned into -slices deterministic
-// slices; executors are stateless and job-agnostic (each lease names
+// Every scenario is planned into -slices deterministic slices;
+// executors are stateless and job-agnostic (each lease names
 // its job and spec digest; the executor fetches and caches the spec
 // per job, so it needs nothing but the URL), compute their slice in
 // memory and upload the partial artifact gzip-compressed (stored
@@ -118,7 +111,9 @@
 // namespace under -partials, the registry re-decides early stopping
 // on the contiguous shard prefix as uploads arrive (cancelling slices
 // past the stopping point), and when every slice is in, the job
-// merges — producing results bit-identical to an unpartitioned run.
+// merges into the results directory of its namespace — producing
+// artifacts bit-identical to an unpartitioned -out run — and checks
+// the spec's expectation bands (a violated band fails the job).
 // -exec-delay delays an executor's uploads (a fault-injection hook
 // for exercising lease expiry), and -exec-name labels it in
 // coordinator logs.
@@ -154,7 +149,7 @@ func main() {
 		partials  = flag.String("partials", "", "directory of partial-result artifacts (required with -partition or -merge)")
 		stream    = flag.Bool("stream", false, "with -merge and -out: stream samples into the CSV artifacts instead of holding them in memory (implies -q; JSON artifacts omit samples)")
 
-		serveAddr    = flag.String("serve", "", "coordinate the spec's campaigns over HTTP on this address (e.g. :9618): executors pull slice leases, the merge runs here once every slice arrived")
+		serveAddr    = flag.String("serve", "", "host the fabric job service on this address (e.g. :9618): specs arrive with -submit, executors pull slice leases, each job merges server-side")
 		executorURL  = flag.String("executor", "", "run as a stateless fabric executor against the coordinator at this base URL (fetches the spec from it; no -spec needed)")
 		statusURL    = flag.String("status", "", "print the fabric coordinator's status (per-slice lease state, trials/sec, merge progress) at this base URL and exit")
 		statusJSON   = flag.Bool("json", false, "with -status: print the coordinator's status snapshot as JSON instead of text")
@@ -168,7 +163,7 @@ func main() {
 		watchURL   = flag.String("watch", "", "poll the job at this URL (as printed by -submit) until it reaches a terminal state; prints its results directory on success")
 		token      = flag.String("token", "", "bearer token for -submit/-executor against a service running with -tenants")
 		tenants    = flag.String("tenants", "", "with -serve: comma-separated name=token[:maxLeases] credentials; mutating requests must then authenticate, and maxLeases caps a tenant's concurrently leased slices")
-		drainAfter = flag.Int("drain-after", 0, "with -serve and no -spec: exit once this many jobs were submitted and all finished (0 = serve until killed)")
+		drainAfter = flag.Int("drain-after", 0, "with -serve: exit once this many jobs were submitted and all finished (0 = serve until killed)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -204,9 +199,12 @@ func main() {
 	if (*tenants != "" || *drainAfter != 0) && *serveAddr == "" {
 		fatal(fmt.Errorf("-tenants/-drain-after configure the -serve service"))
 	}
-	if *serveAddr != "" && *specPath == "" {
+	if *serveAddr != "" {
 		// Multi-tenant job service: no campaign of its own, jobs arrive
 		// over POST /jobs and merge server-side.
+		if *specPath != "" {
+			fatal(fmt.Errorf("-serve hosts the job service and takes no -spec; start it, then submit the spec with -submit <url> -spec %s", *specPath))
+		}
 		if *partials == "" {
 			fatal(fmt.Errorf("-serve needs -partials, the work directory job namespaces land in"))
 		}
@@ -226,12 +224,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "campaign: -spec is required")
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *serveAddr != "" && (*partition != "" || *merge) {
-		fatal(fmt.Errorf("-serve plans and merges itself; it is exclusive with -partition/-merge"))
-	}
-	if *serveAddr != "" && *partials == "" {
-		fatal(fmt.Errorf("-serve needs -partials, the work directory uploaded slices land in"))
 	}
 	var part campaign.Partition
 	if *partition != "" {
@@ -254,7 +246,7 @@ func main() {
 		fatal(fmt.Errorf("-out applies to the -merge step, not -partition runs"))
 	}
 	if *stream {
-		if (!*merge && *serveAddr == "") || *outDir == "" {
+		if !*merge || *outDir == "" {
 			// Without an output directory there is nowhere to stream
 			// to; silently falling back to an in-memory merge would be
 			// exactly the unbounded behavior -stream exists to avoid.
@@ -270,11 +262,10 @@ func main() {
 	if *workers > 0 {
 		f.Workers = *workers
 	}
-	if f.Adaptive != nil && (*partition != "" || *merge || *serveAddr != "") {
+	if f.Adaptive != nil && (*partition != "" || *merge) {
 		// The adaptive allocator owns sharding: it re-plans the trial
-		// budget between rounds, which a fixed partition or a fabric
-		// lease schedule cannot follow.
-		fatal(fmt.Errorf("spec has an adaptive block, which runs single-process; drop -partition/-merge/-serve"))
+		// budget between rounds, which a fixed partition cannot follow.
+		fatal(fmt.Errorf("spec has an adaptive block, which runs single-process; drop -partition/-merge"))
 	}
 	built, err := f.BuildAll()
 	if err != nil {
@@ -289,19 +280,6 @@ func main() {
 
 	if *partition != "" {
 		os.Exit(runPartition(f, built, part, *partials))
-	}
-	if *serveAddr != "" {
-		os.Exit(runServe(f, built, serveOptions{
-			specPath:     *specPath,
-			addr:         *serveAddr,
-			baseDir:      *partials,
-			slices:       *slices,
-			leaseTimeout: *leaseTimeout,
-			outDir:       *outDir,
-			quiet:        *quiet,
-			stream:       *stream,
-			tenants:      *tenants,
-		}))
 	}
 	os.Exit(runCampaigns(f, built, runOptions{
 		outDir:   *outDir,

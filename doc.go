@@ -20,7 +20,11 @@
 //
 //	go test -bench=. -benchmem
 //
-// to regenerate everything, or use cmd/sweep for human-readable plots.
+// to regenerate everything, or run
+//
+//	go run ./cmd/campaign -spec examples/campaign/figures.json -out figures/
+//
+// for human-readable plots plus JSON/CSV artifacts.
 //
 // # The allocation-free codec hot path
 //
@@ -62,18 +66,15 @@
 // pagesim and memsim pin the simulators' outputs across the switch),
 // and the steady state allocates nothing. BatchDecoder.SetWorkers
 // shards large arenas across a persistent goroutine pool with
-// bit-identical results for any worker count, and
-// BatchDecoder.DecodeStream scrubs stores larger than memory chunk by
-// chunk through fill/emit callbacks with one reused sub-arena. On the
-// 1-core reference container the erasure-heavy RS(255,223) arena
-// decodes ~6.6x faster than the pre-cache batch path (5.7 -> ~38
-// MB/s) and the clean-arena screen holds >300 MB/s.
-// interleave.Codec.DecodeTo decodes each page as one depth-word arena
-// (with a split memo keeping per-stripe erasure lists stable across
-// scrub passes, and Codec.DecodeSequence streaming page sequences),
-// which pagesim inherits, and the memsim worker streams its scrub
-// arena the same way, so every Monte Carlo scrub loop rides the fast
-// path.
+// bit-identical results for any worker count. On the 1-core reference
+// container the erasure-heavy RS(255,223) arena decodes ~6.6x faster
+// than the pre-cache batch path (5.7 -> ~38 MB/s) and the clean-arena
+// screen holds >300 MB/s. interleave.Codec.DecodeTo decodes each page
+// as one depth-word arena (with a split memo keeping per-stripe
+// erasure lists stable across scrub passes), which pagesim inherits,
+// and the memsim worker decodes its one- or two-word scrub arena with
+// DecodeAll the same way, so every Monte Carlo scrub loop rides the
+// fast path.
 //
 // # The campaign engine: plan, execute, merge
 //
@@ -117,16 +118,18 @@
 // moments in a weighted campaign) is refused by every layer at the
 // same shard with the same error.
 //
-// The cmd/ binaries are thin scenario frontends: memsim, mbusim,
-// bercurve, sweep and tradeoff each build one scenario and format its
-// campaign result, while cmd/campaign runs a declarative multi-
-// scenario JSON spec (internal/campaign/spec; runnable files under
-// examples/campaign/) whose entries can carry early-stop rules,
-// checkpoint paths and tolerance bands on counter fractions.
-// cmd/campaign's -partition i/N flag executes one slice of every
-// scenario (partial artifacts under -partials), and -merge reassembles
-// the slices into results byte-identical to an unpartitioned run —
-// the multi-process sharding workflow CI smoke-tests end to end.
+// cmd/campaign is the one front door to all of it: it runs a
+// declarative multi-scenario JSON spec (internal/campaign/spec;
+// runnable files under examples/campaign/) whose entries — one per
+// scenario kind: memsim, mbusim, bercurve, tradeoff, experiments,
+// interleave, array — can carry early-stop rules, checkpoint paths
+// and tolerance bands on counter fractions. Beside it, cmd/rscodec
+// drives the codec on one hex word and cmd/benchdiff gates the
+// benchmarks. cmd/campaign's -partition i/N flag executes one slice
+// of every scenario (partial artifacts under -partials), and -merge
+// reassembles the slices into results byte-identical to an
+// unpartitioned run — the multi-process sharding workflow CI
+// smoke-tests end to end.
 //
 // # Trial RNG
 //
@@ -201,8 +204,8 @@
 // squared relative error (spend where the CI is widest), executing
 // only the covering shard prefix until every stop rule fires or the
 // requested trials are exhausted — deterministic, resumable, and
-// single-process (the flag conflicts with -partition/-merge/-serve
-// are diagnosed).
+// single-process (-partition/-merge and fabric submissions are
+// refused with a diagnosis).
 //
 // Spec entries can also carry a "matrix" field mapping parameter
 // names to value lists: the entry expands into the full cross-product
@@ -255,10 +258,7 @@
 // so operators see it in the job list with its error. The HTTP job
 // API (POST/GET /jobs, GET/DELETE /jobs/{id}, GET /jobs/{id}/spec)
 // rides next to the lease protocol, and cmd/campaign fronts it with
-// -serve (the service), -submit, -jobs, -watch and -status verbs;
-// with -spec, -serve degenerates to the original single-campaign
-// coordinator, which merges in-process and produces byte-identical
-// artifacts to an unpartitioned run.
+// -serve (the service), -submit, -jobs, -watch and -status verbs.
 //
 // Executors (cmd/campaign -executor, needing nothing but the service
 // URL) are stateless and job-agnostic: every lease names its job and
@@ -289,8 +289,8 @@
 // stopping shard so a fleet never computes work a single process
 // would have skipped; a fold error fails the job and cancels its
 // remaining slices. When a job's last slice lands, the ordinary
-// merge runs server-side into the job's namespace (or in the -serve
-// process in legacy single-spec mode): the fabric's end-to-end law,
+// merge runs server-side into the job's namespace and checks the
+// spec's expectation bands: the fabric's end-to-end law,
 // enforced by CI with two concurrent jobs on three shared executors
 // (and a chaos pass SIGKILLing one mid-run), is that every job's
 // merged artifacts are byte-identical to an unpartitioned run's. A
@@ -315,7 +315,8 @@
 // program), race-gates the worker-pool engine (go test -race ./...),
 // enforces gofmt/go vet plus a pinned staticcheck, smoke-runs every
 // binary's error paths
-// (non-zero exits), a multi-scenario campaign spec, the matrix
+// (non-zero exits), a multi-scenario campaign spec, the paper's
+// figure registry (examples/campaign/figures.json), the matrix
 // sweep spec (12 interleave cells plus the whole-memory analytic
 // cross-check), and the partitioned workflow (three -partition
 // processes merged and diffed byte-identically against the
@@ -326,13 +327,13 @@
 // compares them against the committed BENCH_baseline.json, failing on
 // any allocation increase or a >25% latency regression (min-of-5
 // ns/op, so one-sided scheduler noise cannot fake a pass or a fail).
-// A fabric-e2e job runs the coordinator/executor fleet as local
-// processes — three healthy executors, then a multi-tenant pass
-// submitting two specs to one job service and requiring the shared
-// fleet to provably interleave leases across both jobs, then a chaos
-// pass that SIGKILLs an executor mid-run and requires its lease to be
-// stolen — and diffs every merged result tree byte-for-byte against
-// the unpartitioned run. Every job carries a timeout, and failing e2e jobs upload their
+// A fabric-e2e job runs the job service and its executor fleet as
+// local processes — a multi-tenant pass submitting two specs to one
+// service and requiring the shared fleet to provably interleave
+// leases across both jobs, then a chaos pass that SIGKILLs an
+// executor mid-run and requires its lease to be stolen — and diffs
+// every server-side result tree byte-for-byte against the
+// unpartitioned run. Every job carries a timeout, and failing e2e jobs upload their
 // logs and partial artifacts for post-mortem.
 // The ci smoke also runs the rare-event spec
 // (examples/campaign/rare.json), which gates both the importance-

@@ -8,7 +8,9 @@
 // matrix.json is the RS(n,k) x depth x scrub sweep; detection.json
 // sweeps the stuck-column detection policy (immediate / scrub /
 // latency) x scrub period x depth, quantifying how much reliability
-// the old located-at-strike assumption overstated.
+// the old located-at-strike assumption overstated; figures.json
+// regenerates every registered figure and table of the paper's
+// evaluation.
 //
 // This program loads spec.json, runs one scenario directly (showing
 // the programmatic API: Build, EngineConfig, campaign.Run,

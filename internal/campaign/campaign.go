@@ -44,7 +44,7 @@
 //     to an uninterrupted one;
 //   - structured results: trials report named int64 counters, (x, y)
 //     samples grouped into labeled series, and free-form notes, which
-//     downstream formatting (internal/expdata, the cmd/ binaries)
+//     downstream formatting (internal/expdata, the spec renderers)
 //     turns into tables, TSV, JSON or plots instead of printf — or,
 //     via a merge Sink, streams to disk without ever materializing
 //     the sample list in memory.

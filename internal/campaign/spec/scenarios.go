@@ -35,8 +35,7 @@ type BERCurveParams struct {
 	Points      int     `json:"points"`
 }
 
-// BERCurve is the campaign scenario behind cmd/bercurve and the
-// "bercurve" spec kind.
+// BERCurve is the campaign scenario behind the "bercurve" spec kind.
 type BERCurve struct {
 	cfg    core.Config
 	grid   []float64 // evaluation instants in hours
@@ -44,8 +43,8 @@ type BERCurve struct {
 	xLabel string
 }
 
-// NewBERCurve validates the parameters and builds the scenario.
-func NewBERCurve(p BERCurveParams) (*BERCurve, error) {
+// newBERCurve validates the parameters and builds the scenario.
+func newBERCurve(p BERCurveParams) (*BERCurve, error) {
 	arr, err := parseArrangement(p.Arrangement)
 	if err != nil {
 		return nil, err
@@ -119,7 +118,7 @@ func (w berCurveWorker) Trial(i int, acc *campaign.Acc) error {
 }
 
 // TradeoffParams configures the redundancy/arrangement design-space
-// sweep behind cmd/tradeoff and the "tradeoff" spec kind.
+// sweep behind the "tradeoff" spec kind.
 type TradeoffParams struct {
 	K          int     `json:"k"`
 	M          int     `json:"m"`
@@ -153,8 +152,8 @@ type Tradeoff struct {
 	candidates []Candidate
 }
 
-// NewTradeoff validates the parameters and enumerates candidates.
-func NewTradeoff(p TradeoffParams) (*Tradeoff, error) {
+// newTradeoff validates the parameters and enumerates candidates.
+func newTradeoff(p TradeoffParams) (*Tradeoff, error) {
 	if p.K == 0 {
 		p.K = 16
 	}

@@ -453,8 +453,8 @@ func decodeParams(e Entry, dst any) error {
 }
 
 // MemsimParams is the "memsim" kind: Monte Carlo fault injection
-// through the real codec, scrubber and arbiter. Rates are per hour,
-// matching cmd/memsim.
+// through the real codec, scrubber and arbiter. Rates are per hour
+// (simulation units).
 type MemsimParams struct {
 	N            int     `json:"n"`
 	K            int     `json:"k"`
@@ -716,7 +716,7 @@ func buildScenario(e Entry, f *File) (*Built, error) {
 		if err := decodeParams(e, &p); err != nil {
 			return nil, err
 		}
-		scn, err := NewBERCurve(p)
+		scn, err := newBERCurve(p)
 		if err != nil {
 			return nil, fmt.Errorf("spec: scenario %q: %w", e.Name, err)
 		}
@@ -729,12 +729,12 @@ func buildScenario(e Entry, f *File) (*Built, error) {
 		if err := decodeParams(e, &p); err != nil {
 			return nil, err
 		}
-		scn, err := NewTradeoff(p)
+		scn, err := newTradeoff(p)
 		if err != nil {
 			return nil, fmt.Errorf("spec: scenario %q: %w", e.Name, err)
 		}
 		return &Built{Entry: e, Scenario: scn, shardSize: 1, Render: func(w io.Writer, cres *campaign.Result) error {
-			return RenderTradeoff(w, scn, cres)
+			return renderTradeoff(w, scn, cres)
 		}}, nil
 
 	case "interleave":
@@ -827,7 +827,12 @@ func buildScenario(e Entry, f *File) (*Built, error) {
 			for _, id := range p.IDs {
 				exp, ok := expdata.ByID(id)
 				if !ok {
-					return nil, fmt.Errorf("spec: scenario %q: unknown experiment %q", e.Name, id)
+					var known []string
+					for _, x := range expdata.All() {
+						known = append(known, x.ID)
+					}
+					return nil, fmt.Errorf("spec: scenario %q: unknown experiment %q (known: %s)",
+						e.Name, id, strings.Join(known, ", "))
 				}
 				exps = append(exps, exp)
 			}
@@ -1025,11 +1030,9 @@ func renderBERCurve(w io.Writer, scn *BERCurve, cres *campaign.Result) error {
 	})
 }
 
-// RenderTradeoff prints the design-space table (shared by the
-// "tradeoff" spec kind and cmd/tradeoff, so the two outputs cannot
-// drift). Arrangement groups are separated by a blank line, matching
-// the historical cmd/tradeoff output.
-func RenderTradeoff(w io.Writer, scn *Tradeoff, cres *campaign.Result) error {
+// renderTradeoff prints the design-space table, one arrangement group
+// per block separated by a blank line.
+func renderTradeoff(w io.Writer, scn *Tradeoff, cres *campaign.Result) error {
 	p := scn.Params()
 	fmt.Fprintf(w, "design space for k=%d data symbols (m=%d), lambda=%g/bit/day, lambdaE=%g/sym/day, Tsc=%gs, horizon %gh\n\n",
 		p.K, p.M, p.SEUPerBit, p.PermPerSym, p.ScrubSec, p.Hours)
@@ -1051,7 +1054,8 @@ func RenderTradeoff(w io.Writer, scn *Tradeoff, cres *campaign.Result) error {
 	return nil
 }
 
-// renderExperiments prints each experiment like cmd/sweep does.
+// renderExperiments prints each experiment's title, ASCII plot and
+// notes.
 func renderExperiments(w io.Writer, exps []expdata.Experiment, cres *campaign.Result) error {
 	results, err := expdata.ResultsFromCampaign(exps, cres)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/expdata"
 )
 
 func TestParseValidation(t *testing.T) {
@@ -37,6 +38,7 @@ func TestBuildRejectsBadParams(t *testing.T) {
 		{Name: "a", Kind: "memsim", Params: []byte(`{"trials":0,"horizon_hours":1}`)},
 		{Name: "a", Kind: "memsim", Params: []byte(`{"n":3,"k":5,"trials":1,"horizon_hours":1}`)},
 		{Name: "a", Kind: "mbusim", Params: []byte(`{"events_per_kilobit":0,"burst_bits":1,"trials":1}`)},
+		{Name: "a", Kind: "mbusim", Params: []byte(`{"events_per_kilobit":4,"burst_bits":1,"trials":0}`)},
 		{Name: "a", Kind: "bercurve", Params: []byte(`{"hours":0}`)},
 		{Name: "a", Kind: "bercurve", Params: []byte(`{"hours":48,"arrangement":"triplex"}`)},
 		{Name: "a", Kind: "tradeoff", Params: []byte(`{"hours":0}`)},
@@ -49,8 +51,18 @@ func TestBuildRejectsBadParams(t *testing.T) {
 		{Name: "a", Kind: "array", Params: []byte(`{"hours":1,"trials":1,"n":3,"k":5}`)},
 	}
 	for i, e := range cases {
-		if _, err := Build(e, f); err == nil {
+		_, err := Build(e, f)
+		if err == nil {
 			t.Errorf("case %d (%s): bad params accepted", i, e.Kind)
+			continue
+		}
+		if e.Kind == "experiments" {
+			// The unknown-ID error is where a user learns the valid IDs.
+			for _, exp := range expdata.All() {
+				if !strings.Contains(err.Error(), exp.ID) {
+					t.Errorf("case %d: unknown-experiment error %q does not list %q", i, err, exp.ID)
+				}
+			}
 		}
 	}
 }
@@ -126,7 +138,7 @@ func TestExpectationBands(t *testing.T) {
 }
 
 func TestBERCurveSpecMatchesPoints(t *testing.T) {
-	scn, err := NewBERCurve(BERCurveParams{
+	scn, err := newBERCurve(BERCurveParams{
 		Arrangement: "duplex",
 		SEUPerBit:   1.7e-5,
 		ScrubSec:    3600,
@@ -161,7 +173,7 @@ func TestBERCurveSpecMatchesPoints(t *testing.T) {
 }
 
 func TestTradeoffSpecCandidates(t *testing.T) {
-	scn, err := NewTradeoff(TradeoffParams{
+	scn, err := newTradeoff(TradeoffParams{
 		SEUPerBit: 1.7e-5, PermPerSym: 1e-7, ScrubSec: 3600, Hours: 48,
 		MaxRed: 4, DuplexMaxRed: 2,
 	})
@@ -186,7 +198,7 @@ func TestTradeoffSpecCandidates(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := RenderTradeoff(&buf, scn, cres); err != nil {
+	if err := renderTradeoff(&buf, scn, cres); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "simplex RS(20,16)") {

@@ -2,10 +2,8 @@ package expdata
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -108,86 +106,6 @@ func ResultsFromCampaign(exps []Experiment, cres *campaign.Result) ([]*Result, e
 		out[n.Trial].Notes = append(out[n.Trial].Notes, n.Text)
 	}
 	return out, nil
-}
-
-// jsonFloat emits finite values as JSON numbers and non-finite ones
-// (an MTTDL of +Inf, say) as quoted strings instead of failing the
-// whole document.
-type jsonFloat float64
-
-// MarshalJSON implements json.Marshaler.
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return json.Marshal(strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	return json.Marshal(v)
-}
-
-func jsonFloats(v []float64) []jsonFloat {
-	out := make([]jsonFloat, len(v))
-	for i, x := range v {
-		out[i] = jsonFloat(x)
-	}
-	return out
-}
-
-// jsonSeries and jsonResult are the machine-readable result schema.
-type jsonSeries struct {
-	Label string      `json:"label"`
-	X     []jsonFloat `json:"x"`
-	Y     []jsonFloat `json:"y"`
-}
-
-type jsonResult struct {
-	ID     string       `json:"id,omitempty"`
-	Title  string       `json:"title,omitempty"`
-	XLabel string       `json:"x_label"`
-	YLabel string       `json:"y_label"`
-	LogY   bool         `json:"log_y,omitempty"`
-	Series []jsonSeries `json:"series"`
-	Notes  []string     `json:"notes,omitempty"`
-}
-
-// WriteJSON emits one experiment result as indented JSON. id and
-// title are optional identification fields.
-func WriteJSON(w io.Writer, id, title string, res *Result) error {
-	doc := jsonResult{
-		ID:     id,
-		Title:  title,
-		XLabel: res.XLabel,
-		YLabel: res.YLabel,
-		LogY:   res.LogY,
-		Notes:  res.Notes,
-	}
-	for _, s := range res.Series {
-		doc.Series = append(doc.Series, jsonSeries{Label: s.Label, X: jsonFloats(s.X), Y: jsonFloats(s.Y)})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&doc)
-}
-
-// WriteCSV emits the result's series in long format:
-// series,<x_label>,<y_label> with one row per point.
-func WriteCSV(w io.Writer, res *Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"series", res.XLabel, res.YLabel}); err != nil {
-		return err
-	}
-	for _, s := range res.Series {
-		for i := range s.X {
-			if err := cw.Write([]string{
-				s.Label,
-				strconv.FormatFloat(s.X[i], 'g', -1, 64),
-				strconv.FormatFloat(s.Y[i], 'g', -1, 64),
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // CampaignCSVStream writes the campaign CSV schema (one block of

@@ -2,14 +2,11 @@ package expdata
 
 import (
 	"bytes"
-	"encoding/json"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/textplot"
 )
 
 // TestCampaignReassemblyMatchesDirectRun: running experiments through
@@ -69,42 +66,6 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if !strings.Contains(scn.Name(), "tbl-td") {
 		t.Errorf("default name %q should mention the experiment", scn.Name())
-	}
-}
-
-func TestWriteJSONAndCSV(t *testing.T) {
-	res := &Result{
-		XLabel: "hours", YLabel: "BER", LogY: true,
-		Series: []textplot.Series{
-			{Label: "a", X: []float64{0, 1}, Y: []float64{1e-9, math.Inf(1)}},
-		},
-		Notes: []string{"hello"},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, "fig0", "title", res); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("WriteJSON produced invalid JSON despite +Inf sample: %v\n%s", err, buf.String())
-	}
-	if doc["id"] != "fig0" || doc["x_label"] != "hours" {
-		t.Errorf("unexpected JSON doc: %v", doc)
-	}
-
-	buf.Reset()
-	if err := WriteCSV(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want header + 2 points:\n%s", len(lines), buf.String())
-	}
-	if lines[0] != "series,hours,BER" {
-		t.Errorf("CSV header %q", lines[0])
-	}
-	if !strings.Contains(lines[2], "+Inf") {
-		t.Errorf("CSV lost the +Inf point: %q", lines[2])
 	}
 }
 

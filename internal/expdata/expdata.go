@@ -2,9 +2,9 @@
 // the paper's evaluation section — Figures 5 through 10 plus the
 // Section 6 decoder latency/area comparison and this repository's own
 // model-vs-simulation cross-validation. The registry is the single
-// source shared by cmd/sweep, the root-level benchmarks and
-// EXPERIMENTS.md, so "regenerate figure N" means exactly one thing
-// everywhere.
+// source shared by the "experiments" campaign spec kind (see
+// examples/campaign/figures.json) and the root-level benchmarks, so
+// "regenerate figure N" means exactly one thing everywhere.
 package expdata
 
 import (

@@ -86,10 +86,10 @@ func singleProcess(t *testing.T, f *spec.File, built []*spec.Built) map[string]*
 	return want
 }
 
-// startRegistry builds a registry, submits doc as its only job (the
-// legacy single-spec shape: AutoMerge off, the test merges explicitly)
-// and marks the registry draining, then serves it. It returns the
-// job's namespace directory — where validated uploads land.
+// startRegistry builds a registry that drains after one job, submits
+// doc as that job and serves it. It returns the job's namespace
+// directory — where validated uploads land; the registry's Done closes
+// once the job's server-side merge finished.
 func startRegistry(t *testing.T, doc string, slices int, leaseTimeout time.Duration, logBuf io.Writer) (*Registry, *httptest.Server, *spec.File, []*spec.Built, string) {
 	t.Helper()
 	f, built := buildSpec(t, doc)
@@ -100,6 +100,7 @@ func startRegistry(t *testing.T, doc string, slices int, leaseTimeout time.Durat
 		Dir:          t.TempDir(),
 		Slices:       slices,
 		LeaseTimeout: leaseTimeout,
+		DrainAfter:   1,
 		Log:          log.New(logBuf, "", 0),
 	})
 	if err != nil {
@@ -112,7 +113,6 @@ func startRegistry(t *testing.T, doc string, slices int, leaseTimeout time.Durat
 	if st.State == JobFailed {
 		t.Fatalf("job failed validation: %s", st.Error)
 	}
-	reg.SetDraining(true)
 	srv := httptest.NewServer(reg.Handler())
 	t.Cleanup(srv.Close)
 	return reg, srv, f, built, st.Dir
@@ -462,9 +462,10 @@ func TestFabricAdoptsExistingPartials(t *testing.T) {
 	waitDone(t, r)
 
 	r2, err := NewRegistry(RegistryConfig{
-		Dir:    r.Dir(),
-		Slices: 2,
-		Log:    log.New(io.Discard, "", 0),
+		Dir:        r.Dir(),
+		Slices:     2,
+		DrainAfter: 1,
+		Log:        log.New(io.Discard, "", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -473,8 +474,14 @@ func TestFabricAdoptsExistingPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.State != JobDone {
+	// Every slice adopted: the job goes straight to its server-side
+	// merge without granting a single lease.
+	if st2.State != JobMerging && st2.State != JobDone {
 		t.Fatalf("restarted registry did not adopt the completed partials: job %s (%s)", st2.State, st2.Error)
+	}
+	waitDone(t, r2)
+	if st, _ := r2.Job(st2.ID); st.State != JobDone {
+		t.Fatalf("adopted job %s after its merge (%s), want done", st.State, st.Error)
 	}
 	adopted := 0
 	full, _ := r2.Job(st2.ID)

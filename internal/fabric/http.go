@@ -72,7 +72,7 @@ func (r *Registry) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "spec too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	job, err := r.Submit(specBytes, SubmitOptions{Tenant: tenant, AutoMerge: true})
+	job, err := r.Submit(specBytes, SubmitOptions{Tenant: tenant})
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, ErrDraining) {

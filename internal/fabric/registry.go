@@ -45,7 +45,7 @@ type RegistryConfig struct {
 	// DrainAfter, when positive, makes the registry drain on its own:
 	// once at least DrainAfter jobs have been submitted and every job
 	// is terminal, Done closes and executors are told to exit. Zero
-	// keeps the registry serving until SetDraining or process exit.
+	// keeps the registry serving until process exit.
 	DrainAfter int
 	// Log receives lease, steal, upload and lifecycle events
 	// (nil = standard logger).
@@ -57,11 +57,6 @@ type SubmitOptions struct {
 	// Tenant is the owning tenant's name (the HTTP layer derives it
 	// from the bearer token; local callers may leave it empty).
 	Tenant string
-	// AutoMerge makes the registry merge the job server-side once its
-	// last slice arrives, writing artifacts under <namespace>/results.
-	// The legacy single-spec coordinator submits with AutoMerge off and
-	// merges in-process instead, exactly as before.
-	AutoMerge bool
 }
 
 // Sentinel errors the HTTP layer maps to status codes.
@@ -124,8 +119,7 @@ type job struct {
 	state     string
 	errMsg    string
 	dir       string // per-spec namespace: validated partials land here
-	outDir    string // server-side merge target (AutoMerge only)
-	autoMerge bool
+	outDir    string // server-side merge target: <dir>/results
 	created   time.Time
 	doneCh    chan struct{} // closed on entering a terminal state
 	steals    int
@@ -158,7 +152,6 @@ type Registry struct {
 	leaseSeq  int
 	executors map[string]time.Time
 	start     time.Time
-	draining  bool
 	finished  bool
 	doneCh    chan struct{}
 
@@ -217,7 +210,8 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 // fails to parse, build or plan is recorded as a failed job (so the
 // failure is visible in /jobs and /status) and returned with its State
 // set to JobFailed; the error return is reserved for the registry
-// refusing the submission outright (draining or drained).
+// refusing the submission outright (drained). Every job merges
+// server-side into <namespace>/results once its last slice arrives.
 func (r *Registry) Submit(specBytes []byte, opts SubmitOptions) (*JobStatus, error) {
 	if len(specBytes) == 0 {
 		return nil, fmt.Errorf("fabric: empty spec")
@@ -225,7 +219,7 @@ func (r *Registry) Submit(specBytes []byte, opts SubmitOptions) (*JobStatus, err
 	id := JobID(specBytes)
 
 	r.mu.Lock()
-	if r.draining || r.finished {
+	if r.finished {
 		r.mu.Unlock()
 		return nil, ErrDraining
 	}
@@ -239,25 +233,23 @@ func (r *Registry) Submit(specBytes []byte, opts SubmitOptions) (*JobStatus, err
 	// Parse, build, plan and adopt outside the lock — building scenarios
 	// and scanning for adoptable partials can be slow, and the job is
 	// not visible to the scheduler until inserted below.
+	dir := Namespace(r.cfg.Dir, specBytes)
 	j := &job{
 		id:        id,
 		digest:    SpecDigest(specBytes),
 		tenant:    opts.Tenant,
 		specBytes: specBytes,
 		state:     JobPending,
-		dir:       Namespace(r.cfg.Dir, specBytes),
-		autoMerge: opts.AutoMerge,
+		dir:       dir,
+		outDir:    filepath.Join(dir, "results"),
 		created:   time.Now(),
 		doneCh:    make(chan struct{}),
-	}
-	if opts.AutoMerge {
-		j.outDir = filepath.Join(j.dir, "results")
 	}
 	buildErr := r.buildJob(j)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.draining || r.finished {
+	if r.finished {
 		return nil, ErrDraining
 	}
 	if existing, ok := r.jobs[id]; ok {
@@ -420,9 +412,9 @@ func (r *Registry) advanceTask(j *job, t *task) error {
 	return nil
 }
 
-// maybeCompleteLocked transitions a job whose every task has finished:
-// AutoMerge jobs enter merging and merge in a background goroutine;
-// others are done (the submitter merges). Must be called with mu held.
+// maybeCompleteLocked moves a job whose every task has finished into
+// merging and merges it in a background goroutine. Must be called with
+// mu held.
 func (r *Registry) maybeCompleteLocked(j *job) {
 	if j.state != JobPending && j.state != JobRunning {
 		return
@@ -431,10 +423,6 @@ func (r *Registry) maybeCompleteLocked(j *job) {
 		if !t.done {
 			return
 		}
-	}
-	if !j.autoMerge {
-		r.finishJobLocked(j, JobDone, "")
-		return
 	}
 	j.state = JobMerging
 	r.log.Printf("fabric: job %s: all slices in; merging into %s", j.id, j.outDir)
@@ -534,25 +522,17 @@ func (r *Registry) failJobLocked(j *job, errMsg string) {
 	r.finishJobLocked(j, JobFailed, errMsg)
 }
 
-// SetDraining tells the registry no further jobs are coming: new
-// submissions are refused, and once every job is terminal the registry
-// reports done to executors (draining the fleet) and closes Done.
-func (r *Registry) SetDraining(v bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.draining = v
-	r.checkFinishedLocked()
+// drainingLocked reports whether DrainAfter jobs have been submitted,
+// so the registry finishes once they are all terminal. Must be called
+// with mu held.
+func (r *Registry) drainingLocked() bool {
+	return r.cfg.DrainAfter > 0 && len(r.order) >= r.cfg.DrainAfter
 }
 
 // checkFinishedLocked closes the done channel once the registry is
-// draining (explicitly, or DrainAfter jobs have been seen) and every
-// job is terminal. Must be called with mu held.
+// draining and every job is terminal. Must be called with mu held.
 func (r *Registry) checkFinishedLocked() {
-	if r.finished {
-		return
-	}
-	draining := r.draining || (r.cfg.DrainAfter > 0 && len(r.order) >= r.cfg.DrainAfter)
-	if !draining {
+	if r.finished || !r.drainingLocked() {
 		return
 	}
 	for _, j := range r.order {
@@ -699,7 +679,7 @@ func (r *Registry) Status() Status {
 		StartUnixMS: r.start.UnixMilli(),
 		UptimeSec:   elapsed.Seconds(),
 		Done:        r.finished,
-		Draining:    r.draining || (r.cfg.DrainAfter > 0 && len(r.order) >= r.cfg.DrainAfter),
+		Draining:    r.drainingLocked(),
 		Slices:      r.cfg.Slices,
 		LeaseMS:     r.cfg.LeaseTimeout.Milliseconds(),
 		Executors:   len(r.executors),

@@ -243,10 +243,10 @@ func TestRegistryQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Submit([]byte(twoKindDoc), SubmitOptions{Tenant: "alice", AutoMerge: true}); err != nil {
+	if _, err := reg.Submit([]byte(twoKindDoc), SubmitOptions{Tenant: "alice"}); err != nil {
 		t.Fatal(err)
 	}
-	stB, err := reg.Submit([]byte(secondDoc), SubmitOptions{Tenant: "bob", AutoMerge: true})
+	stB, err := reg.Submit([]byte(secondDoc), SubmitOptions{Tenant: "bob"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package interleave
 
 import (
-	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/gf"
@@ -106,182 +104,5 @@ func TestCodecErasureMemoAcrossLists(t *testing.T) {
 	stored, _ := p.Encode(data)
 	if err := c.DecodeTo(&res, stored, listA); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCodecSetWorkers checks that a parallel codec produces the same
-// page outcomes as the serial one.
-func TestCodecSetWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	p, err := New(code36, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := p.NewCodec()
-	par := p.NewCodec().SetWorkers(4)
-	var res1, res2 DecodeResult
-	stored2 := make([]gf.Elem, p.StoredSymbols())
-	for trial := 0; trial < 20; trial++ {
-		data := randPage(rng, p)
-		stored, err := p.Encode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ers := []int{2, 9, 100}
-		for _, e := range ers {
-			stored[e] = gf.Elem(rng.Intn(256))
-		}
-		for i := 0; i < 6; i++ {
-			stored[rng.Intn(p.StoredSymbols())] ^= gf.Elem(1 + rng.Intn(255))
-		}
-		copy(stored2, stored)
-		if err := serial.DecodeTo(&res1, stored, ers); err != nil {
-			t.Fatal(err)
-		}
-		if err := par.DecodeTo(&res2, stored2, ers); err != nil {
-			t.Fatal(err)
-		}
-		checkDecodeMatch(t, "workers=4", &res1, &res2)
-	}
-}
-
-// TestDecodeSequence streams a batch of corrupted pages through one
-// codec and checks every emitted result against per-page Page.Decode,
-// plus the stream's error paths.
-func TestDecodeSequence(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	p, err := New(code36, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const pages = 12
-	ers := []int{7, 33, 80} // located columns, stable across the pass
-	type pageCase struct {
-		stored []gf.Elem
-		want   *DecodeResult
-	}
-	cases := make([]pageCase, pages)
-	for i := range cases {
-		data := randPage(rng, p)
-		stored, err := p.Encode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ers {
-			stored[e] = gf.Elem(rng.Intn(256))
-		}
-		if i%3 != 0 {
-			stored[rng.Intn(p.StoredSymbols())] ^= gf.Elem(1 + rng.Intn(255))
-		}
-		want, err := p.Decode(stored, ers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases[i] = pageCase{stored: stored, want: want}
-	}
-
-	c := p.NewCodec()
-	next := 0
-	emitted := 0
-	n, err := c.DecodeSequence(
-		func() ([]gf.Elem, []int, error) {
-			if next >= pages {
-				return nil, nil, nil
-			}
-			next++
-			return cases[next-1].stored, ers, nil
-		},
-		func(page int, res *DecodeResult) error {
-			if page != emitted {
-				t.Fatalf("emit page %d, want %d", page, emitted)
-			}
-			checkDecodeMatch(t, "sequence", cases[page].want, res)
-			emitted++
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != pages || emitted != pages {
-		t.Fatalf("decoded %d pages, emitted %d, want %d", n, emitted, pages)
-	}
-
-	if _, err := c.DecodeSequence(nil, nil); err == nil || !strings.Contains(err.Error(), "fill callback") {
-		t.Fatalf("nil fill: err = %v", err)
-	}
-	sentinel := errors.New("read failed")
-	calls := 0
-	n, err = c.DecodeSequence(func() ([]gf.Elem, []int, error) {
-		calls++
-		if calls > 1 {
-			return nil, nil, sentinel
-		}
-		return cases[0].stored, ers, nil
-	}, nil)
-	if !errors.Is(err, sentinel) || !strings.Contains(err.Error(), "fill after 1 pages") {
-		t.Fatalf("fill error: err = %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("fill error: decoded %d pages, want 1", n)
-	}
-	emitErr := errors.New("sink closed")
-	_, err = c.DecodeSequence(func() ([]gf.Elem, []int, error) {
-		return cases[0].stored, ers, nil
-	}, func(page int, res *DecodeResult) error { return emitErr })
-	if !errors.Is(err, emitErr) || !strings.Contains(err.Error(), "emit at page 0") {
-		t.Fatalf("emit error: err = %v", err)
-	}
-	_, err = c.DecodeSequence(func() ([]gf.Elem, []int, error) {
-		return make([]gf.Elem, 3), nil, nil
-	}, nil)
-	if err == nil || !strings.Contains(err.Error(), "sequence page 0") {
-		t.Fatalf("bad page: err = %v", err)
-	}
-}
-
-// TestDecodeSequenceZeroAllocs pins the streaming steady state at the
-// page level: reused codec, stable erasure list, no per-page heap
-// allocation.
-func TestDecodeSequenceZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	p, err := New(code36, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const pages = 8
-	ers := []int{7, 33, 80}
-	arena := make([][]gf.Elem, pages)
-	for i := range arena {
-		stored, err := p.Encode(randPage(rng, p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ers {
-			stored[e] = gf.Elem(rng.Intn(256))
-		}
-		arena[i] = stored
-	}
-	c := p.NewCodec()
-	next := 0
-	fill := func() ([]gf.Elem, []int, error) {
-		if next >= pages {
-			return nil, nil, nil
-		}
-		next++
-		return arena[next-1], ers, nil
-	}
-	run := func() {
-		next = 0
-		n, err := c.DecodeSequence(fill, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != pages {
-			t.Fatalf("decoded %d pages, want %d", n, pages)
-		}
-	}
-	run() // warm the split memo, erasure-set cache and result buffers
-	if allocs := testing.AllocsPerRun(100, func() { run() }); allocs != 0 {
-		t.Fatalf("steady-state DecodeSequence allocates %.1f per run, want 0", allocs)
 	}
 }

@@ -184,8 +184,6 @@ type Codec struct {
 	// every stripe without rehashing new slices.
 	lastErs []int // copy of the list perStripe currently reflects
 	split   bool  // perStripe matches lastErs
-
-	seqRes DecodeResult // DecodeSequence's reused result
 }
 
 // NewCodec builds a reusable workspace for the page layout.
@@ -206,16 +204,6 @@ func (p *Page) NewCodec() *Codec {
 
 // Page returns the layout the codec encodes and decodes.
 func (c *Codec) Page() *Page { return c.page }
-
-// SetWorkers forwards to the underlying rs.BatchDecoder: pages decode
-// with up to n goroutines across their stripes (bit-identical results
-// for any worker count; n <= 1 keeps the serial zero-allocation
-// path). Returns c for chaining; must not be called concurrently with
-// decoding.
-func (c *Codec) SetWorkers(n int) *Codec {
-	c.bdec.SetWorkers(n)
-	return c
-}
 
 // EncodeTo encodes a page of depth*k data symbols into the
 // caller-provided stored slice of depth*n symbols, allocation-free.
@@ -288,44 +276,6 @@ func (c *Codec) DecodeTo(res *DecodeResult, stored []gf.Elem, erasures []int) er
 		}
 	}
 	return nil
-}
-
-// DecodeSequence decodes a stream of stored pages through the codec's
-// reusable workspace — the page-level form of rs.DecodeStream for
-// scrubbing a store page by page. fill is called before each page and
-// returns the next stored page plus its erasure positions (a nil page
-// ends the stream; a fill error aborts it); each page decodes exactly
-// as DecodeTo would, and emit (optional) observes the result, which is
-// valid only until the next page. A stable erasure list across pages
-// (the located-column list of a scrub pass) hits both the codec's
-// split memo and the rs erasure-set cache, so the steady state
-// allocates nothing. Returns the number of pages decoded.
-func (c *Codec) DecodeSequence(
-	fill func() (stored []gf.Elem, erasures []int, err error),
-	emit func(page int, res *DecodeResult) error,
-) (int, error) {
-	if fill == nil {
-		return 0, fmt.Errorf("interleave: DecodeSequence needs a fill callback")
-	}
-	pages := 0
-	for {
-		stored, ers, err := fill()
-		if err != nil {
-			return pages, fmt.Errorf("interleave: sequence fill after %d pages: %w", pages, err)
-		}
-		if stored == nil {
-			return pages, nil
-		}
-		if err := c.DecodeTo(&c.seqRes, stored, ers); err != nil {
-			return pages, fmt.Errorf("interleave: sequence page %d: %w", pages, err)
-		}
-		pages++
-		if emit != nil {
-			if err := emit(pages-1, &c.seqRes); err != nil {
-				return pages, fmt.Errorf("interleave: sequence emit at page %d: %w", pages-1, err)
-			}
-		}
-	}
 }
 
 // intsEq reports element-wise equality (order-sensitive, like the

@@ -310,7 +310,7 @@ func EventsCounter(system string) string { return "events/" + system }
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	switch {
-	case c.EventsPerKilobit <= 0 || math.IsNaN(c.EventsPerKilobit):
+	case c.EventsPerKilobit <= 0 || math.IsNaN(c.EventsPerKilobit) || math.IsInf(c.EventsPerKilobit, 0):
 		return fmt.Errorf("mbusim: invalid event density %v", c.EventsPerKilobit)
 	case c.Trials <= 0:
 		return fmt.Errorf("mbusim: need at least one trial")
@@ -337,8 +337,10 @@ type scenario struct {
 	cfg     Config
 	dist    burstlen.Dist
 	systems []System
+	// means holds each system's Poisson event mean per trial;
 	// lostKeys/eventsKeys cache counter names so the trial loop does
 	// no per-trial string concatenation.
+	means                []float64
 	lostKeys, eventsKeys []string
 }
 
@@ -363,6 +365,12 @@ func Scenario(cfg Config, systems []System) (campaign.Scenario, error) {
 			return nil, fmt.Errorf("mbusim: burst of %d bits exceeds %s's %d stored bits",
 				cfg.BurstBits, sys.Name(), sys.StoredBits())
 		}
+		mean := cfg.EventsPerKilobit * float64(sys.StoredBits()) / 1000
+		if mean > maxPoissonMean {
+			return nil, fmt.Errorf("mbusim: %g events per kilobit puts a mean of %g events per trial on %s's %d stored bits, beyond the Poisson sampler's limit of %d",
+				cfg.EventsPerKilobit, mean, sys.Name(), sys.StoredBits(), maxPoissonMean)
+		}
+		s.means = append(s.means, mean)
 		s.lostKeys = append(s.lostKeys, LostCounter(sys.Name()))
 		s.eventsKeys = append(s.eventsKeys, EventsCounter(sys.Name()))
 	}
@@ -403,8 +411,7 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 	cfg := w.scn.cfg
 	for i, sys := range w.scn.systems {
 		w.rng.Seed(campaign.TrialSeed(cfg.Seed+int64(i)*7919, trial))
-		mean := cfg.EventsPerKilobit * float64(sys.StoredBits()) / 1000
-		n := poisson(w.rng, mean)
+		n := poisson(w.rng, w.scn.means[i])
 		w.bursts = w.bursts[:0]
 		// Each event samples its length from the configured
 		// distribution (capped at the image), then a start uniform
@@ -462,8 +469,16 @@ func Run(cfg Config, systems []System) ([]SystemResult, error) {
 	return ResultsFromCampaign(systems, cres), nil
 }
 
+// maxPoissonMean bounds the per-trial event mean poisson samples.
+// Knuth's method compares a running product of uniforms against
+// exp(-mean), which leaves the normal float64 range near a mean of 708
+// and underflows to zero near 745, where every draw saturates at ~745
+// events whatever the mean.
+const maxPoissonMean = 700
+
 // poisson samples a Poisson variate by Knuth's method (means here are
-// small, a few events per trial).
+// small, a few events per trial; Scenario caps them at
+// maxPoissonMean).
 func poisson(rng *rand.Rand, mean float64) int {
 	if mean <= 0 {
 		return 0

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -144,6 +145,7 @@ func TestValidation(t *testing.T) {
 		{EventsPerKilobit: 1, BurstBits: 0, Trials: 1},
 		{EventsPerKilobit: 1, BurstBits: 1, Trials: 0},
 		{EventsPerKilobit: math.NaN(), BurstBits: 1, Trials: 1},
+		{EventsPerKilobit: math.Inf(1), BurstBits: 1, Trials: 1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -151,6 +153,13 @@ func TestValidation(t *testing.T) {
 		}
 	}
 	systems := defaultSystems(t)
+	// 2000 events per kilobit is a mean of 768 events on the 384-bit
+	// TMR image, past where the Poisson sampler saturates; the smaller
+	// images stay within range, so the error must name the TMR voter.
+	_, err := Scenario(Config{EventsPerKilobit: 2000, BurstBits: 1, Trials: 1}, systems)
+	if err == nil || !strings.Contains(err.Error(), TMRBlock{}.Name()) {
+		t.Errorf("density beyond the sampler's range: err = %v, want one naming %q", err, TMRBlock{}.Name())
+	}
 	if _, err := Run(Config{EventsPerKilobit: 1, BurstBits: 1, Trials: 1}, nil); err == nil {
 		t.Error("empty system list accepted")
 	}

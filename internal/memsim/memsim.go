@@ -304,24 +304,11 @@ type worker struct {
 
 	pair       []gf.Elem // scrub-pass arena (up to two words, stride n)
 	w1, w2     []gf.Elem // the arena's words (masked duplex words)
-	elists     [2][]int  // per-arena-word erasure lists for the stream
+	elists     [2][]int  // per-arena-word erasure lists
 	set1, set2 []bool    // per-module erasure bitsets
-
-	// Scrub-pass stream state: the arena decodes through
-	// rs.DecodeStream with these closures built once at construction
-	// (capturing ws), so the steady state stays allocation-free. A pass
-	// stages arenaCount words in the pair arena, fill hands the arena
-	// over as the stream's single chunk, and emit captures the chunk
-	// result (valid, like before, until the next decode on the same
-	// workspace).
-	arenaCount int
-	arenaDone  bool
-	arenaRes   *rs.BatchResult
-	arenaFill  func() (rs.Batch, [][]int, error)
-	arenaEmit  func(base int, b rs.Batch, res *rs.BatchResult) error
-	shared     []int  // both-erased positions
-	e1, e2     []int  // erasure position lists
-	capSet     []bool // exceedsCapability scratch
+	shared     []int     // both-erased positions
+	e1, e2     []int     // erasure position lists
+	capSet     []bool    // exceedsCapability scratch
 
 	// weighted/lr carry the current trial's importance-sampling state
 	// from the event loop to the read classification: lr is the
@@ -349,18 +336,6 @@ func newWorker(cfg Config) *worker {
 		e1:     make([]int, 0, n),
 		e2:     make([]int, 0, n),
 		capSet: make([]bool, n),
-	}
-	w.arenaFill = func() (rs.Batch, [][]int, error) {
-		if w.arenaDone {
-			return rs.Batch{}, nil, nil
-		}
-		w.arenaDone = true
-		return rs.Batch{Words: w.pair[:w.arenaCount*n], Stride: n, Count: w.arenaCount},
-			w.elists[:w.arenaCount], nil
-	}
-	w.arenaEmit = func(base int, b rs.Batch, res *rs.BatchResult) error {
-		w.arenaRes = res
-		return nil
 	}
 	w.modBuf[0].init(n)
 	w.modBuf[1].init(n)
@@ -564,18 +539,17 @@ func (ws *worker) maskPair(t float64) (w1, w2 []gf.Elem, shared []int) {
 	return w1, w2, shared
 }
 
-// decodeArena streams the first count words of the scrub-pass arena
-// through rs.DecodeStream with the erasure lists staged in ws.elists
-// (one chunk per pass; fill/emit are the preallocated closures on the
-// worker). A failed word stays as received in the arena; a successful
-// one is corrected in place.
+// decodeArena decodes the first count words of the scrub-pass arena
+// with the erasure lists staged in ws.elists. A failed word stays as
+// received in the arena; a successful one is corrected in place. The
+// result is valid until the next decode on the same workspace.
 func (ws *worker) decodeArena(count int) *rs.BatchResult {
-	ws.arenaCount = count
-	ws.arenaDone = false
-	if _, err := ws.batch.DecodeStream(ws.arenaFill, ws.arenaEmit); err != nil {
+	n := ws.cfg.Code.N()
+	res, err := ws.batch.DecodeAll(rs.Batch{Words: ws.pair[:count*n], Stride: n, Count: count}, ws.elists[:count])
+	if err != nil {
 		panic(fmt.Sprintf("memsim: scrub-arena decode: %v", err)) // arena shape is fixed
 	}
-	return ws.arenaRes
+	return res
 }
 
 // doScrub reads, corrects and rewrites the stored word(s) through the

@@ -84,10 +84,10 @@ func (c *Code) batchSyndromeTable() *batchTable {
 // alignment padding) that decoding never reads or writes; Stride == n
 // is the dense layout.
 //
-// List-sharing contract: the erasure lists passed alongside a Batch
-// (to DecodeAll or through DecodeStream) may be nil, distinct, or the
-// very same slice shared by many words — sharing is encouraged, it is
-// what the erasure-set cache is built for. The lists must not be
+// List-sharing contract: the erasure lists passed to DecodeAll
+// alongside a Batch may be nil, distinct, or the very same slice
+// shared by many words — sharing is encouraged, it is what the
+// erasure-set cache is built for. The lists must not be
 // mutated while the call runs, and a caller that reuses a list's
 // backing array across calls may change its *contents* freely between
 // calls: the cache keys on content, never on pointer identity across
@@ -199,11 +199,11 @@ func (c *Code) NewBatchDecoder() *BatchDecoder {
 // Code returns the code this workspace decodes.
 func (bd *BatchDecoder) Code() *Code { return bd.c }
 
-// SetWorkers sets how many goroutines DecodeAll (and DecodeStream,
-// which decodes through it) may use per arena. Words are disjoint and
-// corrected in place, so the arena shards into contiguous word ranges
-// — one per worker, the internal/campaign discipline — and the
-// results are bit-identical for every worker count. n <= 1 keeps the
+// SetWorkers sets how many goroutines DecodeAll may use per arena.
+// Words are disjoint and corrected in place, so the arena shards into
+// contiguous word ranges — one per worker, the internal/campaign
+// discipline — and the results are bit-identical for every worker
+// count. n <= 1 keeps the
 // serial path, which spawns no goroutines and preserves the
 // zero-allocation steady state; each extra worker owns a private
 // Decoder, screen accumulator and erasure-set cache. SetWorkers

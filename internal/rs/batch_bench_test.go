@@ -237,73 +237,3 @@ func BenchmarkBatchDecodeParallel(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkBatchDecodeStream scrubs a large arena through DecodeStream
-// in fixed-size chunks — the store-larger-than-memory pattern, with
-// the chunk sub-arena and erasure set reused across the whole stream.
-func BenchmarkBatchDecodeStream(b *testing.B) {
-	const (
-		words = 256
-		chunk = 32
-	)
-	s := benchShape{name: "RS255_223", n: 255, k: 223, errs: 16, erasures: 32}
-	b.Run(s.name, func(b *testing.B) {
-		c := MustNew(f8, s.n, s.k)
-		rng := rand.New(rand.NewSource(87))
-		arena := make([]gf.Elem, words*s.n)
-		for w := 0; w < words; w++ {
-			if err := c.EncodeTo(arena[w*s.n:(w+1)*s.n], randData(rng, c)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		shared := rng.Perm(s.n)[:s.erasures:s.erasures]
-		erasures := make([][]int, chunk)
-		for w := range erasures {
-			erasures[w] = shared
-		}
-		type flip struct {
-			pos int
-			val gf.Elem
-		}
-		var flips []flip
-		for w := 0; w < words; w++ {
-			for _, p := range shared {
-				flips = append(flips, flip{w*s.n + p, gf.Elem(1 + rng.Intn(255))})
-			}
-		}
-		bd := c.NewBatchDecoder()
-		next := 0
-		fill := func() (Batch, [][]int, error) {
-			if next >= words {
-				return Batch{}, nil, nil
-			}
-			cnt := chunk
-			if words-next < cnt {
-				cnt = words - next
-			}
-			bt := Batch{Words: arena[next*s.n : (next+cnt)*s.n], Stride: s.n, Count: cnt}
-			next += cnt
-			return bt, erasures[:cnt], nil
-		}
-		run := func() StreamStats {
-			next = 0
-			st, err := bd.DecodeStream(fill, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return st
-		}
-		run() // warm the erasure-set cache
-		b.SetBytes(int64(len(arena)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, f := range flips {
-				arena[f.pos] ^= f.val
-			}
-			if st := run(); st.Corrected != words {
-				b.Fatalf("%d corrected words, want %d", st.Corrected, words)
-			}
-		}
-	})
-}

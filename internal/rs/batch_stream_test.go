@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/gf"
@@ -124,12 +123,13 @@ func TestDecodeAllWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestDecodeStreamMatchesDecodeAll checks that chunked streaming over
-// an arena — for chunk sizes that do and do not divide the word count
-// — produces exactly the whole-arena DecodeAll outcome: same corrected
-// bytes, same per-word results in stream order, same tallies, and emit
-// observes contiguous base offsets.
-func TestDecodeStreamMatchesDecodeAll(t *testing.T) {
+// TestDecodeAllChunksMatchWholeArena checks that decoding an arena
+// chunk by chunk through one warm BatchDecoder — the way a simulator
+// reuses its workspace for scrub passes of varying size, for chunk
+// sizes that do and do not divide the word count — produces exactly
+// the whole-arena DecodeAll outcome: same corrected bytes, same
+// per-word results in arena order, same tallies.
+func TestDecodeAllChunksMatchWholeArena(t *testing.T) {
 	shapes := []struct{ n, k int }{{36, 16}, {255, 223}}
 	for _, s := range shapes {
 		c := MustNew(f8, s.n, s.k)
@@ -144,15 +144,10 @@ func TestDecodeStreamMatchesDecodeAll(t *testing.T) {
 		for _, chunk := range []int{1, 5, 8, count} {
 			arena := append([]gf.Elem(nil), pristine...)
 			bd := c.NewBatchDecoder()
-			next := 0
-			fill := func() (Batch, [][]int, error) {
-				if next >= count {
-					return Batch{}, nil, nil
-				}
-				cnt := chunk
-				if count-next < cnt {
-					cnt = count - next
-				}
+			var words []WordResult
+			clean, corr, failed := 0, 0, 0
+			for next := 0; next < count; next += chunk {
+				cnt := min(chunk, count-next)
 				sub := Batch{
 					Words:  arena[next*stride : (next+cnt-1)*stride+s.n],
 					Stride: stride,
@@ -162,96 +157,29 @@ func TestDecodeStreamMatchesDecodeAll(t *testing.T) {
 				if erasures != nil {
 					ers = erasures[next : next+cnt]
 				}
-				next += cnt
-				return sub, ers, nil
-			}
-			var bases []int
-			var words []WordResult
-			emit := func(base int, eb Batch, res *BatchResult) error {
-				bases = append(bases, base)
-				if len(res.Words) != eb.Count {
-					t.Fatalf("chunk=%d: emit got %d word results for %d-word chunk", chunk, len(res.Words), eb.Count)
+				res, err := bd.DecodeAll(sub, ers)
+				if err != nil {
+					t.Fatalf("chunk=%d: DecodeAll at word %d: %v", chunk, next, err)
+				}
+				if len(res.Words) != cnt {
+					t.Fatalf("chunk=%d: %d word results for a %d-word chunk", chunk, len(res.Words), cnt)
 				}
 				words = append(words, res.Words...)
-				return nil
+				clean += res.Clean
+				corr += res.Corrected
+				failed += res.Failed
 			}
-			st, err := bd.DecodeStream(fill, emit)
-			if err != nil {
-				t.Fatalf("chunk=%d: DecodeStream: %v", chunk, err)
-			}
-			wantChunks := (count + chunk - 1) / chunk
-			if st.Chunks != wantChunks || st.Words != count {
-				t.Fatalf("chunk=%d: stats %d chunks / %d words, want %d / %d", chunk, st.Chunks, st.Words, wantChunks, count)
-			}
-			if st.Clean != ref.clean || st.Corrected != ref.corr || st.Failed != ref.failed {
-				t.Fatalf("chunk=%d: stream tallies (%d,%d,%d) != DecodeAll (%d,%d,%d)",
-					chunk, st.Clean, st.Corrected, st.Failed, ref.clean, ref.corr, ref.failed)
-			}
-			for i, base := range bases {
-				if want := i * chunk; base != want {
-					t.Fatalf("chunk=%d: emit base[%d] = %d, want %d", chunk, i, base, want)
-				}
+			if clean != ref.clean || corr != ref.corr || failed != ref.failed {
+				t.Fatalf("chunk=%d: chunked tallies (%d,%d,%d) != whole arena (%d,%d,%d)",
+					chunk, clean, corr, failed, ref.clean, ref.corr, ref.failed)
 			}
 			if !reflect.DeepEqual(words, ref.words) {
-				t.Fatalf("chunk=%d: streamed word results differ from whole-arena DecodeAll", chunk)
+				t.Fatalf("chunk=%d: chunked word results differ from whole-arena DecodeAll", chunk)
 			}
 			if !equalElems(arena, ref.arena) {
-				t.Fatalf("chunk=%d: streamed arena differs from whole-arena DecodeAll", chunk)
+				t.Fatalf("chunk=%d: chunked arena differs from whole-arena DecodeAll", chunk)
 			}
 		}
-	}
-}
-
-// TestDecodeStreamErrors covers the abort paths: missing fill, a fill
-// error (wrapped with the words-so-far count), an emit error (wrapped
-// with the chunk index), and an invalid chunk shape surfacing the
-// DecodeAll validation error.
-func TestDecodeStreamErrors(t *testing.T) {
-	c := MustNew(f8, 18, 16)
-	bd := c.NewBatchDecoder()
-
-	if _, err := bd.DecodeStream(nil, nil); err == nil || !strings.Contains(err.Error(), "fill callback") {
-		t.Fatalf("nil fill: err = %v", err)
-	}
-
-	sentinel := errors.New("device gone")
-	arena := make([]gf.Elem, 18)
-	if err := c.EncodeTo(arena, make([]gf.Elem, 16)); err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	st, err := bd.DecodeStream(func() (Batch, [][]int, error) {
-		calls++
-		if calls > 1 {
-			return Batch{}, nil, sentinel
-		}
-		return Batch{Words: arena, Stride: 18, Count: 1}, nil, nil
-	}, nil)
-	if !errors.Is(err, sentinel) || !strings.Contains(err.Error(), "stream fill after 1 words") {
-		t.Fatalf("fill error: err = %v", err)
-	}
-	if st.Words != 1 || st.Chunks != 1 {
-		t.Fatalf("fill error: stats = %+v, want 1 chunk / 1 word", st)
-	}
-
-	emitErr := errors.New("sink full")
-	calls = 0
-	_, err = bd.DecodeStream(func() (Batch, [][]int, error) {
-		calls++
-		if calls > 1 {
-			return Batch{}, nil, nil
-		}
-		return Batch{Words: arena, Stride: 18, Count: 1}, nil, nil
-	}, func(base int, b Batch, res *BatchResult) error { return emitErr })
-	if !errors.Is(err, emitErr) || !strings.Contains(err.Error(), "stream emit at chunk 0") {
-		t.Fatalf("emit error: err = %v", err)
-	}
-
-	_, err = bd.DecodeStream(func() (Batch, [][]int, error) {
-		return Batch{Words: arena, Stride: 4, Count: 1}, nil, nil
-	}, nil)
-	if err == nil || !strings.Contains(err.Error(), "stride") {
-		t.Fatalf("bad chunk shape: err = %v", err)
 	}
 }
 
@@ -322,68 +250,5 @@ func TestBatchErasureSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatalf("steady-state DecodeAll allocates %.1f per run, want 0", allocs)
 			}
 		})
-	}
-}
-
-// TestDecodeStreamSteadyStateZeroAllocs pins the streaming steady
-// state: with the fill closure, chunk arena and erasure lists all
-// reused across runs, a full stream pass allocates nothing.
-func TestDecodeStreamSteadyStateZeroAllocs(t *testing.T) {
-	c := MustNew(f8, 36, 16)
-	const (
-		count = 24
-		chunk = 8
-	)
-	rng := rand.New(rand.NewSource(62))
-	arena := make([]gf.Elem, count*36)
-	for w := 0; w < count; w++ {
-		if err := c.EncodeTo(arena[w*36:(w+1)*36], randData(rng, c)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	shared := rng.Perm(36)[:8:8]
-	ers := make([][]int, chunk)
-	for w := range ers {
-		ers[w] = shared
-	}
-	type flip struct {
-		pos int
-		val gf.Elem
-	}
-	var flips []flip
-	for w := 0; w < count; w++ {
-		for _, p := range shared {
-			flips = append(flips, flip{w*36 + p, gf.Elem(1 + rng.Intn(255))})
-		}
-	}
-	bd := c.NewBatchDecoder()
-	next := 0
-	fill := func() (Batch, [][]int, error) {
-		if next >= count {
-			return Batch{}, nil, nil
-		}
-		sub := Batch{Words: arena[next*36 : (next+chunk)*36], Stride: 36, Count: chunk}
-		next += chunk
-		return sub, ers, nil
-	}
-	run := func() {
-		next = 0
-		st, err := bd.DecodeStream(fill, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Words != count {
-			t.Fatalf("streamed %d words, want %d", st.Words, count)
-		}
-	}
-	run() // warm the erasure-set cache
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, f := range flips {
-			arena[f.pos] ^= f.val
-		}
-		run()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state DecodeStream allocates %.1f per run, want 0", allocs)
 	}
 }

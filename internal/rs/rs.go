@@ -75,10 +75,7 @@
 //
 // DecodeAll is serial by default; BatchDecoder.SetWorkers shards the
 // arena into contiguous word ranges decoded by a persistent worker
-// pool, with results bit-identical for every worker count. For stores
-// larger than memory, BatchDecoder.DecodeStream scrubs an unbounded
-// word sequence chunk by chunk through caller fill/emit callbacks,
-// reusing one sub-arena (see its chunk contract).
+// pool, with results bit-identical for every worker count.
 //
 // A BatchDecoder from Code.NewBatchDecoder owns its scratch like a
 // Decoder does (one per goroutine, results valid until the next call)
