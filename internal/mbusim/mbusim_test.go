@@ -474,3 +474,49 @@ func BenchmarkCampaignBurst4(b *testing.B) {
 		}
 	}
 }
+
+// TestDefaultSystemsGolden pins DefaultSystems' campaign counters for
+// one fixed-burst and one geometric configuration. Recovery consumes
+// no randomness beyond the payload draws, so a change to how the
+// systems encode or decode that moves any count is a semantics change,
+// not noise.
+func TestDefaultSystemsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want map[string]int64
+	}{
+		{
+			name: "fixed",
+			cfg:  Config{EventsPerKilobit: 6, BurstBits: 6, Trials: 1500, Seed: 41},
+			want: map[string]int64{
+				"events/4x SEC-DED(39,32)": 1368, "events/RS(10,8) x2 interleaved": 1506, "events/RS(18,16)": 1358,
+				"events/RS(20,16)": 1535, "events/TMR voter": 3434,
+				"lost/4x SEC-DED(39,32)": 869, "lost/RS(10,8) x2 interleaved": 363, "lost/RS(18,16)": 648,
+				"lost/RS(20,16)": 344, "lost/TMR voter": 196,
+			},
+		},
+		{
+			name: "geometric",
+			cfg:  Config{EventsPerKilobit: 6, BurstDist: "geometric", BurstMeanBits: 5, Trials: 1500, Seed: 43},
+			want: map[string]int64{
+				"events/4x SEC-DED(39,32)": 1319, "events/RS(10,8) x2 interleaved": 1343, "events/RS(18,16)": 1287,
+				"events/RS(20,16)": 1357, "events/TMR voter": 3362,
+				"lost/4x SEC-DED(39,32)": 749, "lost/RS(10,8) x2 interleaved": 334, "lost/RS(18,16)": 531,
+				"lost/RS(20,16)": 284, "lost/TMR voter": 142,
+			},
+		},
+	} {
+		scn, err := Scenario(tc.cfg, defaultSystems(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cres, err := campaign.Run(scn, campaign.Config{Workers: 2, ShardSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cres.Counters, tc.want) {
+			t.Errorf("%s: golden mismatch\ncounters %#v", tc.name, cres.Counters)
+		}
+	}
+}
