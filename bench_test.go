@@ -504,10 +504,7 @@ func BenchmarkEvaluateFullFig7Curve(b *testing.B) {
 // BenchmarkScrubSchedulers measures the schedulers in isolation (they
 // sit on the simulator's hot path).
 func BenchmarkScrubSchedulers(b *testing.B) {
-	p, err := scrub.NewPeriodic(0.25)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := scrub.Periodic{Period: 0.25}
 	b.Run("periodic", func(b *testing.B) {
 		t := 0.0
 		b.ReportAllocs()

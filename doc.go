@@ -62,11 +62,10 @@
 // evaluating cached roots with no Berlekamp-Massey iteration and no
 // Chien sweep. Outcomes are guaranteed word-for-word identical to
 // rs.Decoder.Decode (the equivalence property tests in internal/rs
-// enforce this across worker counts, and fixed-seed golden tests in
-// pagesim and memsim pin the simulators' outputs across the switch),
-// and the steady state allocates nothing. BatchDecoder.SetWorkers
-// shards large arenas across a persistent goroutine pool with
-// bit-identical results for any worker count. On the 1-core reference
+// enforce this, and fixed-seed golden tests in pagesim and memsim pin
+// the simulators' outputs across the switch), and the steady state
+// allocates nothing. DecodeAll runs on the calling goroutine; the
+// simulators parallelize across trials instead. On the 1-core reference
 // container the erasure-heavy RS(255,223) arena decodes ~6.6x faster
 // than the pre-cache batch path (5.7 -> ~38 MB/s) and the clean-arena
 // screen holds >300 MB/s. interleave.Codec.DecodeTo decodes each page

@@ -44,12 +44,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	codec := page.NewCodec()
 	data := make([]gf.Elem, page.DataSymbols())
 	for i := range data {
 		data[i] = gf.Elem(rng.Intn(256))
 	}
-	stored, err := page.Encode(data)
-	if err != nil {
+	stored := make([]gf.Elem, page.StoredSymbols())
+	if err := codec.EncodeTo(stored, data); err != nil {
 		log.Fatal(err)
 	}
 	column := 11
@@ -59,8 +60,8 @@ func main() {
 		stored[idx] = 0xFF
 		erasures = append(erasures, idx)
 	}
-	res, err := page.Decode(stored, erasures)
-	if err != nil {
+	var res interleave.DecodeResult
+	if err := codec.DecodeTo(&res, stored, erasures); err != nil {
 		log.Fatal(err)
 	}
 	intact := len(res.FailedStripes) == 0
@@ -77,12 +78,13 @@ func main() {
 // verifyBurst injects a maximal-length burst at a random offset and
 // checks full recovery.
 func verifyBurst(rng *rand.Rand, page *interleave.Page) bool {
+	codec := page.NewCodec()
 	data := make([]gf.Elem, page.DataSymbols())
 	for i := range data {
 		data[i] = gf.Elem(rng.Intn(256))
 	}
-	stored, err := page.Encode(data)
-	if err != nil {
+	stored := make([]gf.Elem, page.StoredSymbols())
+	if err := codec.EncodeTo(stored, data); err != nil {
 		return false
 	}
 	burst := page.CorrectableBurst()
@@ -93,8 +95,8 @@ func verifyBurst(rng *rand.Rand, page *interleave.Page) bool {
 	for i := start; i < start+burst; i++ {
 		stored[i] ^= gf.Elem(1 + rng.Intn(255))
 	}
-	res, err := page.Decode(stored, nil)
-	if err != nil || len(res.FailedStripes) != 0 {
+	var res interleave.DecodeResult
+	if err := codec.DecodeTo(&res, stored, nil); err != nil || len(res.FailedStripes) != 0 {
 		return false
 	}
 	for i := range data {

@@ -194,21 +194,3 @@ func (v *CrossValidation) Check() error {
 		v.WordFailAnalytic, v.WordFailLo, v.WordFailHi, v.WordFails, v.Trials,
 		v.AnyWordFailAnalytic, v.AnyWordFailLo, v.AnyWordFailHi, v.Words)
 }
-
-// RunSim executes the Monte Carlo on the shared engine and
-// cross-validates it against the analytic curve at 95%.
-func (c SimConfig) RunSim(ecfg campaign.Config) (*CrossValidation, *campaign.Result, error) {
-	scn, err := c.Scenario()
-	if err != nil {
-		return nil, nil, err
-	}
-	cres, err := campaign.Run(scn, ecfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	v, err := c.CrossValidate(cres, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v, cres, nil
-}

@@ -93,7 +93,15 @@ func TestMonteCarloAgreesWithAnalytic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := simBase()
 			tc.edit(&c)
-			v, cres, err := c.RunSim(campaign.Config{})
+			scn, err := c.Scenario()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cres, err := campaign.Run(scn, campaign.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := c.CrossValidate(cres, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -69,11 +69,23 @@ func (d Dist) String() string {
 	return fmt.Sprintf("geom(%g)", d.MeanBits)
 }
 
-// Sample draws one burst length, capped at imageBits so every event
+// Place draws one burst for an image of imageBits bits: first its
+// length, then a start uniform over the imageBits-length+1 placements
+// at which the whole burst fits, so every event flips exactly its
+// sampled length (a start drawn over the whole image would truncate
+// bursts near the edge, under-dosing small images). internal/mbusim
+// and internal/pagesim both place their bursts here, and their
+// fixed-seed goldens depend on the two draws' order. The caller must
+// have rejected fixed lengths exceeding the image.
+func (d Dist) Place(rng *rand.Rand, imageBits int) (start, length int) {
+	length = d.sample(rng, imageBits)
+	return rng.Intn(imageBits - length + 1), length
+}
+
+// sample draws one burst length, capped at imageBits so every event
 // can be placed without truncation at the image edge. Fixed draws
-// consume no randomness (preserving the pre-distribution RNG stream);
-// the caller must have rejected fixed lengths exceeding the image.
-func (d Dist) Sample(rng *rand.Rand, imageBits int) int {
+// consume no randomness (preserving the pre-distribution RNG stream).
+func (d Dist) sample(rng *rand.Rand, imageBits int) int {
 	if d.IsFixed() {
 		return d.Bits
 	}

@@ -43,7 +43,7 @@ func TestFixedConsumesNoRandomness(t *testing.T) {
 	b := rand.New(rand.NewSource(42))
 	d := Dist{Kind: Fixed, Bits: 9}
 	for i := 0; i < 100; i++ {
-		if got := d.Sample(a, 1000); got != 9 {
+		if got := d.sample(a, 1000); got != 9 {
 			t.Fatalf("fixed sample %d = %d", i, got)
 		}
 	}
@@ -69,7 +69,7 @@ func TestGeometricChiSquare(t *testing.T) {
 	obs := make([]float64, nBins)
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		l := d.Sample(rng, 1<<30) // effectively uncapped
+		l := d.sample(rng, 1<<30) // effectively uncapped
 		sum += float64(l)
 		if l >= nBins {
 			l = nBins
@@ -107,7 +107,7 @@ func TestGeometricCappedAtImageEdge(t *testing.T) {
 	const image = 8
 	capped := 0
 	for i := 0; i < 10000; i++ {
-		l := d.Sample(rng, image)
+		l := d.sample(rng, image)
 		if l < 1 || l > image {
 			t.Fatalf("sample %d outside [1, %d]", l, image)
 		}
@@ -134,7 +134,7 @@ func TestGeometricHugeMean(t *testing.T) {
 		const image = 64
 		capped := 0
 		for i := 0; i < 10000; i++ {
-			l := d.Sample(rng, image)
+			l := d.sample(rng, image)
 			if l < 1 || l > image {
 				t.Fatalf("mean %g: sample %d outside [1, %d]", mean, l, image)
 			}
@@ -154,7 +154,7 @@ func TestGeometricMeanOne(t *testing.T) {
 	d := Dist{Kind: Geometric, MeanBits: 1}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
-		if got := d.Sample(rng, 100); got != 1 {
+		if got := d.sample(rng, 100); got != 1 {
 			t.Fatalf("mean-1 geometric drew %d", got)
 		}
 	}
@@ -166,5 +166,35 @@ func TestString(t *testing.T) {
 	}
 	if got := (Dist{Kind: Geometric, MeanBits: 4.5}).String(); got != "geom(4.5)" {
 		t.Errorf("geometric String() = %q", got)
+	}
+}
+
+// TestPlaceFitsImage: every placed burst lies wholly inside the image,
+// for fixed lengths (including one as long as the image, whose only
+// placement is start 0) and for geometric lengths, whose cap at the
+// image must engage for a mean far above it.
+func TestPlaceFitsImage(t *testing.T) {
+	const bits = 24
+	rng := rand.New(rand.NewSource(8))
+	for _, d := range []Dist{
+		{Kind: Fixed, Bits: 1},
+		{Kind: Fixed, Bits: 7},
+		{Kind: Fixed, Bits: bits},
+		{Kind: Geometric, MeanBits: 3},
+		{Kind: Geometric, MeanBits: 100},
+	} {
+		full := 0
+		for i := 0; i < 2000; i++ {
+			start, length := d.Place(rng, bits)
+			if start < 0 || length < 1 || start+length > bits {
+				t.Fatalf("%v: burst [%d, %d) outside a %d-bit image", d, start, start+length, bits)
+			}
+			if length == bits {
+				full++
+			}
+		}
+		if (d.Bits == bits || d.MeanBits == 100) && full == 0 {
+			t.Errorf("%v: no burst filled the image", d)
+		}
 	}
 }

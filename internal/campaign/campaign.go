@@ -295,12 +295,9 @@ type Config struct {
 	// Checkpoint is the path of the resumable partial-result artifact;
 	// "" disables checkpointing. If the file exists it must describe
 	// the same scenario (name, trials, shard size) and its completed
-	// shards are not recomputed.
+	// shards are not recomputed. Progress is appended about once a
+	// second or every 64 completed shards, plus a final flush.
 	Checkpoint string
-	// CheckpointEvery appends progress after every N newly completed
-	// shards; 0 throttles adaptively (about one append batch per
-	// second or 64 buffered shards, plus a final flush).
-	CheckpointEvery int
 	// ParamsDigest optionally stamps checkpoints and partial artifacts
 	// with a digest of the scenario's full parameter set (the spec
 	// layer digests each entry's kind+params). A resume against an
@@ -400,20 +397,6 @@ func (r *Result) CounterNames() []string {
 	return names
 }
 
-// SeriesNames returns the labels of all sample series in order of
-// first appearance.
-func (r *Result) SeriesNames() []string {
-	var names []string
-	seen := make(map[string]bool)
-	for _, s := range r.Samples {
-		if !seen[s.Series] {
-			seen[s.Series] = true
-			names = append(names, s.Series)
-		}
-	}
-	return names
-}
-
 // SeriesPoints returns the (x, y) points of one series in trial order.
 func (r *Result) SeriesPoints(series string) (xs, ys []float64) {
 	for _, s := range r.Samples {
@@ -460,11 +443,10 @@ func Run(scn Scenario, cfg Config) (*Result, error) {
 	}
 	plan.ParamsDigest = cfg.ParamsDigest
 	partial, err := Execute(scn, plan, ExecConfig{
-		Workers:    cfg.Workers,
-		Artifact:   cfg.Checkpoint,
-		FlushEvery: cfg.CheckpointEvery,
-		Stop:       cfg.Stop,
-		Progress:   cfg.Progress,
+		Workers:  cfg.Workers,
+		Artifact: cfg.Checkpoint,
+		Stop:     cfg.Stop,
+		Progress: cfg.Progress,
 	})
 	if err != nil {
 		return nil, err

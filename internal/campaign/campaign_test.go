@@ -103,9 +103,6 @@ func TestSamplesSortedByTrial(t *testing.T) {
 	if len(xs) != 1000 || len(ys) != 1000 {
 		t.Fatalf("series extraction lost points: %d/%d", len(xs), len(ys))
 	}
-	if names := res.SeriesNames(); len(names) != 1 || names[0] != "uniform" {
-		t.Fatalf("series names = %v", names)
-	}
 }
 
 func TestCounterIndependentOfShardSize(t *testing.T) {

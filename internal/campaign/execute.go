@@ -9,8 +9,9 @@ import (
 )
 
 // maxBufferedShards bounds how many completed-but-unflushed shard
-// records the executor holds when an artifact is configured and no
-// explicit FlushEvery is set. Together with the spill-after-flush
+// records the executor holds when an artifact is configured: it
+// flushes after this many shards or about one second, whichever comes
+// first (plus a final flush). Together with the spill-after-flush
 // policy this caps resident sample memory at about
 // maxBufferedShards * ShardSize samples regardless of campaign size.
 const maxBufferedShards = 64
@@ -28,10 +29,6 @@ type ExecConfig struct {
 	// execution's memory use is bounded by the flush cadence, not the
 	// campaign size.
 	Artifact string
-	// FlushEvery appends buffered shard records after every N newly
-	// completed shards; 0 flushes after maxBufferedShards shards or
-	// about one second, whichever comes first (plus a final flush).
-	FlushEvery int
 	// Stop optionally ends the campaign once a counter's confidence
 	// interval is narrow enough. The executor applies it only when the
 	// plan covers the whole campaign (its local shard prefix is then
@@ -184,9 +181,6 @@ func Execute(scn Scenario, plan *Plan, cfg ExecConfig) (*Partial, error) {
 	flushDue := func() bool {
 		if appender == nil || len(buffered) == 0 {
 			return false
-		}
-		if cfg.FlushEvery > 0 {
-			return len(buffered) >= cfg.FlushEvery
 		}
 		return len(buffered) >= maxBufferedShards || time.Since(lastWrite) >= time.Second
 	}

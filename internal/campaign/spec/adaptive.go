@@ -139,11 +139,10 @@ func RunAdaptive(f *File, builts []*Built, dir string, logf func(format string, 
 			logf("adaptive: round %d: %s gets %d trials (%d shards; rel err %.3g over %d trials)",
 				round, c.b.Entry.Name, alloc[i], shards, states[i].RelErr, states[i].Trials)
 			partial, err := campaign.Execute(c.b.Scenario, c.plan, campaign.ExecConfig{
-				Workers:    c.ecfg.Workers,
-				Artifact:   c.path,
-				FlushEvery: c.ecfg.CheckpointEvery,
-				Stop:       c.ecfg.Stop,
-				MaxShards:  shards,
+				Workers:   c.ecfg.Workers,
+				Artifact:  c.path,
+				Stop:      c.ecfg.Stop,
+				MaxShards: shards,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("spec: %s: %w", c.b.Entry.Name, err)

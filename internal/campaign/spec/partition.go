@@ -67,10 +67,9 @@ func (b *Built) RunPartition(f *File, part campaign.Partition, dir string) (*cam
 	}
 	plan.ParamsDigest = cfg.ParamsDigest
 	partial, err := campaign.Execute(b.Scenario, plan, campaign.ExecConfig{
-		Workers:    cfg.Workers,
-		Artifact:   b.Entry.PartialPath(dir, part),
-		FlushEvery: cfg.CheckpointEvery,
-		Stop:       cfg.Stop,
+		Workers:  cfg.Workers,
+		Artifact: b.Entry.PartialPath(dir, part),
+		Stop:     cfg.Stop,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("spec: %s: %w", b.Entry.Name, err)

@@ -102,7 +102,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
@@ -703,7 +702,7 @@ func buildScenario(e Entry, f *File) (*Built, error) {
 			Trials:           p.Trials,
 			Seed:             seed,
 		}
-		scn, err := mbusim.Scenario(cfg, systems)
+		scn, err := mbusim.Scenario(cfg, mbusim.DefaultSystems)
 		if err != nil {
 			return nil, fmt.Errorf("spec: scenario %q: %w", e.Name, err)
 		}
@@ -1070,16 +1069,4 @@ func renderExperiments(w io.Writer, exps []expdata.Experiment, cres *campaign.Re
 		fmt.Fprintln(w)
 	}
 	return nil
-}
-
-// SortedCounters formats a result's counters, one "name value" line
-// each, for quick inspection.
-func SortedCounters(cres *campaign.Result) []string {
-	names := cres.CounterNames()
-	sort.Strings(names)
-	out := make([]string, len(names))
-	for i, n := range names {
-		out[i] = fmt.Sprintf("%s %d", n, cres.Counters[n])
-	}
-	return out
 }

@@ -23,19 +23,6 @@ func DecodeCycles(n, k int) (int, error) {
 	return 3*n + 10*(n-k), nil
 }
 
-// DecodeSeconds converts DecodeCycles into seconds at the given clock
-// frequency.
-func DecodeSeconds(n, k int, clockHz float64) (float64, error) {
-	if clockHz <= 0 {
-		return 0, fmt.Errorf("complexity: invalid clock %v Hz", clockHz)
-	}
-	cycles, err := DecodeCycles(n, k)
-	if err != nil {
-		return 0, err
-	}
-	return float64(cycles) / clockHz, nil
-}
-
 // DefaultGatesPerUnit is the proportionality constant of the area
 // model in gates per (symbol bit x check symbol). The paper only
 // states that area is "almost linearly dependent on m and the number

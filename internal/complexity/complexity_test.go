@@ -1,9 +1,6 @@
 package complexity
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestDecodeCyclesPaperNumbers(t *testing.T) {
 	// Paper Section 6: RS(36,16) -> 108 + 200 = 308 cycles;
@@ -34,26 +31,6 @@ func TestDecodeCyclesValidation(t *testing.T) {
 		if _, err := DecodeCycles(c[0], c[1]); err == nil {
 			t.Errorf("DecodeCycles(%d,%d) accepted", c[0], c[1])
 		}
-	}
-}
-
-func TestDecodeSeconds(t *testing.T) {
-	s, err := DecodeSeconds(18, 16, 50e6) // 50 MHz FPGA clock
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 74.0 / 50e6
-	if math.Abs(s-want) > 1e-18 {
-		t.Errorf("DecodeSeconds = %v, want %v", s, want)
-	}
-	if _, err := DecodeSeconds(18, 16, 0); err == nil {
-		t.Error("zero clock accepted")
-	}
-	if _, err := DecodeSeconds(18, 16, -1); err == nil {
-		t.Error("negative clock accepted")
-	}
-	if _, err := DecodeSeconds(5, 5, 1e6); err == nil {
-		t.Error("invalid code accepted")
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"repro/internal/duplex"
+	"repro/internal/markov"
 	"repro/internal/reliability"
 	"repro/internal/simplex"
 )
@@ -83,10 +84,6 @@ type Config struct {
 	SEUPerBitDay        float64
 	ErasurePerSymbolDay float64
 	ScrubPeriodSeconds  float64
-
-	// DuplexOpts tunes the paper-ambiguous duplex transition rates;
-	// the zero value is paper-faithful. Ignored for simplex.
-	DuplexOpts duplex.Options
 }
 
 // Validate checks the configuration.
@@ -167,7 +164,6 @@ func failProbabilities(cfg Config, hours []float64) ([]float64, error) {
 		return duplex.FailProbabilities(duplex.Params{
 			N: cfg.Code.N, K: cfg.Code.K, M: cfg.Code.M,
 			Lambda: lambda, LambdaE: lambdaE, ScrubRate: scrub,
-			Opts: cfg.DuplexOpts,
 		}, hours)
 	default:
 		return nil, fmt.Errorf("core: unknown arrangement %d", int(cfg.Arrangement))
@@ -179,80 +175,47 @@ func failProbabilities(cfg Config, hours []float64) ([]float64, error) {
 // the Good state into Fail. A system whose chain cannot reach Fail
 // (no fault processes configured) returns +Inf.
 func MTTDL(cfg Config) (float64, error) {
-	if err := cfg.Validate(); err != nil {
+	chain, canFail, err := buildChain(cfg)
+	if err != nil {
 		return 0, err
 	}
-	lambda := reliability.PerDayToPerHour(cfg.SEUPerBitDay)
-	lambdaE := reliability.PerDayToPerHour(cfg.ErasurePerSymbolDay)
-	scrub := reliability.ScrubRatePerHour(cfg.ScrubPeriodSeconds)
-	switch cfg.Arrangement {
-	case Simplex:
-		ex, err := simplex.Build(simplex.Params{
-			N: cfg.Code.N, K: cfg.Code.K, M: cfg.Code.M,
-			Lambda: lambda, LambdaE: lambdaE, ScrubRate: scrub,
-		})
-		if err != nil {
-			return 0, err
-		}
-		if _, ok := ex.Index[simplex.State{Fail: true}]; !ok {
-			return math.Inf(1), nil
-		}
-		mtta, err := ex.Chain.MeanTimeToAbsorption()
-		if err != nil {
-			return 0, err
-		}
-		return mtta[0], nil
-	case Duplex:
-		ex, err := duplex.Build(duplex.Params{
-			N: cfg.Code.N, K: cfg.Code.K, M: cfg.Code.M,
-			Lambda: lambda, LambdaE: lambdaE, ScrubRate: scrub,
-			Opts: cfg.DuplexOpts,
-		})
-		if err != nil {
-			return 0, err
-		}
-		if _, ok := ex.Index[duplex.State{Fail: true}]; !ok {
-			return math.Inf(1), nil
-		}
-		mtta, err := ex.Chain.MeanTimeToAbsorption()
-		if err != nil {
-			return 0, err
-		}
-		return mtta[0], nil
-	default:
-		return 0, fmt.Errorf("core: unknown arrangement %d", int(cfg.Arrangement))
+	if !canFail {
+		return math.Inf(1), nil
 	}
+	mtta, err := chain.MeanTimeToAbsorption()
+	if err != nil {
+		return 0, err
+	}
+	return mtta[0], nil
 }
 
-// StateCount reports the size of the explored state space for the
-// configuration — a diagnostic the paper discusses (state explosion is
-// why it models a single word).
-func StateCount(cfg Config) (int, error) {
+// buildChain explores the configured system's Markov chain (Good is
+// state 0) and reports whether its Fail state is reachable.
+func buildChain(cfg Config) (*markov.Chain, bool, error) {
 	if err := cfg.Validate(); err != nil {
-		return 0, err
+		return nil, false, err
 	}
 	lambda := reliability.PerDayToPerHour(cfg.SEUPerBitDay)
 	lambdaE := reliability.PerDayToPerHour(cfg.ErasurePerSymbolDay)
 	scrub := reliability.ScrubRatePerHour(cfg.ScrubPeriodSeconds)
-	switch cfg.Arrangement {
-	case Simplex:
+	if cfg.Arrangement == Simplex {
 		ex, err := simplex.Build(simplex.Params{
 			N: cfg.Code.N, K: cfg.Code.K, M: cfg.Code.M,
 			Lambda: lambda, LambdaE: lambdaE, ScrubRate: scrub,
 		})
 		if err != nil {
-			return 0, err
+			return nil, false, err
 		}
-		return ex.Chain.NumStates(), nil
-	default:
-		ex, err := duplex.Build(duplex.Params{
-			N: cfg.Code.N, K: cfg.Code.K, M: cfg.Code.M,
-			Lambda: lambda, LambdaE: lambdaE, ScrubRate: scrub,
-			Opts: cfg.DuplexOpts,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return ex.Chain.NumStates(), nil
+		_, canFail := ex.Index[simplex.State{Fail: true}]
+		return ex.Chain, canFail, nil
 	}
+	ex, err := duplex.Build(duplex.Params{
+		N: cfg.Code.N, K: cfg.Code.K, M: cfg.Code.M,
+		Lambda: lambda, LambdaE: lambdaE, ScrubRate: scrub,
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	_, canFail := ex.Index[duplex.State{Fail: true}]
+	return ex.Chain, canFail, nil
 }

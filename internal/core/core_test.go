@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/duplex"
 	"repro/internal/reliability"
 )
 
@@ -212,41 +211,27 @@ func TestEvaluateDoesNotAliasInput(t *testing.T) {
 	}
 }
 
+// TestStateCount pins the size of the explored state space — a
+// diagnostic the paper discusses (state explosion is why it models a
+// single word).
 func TestStateCount(t *testing.T) {
-	n, err := StateCount(Config{Arrangement: Simplex, Code: RS1816, SEUPerBitDay: 1e-6, ErasurePerSymbolDay: 1e-6})
+	simplexChain, _, err := buildChain(Config{Arrangement: Simplex, Code: RS1816, SEUPerBitDay: 1e-6, ErasurePerSymbolDay: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := simplexChain.NumStates()
 	if n != 5 {
 		t.Errorf("simplex RS(18,16) state count = %d, want 5", n)
 	}
-	d, err := StateCount(Config{Arrangement: Duplex, Code: RS1816, SEUPerBitDay: 1e-6, ErasurePerSymbolDay: 1e-6})
+	duplexChain, _, err := buildChain(Config{Arrangement: Duplex, Code: RS1816, SEUPerBitDay: 1e-6, ErasurePerSymbolDay: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d <= n {
+	if d := duplexChain.NumStates(); d <= n {
 		t.Errorf("duplex state space (%d) should exceed simplex (%d)", d, n)
 	}
-	if _, err := StateCount(Config{Arrangement: Simplex, Code: CodeSpec{N: 1, K: 1, M: 8}}); err == nil {
+	if _, _, err := buildChain(Config{Arrangement: Simplex, Code: CodeSpec{N: 1, K: 1, M: 8}}); err == nil {
 		t.Error("invalid config accepted")
-	}
-}
-
-func TestDuplexOptsPlumbing(t *testing.T) {
-	hours := []float64{48}
-	strict := Config{Arrangement: Duplex, Code: RS1816, SEUPerBitDay: 1.7e-5}
-	relaxed := strict
-	relaxed.DuplexOpts = duplex.Options{EitherWordSuffices: true}
-	s, err := Evaluate(strict, hours)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Evaluate(relaxed, hours)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.BER[0] >= s.BER[0] {
-		t.Errorf("DuplexOpts not plumbed through: relaxed %g vs strict %g", r.BER[0], s.BER[0])
 	}
 }
 

@@ -62,9 +62,12 @@ var fail = State{Fail: true}
 
 // Options selects between paper-faithful transition rates and
 // dimensionally consistent variants for the two spots where the paper
-// text is ambiguous; BenchmarkAblationPaperBRate and
-// BenchmarkAblationDoubleSidedErasures in the repository root measure
-// both.
+// text is ambiguous — the b->X rate and the single-counted erasure
+// rates — and between the paper's arbiter and an idealized one.
+// BenchmarkAblationPaperBRate, BenchmarkAblationDoubleSidedErasures
+// and BenchmarkAblationDuplexFailSemantics in the repository root
+// measure each. The SEU side has no variant: the paper models the two
+// words with separate e1/e2 transitions, so it is not ambiguous.
 type Options struct {
 	// BRateUsesY reproduces the paper's literal rate "lambda_e * Y"
 	// for the transition converting a b position into an X position
@@ -76,12 +79,6 @@ type Options struct {
 	// (clean->Y and ec->b), which the paper counts once. Off by
 	// default for paper fidelity; exposed for the ablation bench.
 	DoubleSidedErasures bool
-	// DoubleSidedErrors doubles the SEU rate of the clean->e1/e2
-	// transitions analogously. Off by default: the paper already
-	// models the two words with separate e1/e2 transitions, so only
-	// the erasure-side single-counting is ambiguous; kept for
-	// symmetry in ablations.
-	DoubleSidedErrors bool
 	// EitherWordSuffices relaxes the fail condition so the system
 	// survives while at least ONE word decodes (an idealized arbiter
 	// that always knows which correction to trust). The paper's
@@ -168,10 +165,6 @@ func (p Params) Transitions(s State) []markov.Arc[State] {
 	if p.Opts.DoubleSidedErasures {
 		side = 2
 	}
-	errSide := 1.0
-	if p.Opts.DoubleSidedErrors {
-		errSide = 2
-	}
 
 	arcs := make([]markov.Arc[State], 0, 14)
 	add := func(to State, rate float64) {
@@ -237,9 +230,9 @@ func (p Params) Transitions(s State) []markov.Arc[State] {
 		// L/M: SEU on a clean position, word 1 or word 2.
 		if free > 0 {
 			add(State{X: s.X, Y: s.Y, B: s.B, E1: s.E1 + 1, E2: s.E2, Ec: s.Ec},
-				errSide*seu*float64(free))
+				seu*float64(free))
 			add(State{X: s.X, Y: s.Y, B: s.B, E1: s.E1, E2: s.E2 + 1, Ec: s.Ec},
-				errSide*seu*float64(free))
+				seu*float64(free))
 		}
 		// N/O: SEU on the clean twin of an e1/e2 position -> ec.
 		if s.E1 > 0 {

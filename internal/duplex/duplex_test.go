@@ -389,15 +389,6 @@ func TestDoubleSidedVariantsIncreaseFailProbability(t *testing.T) {
 	if d[0] <= b[0] {
 		t.Errorf("doubled erasure sides did not increase P_fail: %g vs %g", d[0], b[0])
 	}
-	errDoubled := base
-	errDoubled.Opts.DoubleSidedErrors = true
-	e, err := FailProbabilities(errDoubled, []float64{100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e[0] <= b[0] {
-		t.Errorf("doubled error sides did not increase P_fail: %g vs %g", e[0], b[0])
-	}
 }
 
 func TestBuildRejectsInvalid(t *testing.T) {

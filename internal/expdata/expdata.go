@@ -592,7 +592,7 @@ func extMBU() (*Result, error) {
 			BurstBits:        int(bl),
 			Trials:           4000,
 			Seed:             int64(1000 * bl),
-		}, systems)
+		}, mbusim.DefaultSystems)
 		if err != nil {
 			return nil, err
 		}

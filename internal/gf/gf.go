@@ -171,9 +171,6 @@ func (f *Field) Valid(e Elem) bool { return int(e) < f.size }
 // coincide and are bitwise XOR.
 func (f *Field) Add(a, b Elem) Elem { return a ^ b }
 
-// Sub returns a - b, which equals a + b in GF(2^m).
-func (f *Field) Sub(a, b Elem) Elem { return a ^ b }
-
 // Mul returns the product a*b.
 func (f *Field) Mul(a, b Elem) Elem {
 	if a == 0 || b == 0 {
@@ -271,9 +268,6 @@ func (f *Field) Inv(a Elem) Elem {
 	}
 	return f.exp[f.n-int(f.log[a])]
 }
-
-// Neg returns -a, which is a itself in characteristic 2.
-func (f *Field) Neg(a Elem) Elem { return a }
 
 // Exp returns alpha^i for any integer i (negative exponents allowed).
 func (f *Field) Exp(i int) Elem {

@@ -6,18 +6,17 @@
 // empty (or all-zero) slice; operations normalize results so the
 // highest-index coefficient of a nonzero polynomial is nonzero.
 //
-// All operations are methods on Ring, which binds a field: products,
-// remainders, evaluations, formal derivatives and root products, with
-// allocation-light implementations built on the gf batch kernels.
+// All operations are methods on Ring, which binds a field: sums,
+// scalings, products, division with remainder, truncation and
+// evaluation, with allocation-light implementations built on the gf
+// batch kernels.
 //
-// The Reed-Solomon hot path in internal/rs no longer routes through
+// The Reed-Solomon hot path in internal/rs does not route through
 // this package — its encoder, syndrome, locator and Chien/Forney
-// kernels operate on fixed workspace buffers — but the full primitive
-// set is kept deliberately: the Sugiyama audit decoder
-// (rs.DecodeEuclidean) is written against it, the rs and gf tests
-// cross-check the fused kernels against these straightforward
-// implementations, and future codecs (BCH, interleaved variants) need
-// the same algebra.
+// kernels operate on fixed workspace buffers. The rs code builds its
+// generator polynomial here, and the Sugiyama audit decoder
+// (rs.DecodeEuclidean), which the tests compare the fast decoder
+// against, is written against this algebra.
 package gfpoly
 
 import (
@@ -86,15 +85,6 @@ func (p Poly) Coeff(i int) gf.Elem {
 		return 0
 	}
 	return p[i]
-}
-
-// Lead returns the leading coefficient of p, 0 for the zero polynomial.
-func (p Poly) Lead() gf.Elem {
-	q := trim(p)
-	if len(q) == 0 {
-		return 0
-	}
-	return q[len(q)-1]
 }
 
 // Equal reports whether p and q represent the same polynomial,
@@ -179,17 +169,6 @@ func (r *Ring) Mul(p, q Poly) Poly {
 	return trim(out)
 }
 
-// MulXPow returns p * x^k, shifting coefficients up by k (k >= 0).
-func (r *Ring) MulXPow(p Poly, k int) Poly {
-	p = trim(p)
-	if len(p) == 0 {
-		return nil
-	}
-	out := make(Poly, len(p)+k)
-	copy(out[k:], p)
-	return out
-}
-
 // DivMod returns the quotient and remainder of p divided by d.
 // It panics when d is the zero polynomial.
 func (r *Ring) DivMod(p, d Poly) (quo, rem Poly) {
@@ -218,12 +197,6 @@ func (r *Ring) DivMod(p, d Poly) (quo, rem Poly) {
 	return trim(quo), rem
 }
 
-// Mod returns p mod d.
-func (r *Ring) Mod(p, d Poly) Poly {
-	_, rem := r.DivMod(p, d)
-	return rem
-}
-
 // ModXPow returns p mod x^k, i.e. p truncated to degree < k.
 func (r *Ring) ModXPow(p Poly, k int) Poly {
 	if len(p) <= k {
@@ -239,57 +212,4 @@ func (r *Ring) Eval(p Poly, x gf.Elem) gf.Elem {
 		acc = r.F.Mul(acc, x) ^ p[i]
 	}
 	return acc
-}
-
-// Deriv returns the formal derivative of p. In characteristic 2 the
-// even-power terms vanish: d/dx sum(c_i x^i) = sum over odd i of
-// c_i x^(i-1).
-func (r *Ring) Deriv(p Poly) Poly {
-	if len(p) <= 1 {
-		return nil
-	}
-	out := make(Poly, len(p)-1)
-	for i := 1; i < len(p); i += 2 {
-		out[i-1] = p[i]
-	}
-	return trim(out)
-}
-
-// FromRoots returns the monic polynomial with the given roots:
-// prod_i (x - roots[i]).
-func (r *Ring) FromRoots(roots []gf.Elem) Poly {
-	p := One()
-	for _, root := range roots {
-		// (x + root) in characteristic 2.
-		p = r.Mul(p, Poly{root, 1})
-	}
-	return p
-}
-
-// LocatorFromPositions returns the classic locator polynomial
-// prod_i (1 - x*alpha^pos_i), whose roots are alpha^(-pos_i). It is
-// used for Reed-Solomon erasure locators.
-func (r *Ring) LocatorFromPositions(positions []int) Poly {
-	p := One()
-	for _, pos := range positions {
-		p = r.Mul(p, Poly{1, r.F.Exp(pos)})
-	}
-	return p
-}
-
-// Roots exhaustively finds the roots of p among all field elements
-// (Chien-search style over the full field). Returned in increasing
-// element order. The zero polynomial has every element as a root and
-// returns nil to signal the degenerate case.
-func (r *Ring) Roots(p Poly) []gf.Elem {
-	if p.IsZero() {
-		return nil
-	}
-	var roots []gf.Elem
-	for e := 0; e < r.F.Size(); e++ {
-		if r.Eval(p, gf.Elem(e)) == 0 {
-			roots = append(roots, gf.Elem(e))
-		}
-	}
-	return roots
 }

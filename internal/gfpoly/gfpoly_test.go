@@ -65,11 +65,11 @@ func TestCoeffAndLead(t *testing.T) {
 	if p.Coeff(5) != 0 || p.Coeff(-1) != 0 {
 		t.Error("out-of-range Coeff should be 0")
 	}
-	if p.Lead() != 3 {
-		t.Error("Lead wrong")
+	if p.Coeff(p.Degree()) != 3 {
+		t.Error("lead coefficient wrong")
 	}
-	if Zero().Lead() != 0 {
-		t.Error("Lead of zero poly should be 0")
+	if z := Zero(); z.Coeff(z.Degree()) != 0 {
+		t.Error("lead coefficient of zero poly should be 0")
 	}
 }
 
@@ -266,7 +266,7 @@ func TestFromRoots(t *testing.T) {
 	if p.Degree() != 3 {
 		t.Fatalf("degree = %d, want 3", p.Degree())
 	}
-	if p.Lead() != 1 {
+	if p.Coeff(p.Degree()) != 1 {
 		t.Error("FromRoots should be monic")
 	}
 	for _, root := range roots {

@@ -6,8 +6,9 @@
 // codeword, multiplying the correctable burst length by the
 // interleaving depth.
 //
-// The Page codec composes with internal/rs: data pages of depth*k
-// symbols are encoded into depth*n stored symbols laid out
+// A Page describes the layout and a Codec encodes and decodes it on a
+// reusable workspace, composing with internal/rs: data pages of
+// depth*k symbols are encoded into depth*n stored symbols laid out
 // codeword-interleaved (stored index i belongs to codeword i mod
 // depth).
 package interleave
@@ -19,8 +20,9 @@ import (
 	"repro/internal/rs"
 )
 
-// Page is an interleaved page codec: depth independent RS codewords
-// striped symbol-by-symbol across the stored page.
+// Page is an interleaved page layout: depth independent RS codewords
+// striped symbol-by-symbol across the stored page. Its Codec encodes
+// and decodes it.
 type Page struct {
 	code  *rs.Code
 	depth int
@@ -57,22 +59,6 @@ func (p *Page) StoredSymbols() int { return p.depth * p.code.N() }
 // stripe).
 func (p *Page) CorrectableBurst() int { return p.depth * p.code.T() }
 
-// Encode encodes a page of depth*k data symbols into a stored page of
-// depth*n symbols, codeword-interleaved. It allocates its result and
-// scratch per call; hot loops should hold a Codec and use EncodeTo.
-func (p *Page) Encode(data []gf.Elem) ([]gf.Elem, error) {
-	if len(data) != p.DataSymbols() {
-		return nil, fmt.Errorf("interleave: page data has %d symbols, want %d", len(data), p.DataSymbols())
-	}
-	stored := make([]gf.Elem, p.StoredSymbols())
-	stripeData := make([]gf.Elem, p.code.K())
-	stripeCW := make([]gf.Elem, p.code.N())
-	if err := p.encodeInto(stored, data, stripeData, stripeCW); err != nil {
-		return nil, err
-	}
-	return stored, nil
-}
-
 // encodeInto runs the stripe loop with caller-owned scratch.
 func (p *Page) encodeInto(stored, data, stripeData, stripeCW []gf.Elem) error {
 	for s := 0; s < p.depth; s++ {
@@ -89,7 +75,10 @@ func (p *Page) encodeInto(stored, data, stripeData, stripeCW []gf.Elem) error {
 	return nil
 }
 
-// DecodeResult reports a page decode.
+// DecodeResult reports a page decode. Stripes that fail to decode are
+// listed in FailedStripes and contribute their received (uncorrected)
+// data symbols, mirroring a controller that flags but still returns
+// the page.
 type DecodeResult struct {
 	// Data is the recovered page payload.
 	Data []gf.Elem
@@ -101,27 +90,6 @@ type DecodeResult struct {
 	FailedStripes []int
 }
 
-// Decode recovers a stored page. Erasure positions index the stored
-// page (0..depth*n-1). Stripes that fail to decode are reported in
-// FailedStripes and contribute their received (uncorrected) data
-// symbols, mirroring a controller that flags but still returns the
-// page.
-func (p *Page) Decode(stored []gf.Elem, erasures []int) (*DecodeResult, error) {
-	if len(stored) != p.StoredSymbols() {
-		return nil, fmt.Errorf("interleave: stored page has %d symbols, want %d", len(stored), p.StoredSymbols())
-	}
-	perStripe := make([][]int, p.depth)
-	if err := p.splitErasures(perStripe, erasures); err != nil {
-		return nil, err
-	}
-	res := &DecodeResult{Data: make([]gf.Elem, p.DataSymbols())}
-	stripeCW := make([]gf.Elem, p.code.N())
-	if err := p.decodeInto(res, stored, perStripe, stripeCW, p.code.Decode); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // splitErasures validates stored-page erasure positions and appends
 // each to its stripe's list (lists are extended, not reset).
 func (p *Page) splitErasures(perStripe [][]int, erasures []int) error {
@@ -131,31 +99,6 @@ func (p *Page) splitErasures(perStripe [][]int, erasures []int) error {
 		}
 		stripe := e % p.depth
 		perStripe[stripe] = append(perStripe[stripe], e/p.depth)
-	}
-	return nil
-}
-
-// decodeInto runs the stripe loop into res with caller-owned scratch
-// and per-stripe decode function (the pooled Code.Decode wrapper or a
-// Codec's reusable workspace).
-func (p *Page) decodeInto(res *DecodeResult, stored []gf.Elem, perStripe [][]int, stripeCW []gf.Elem,
-	decode func([]gf.Elem, []int) (*rs.Result, error)) error {
-	for s := 0; s < p.depth; s++ {
-		for j := 0; j < p.code.N(); j++ {
-			stripeCW[j] = stored[j*p.depth+s]
-		}
-		dec, err := decode(stripeCW, perStripe[s])
-		if err != nil {
-			res.FailedStripes = append(res.FailedStripes, s)
-			for j := 0; j < p.code.K(); j++ {
-				res.Data[j*p.depth+s] = stripeCW[j]
-			}
-			continue
-		}
-		res.CorrectedSymbols += dec.Corrections
-		for j := 0; j < p.code.K(); j++ {
-			res.Data[j*p.depth+s] = dec.Data[j]
-		}
 	}
 	return nil
 }
@@ -220,11 +163,12 @@ func (c *Codec) EncodeTo(stored, data []gf.Elem) error {
 
 // DecodeTo decodes a stored page into res, recycling res's buffers
 // (Data and FailedStripes are resized in place, so the steady state
-// allocates nothing). The semantics match Page.Decode exactly —
-// rs.DecodeAll guarantees every stripe the outcome Decoder.Decode
-// would have produced — but the page is decoded as one word arena, so
-// healthy stripes cost only the batch syndrome screen and the full
-// decode pipeline runs just for the stripes that need it.
+// allocates nothing). Erasure positions index the stored page
+// (0..depth*n-1). Every stripe gets the outcome Decoder.Decode would
+// have produced for it — rs.DecodeAll guarantees that — but the page
+// is decoded as one word arena, so healthy stripes cost only the batch
+// syndrome screen and the full decode pipeline runs just for the
+// stripes that need it.
 func (c *Codec) DecodeTo(res *DecodeResult, stored []gf.Elem, erasures []int) error {
 	p := c.page
 	if len(stored) != p.StoredSymbols() {

@@ -111,77 +111,6 @@ func (c *Chain) MeanTimeToAbsorption() ([]float64, error) {
 	return out, nil
 }
 
-// AbsorptionProbability returns, for each state, the probability of
-// eventually being absorbed in one of the target states (which must
-// all be absorbing), rather than some other absorbing state.
-func (c *Chain) AbsorptionProbability(targets []int) ([]float64, error) {
-	isTarget := make([]bool, c.n)
-	for _, s := range targets {
-		if s < 0 || s >= c.n {
-			return nil, fmt.Errorf("markov: target state %d out of range", s)
-		}
-		if !c.IsAbsorbing(s) {
-			return nil, fmt.Errorf("markov: target state %d is not absorbing", s)
-		}
-		isTarget[s] = true
-	}
-	absorbing := make([]bool, c.n)
-	for i := 0; i < c.n; i++ {
-		absorbing[i] = c.IsAbsorbing(i)
-	}
-
-	var transient []int
-	index := make([]int, c.n)
-	for i := range index {
-		index[i] = -1
-	}
-	for i := 0; i < c.n; i++ {
-		if !absorbing[i] {
-			index[i] = len(transient)
-			transient = append(transient, i)
-		}
-	}
-	out := make([]float64, c.n)
-	for i := 0; i < c.n; i++ {
-		if isTarget[i] {
-			out[i] = 1
-		}
-	}
-	m := len(transient)
-	if m == 0 {
-		return out, nil
-	}
-	// h_i = sum_j P(i->j) h_j; P(i->j) = rate/exit. As a linear system:
-	// exit_i h_i - sum_{j transient} rate_ij h_j = sum_{j target} rate_ij.
-	a := make([][]float64, m)
-	b := make([]float64, m)
-	for r, i := range transient {
-		a[r] = make([]float64, m)
-		if c.exit[i] == 0 {
-			// Structurally impossible (transient implies outgoing),
-			// but keep the system well posed.
-			a[r][r] = 1
-			continue
-		}
-		a[r][r] = c.exit[i]
-		for _, tr := range c.trans[i] {
-			if j := index[tr.To]; j >= 0 {
-				a[r][j] -= tr.Rate
-			} else if isTarget[tr.To] {
-				b[r] += tr.Rate
-			}
-		}
-	}
-	h, err := solveDense(a, b)
-	if err != nil {
-		return nil, err
-	}
-	for r, i := range transient {
-		out[i] = h[r]
-	}
-	return out, nil
-}
-
 // reachesAbsorbing marks states from which some absorbing state is
 // reachable (reverse BFS over the transition graph).
 func (c *Chain) reachesAbsorbing(absorbing []bool) []bool {

@@ -91,9 +91,6 @@ func (c *Chain) Transitions(i int) []Transition {
 	return out
 }
 
-// ExitRate returns the total outgoing rate of state i.
-func (c *Chain) ExitRate(i int) float64 { return c.exit[i] }
-
 // IsAbsorbing reports whether state i has no outgoing transitions.
 func (c *Chain) IsAbsorbing(i int) bool { return len(c.trans[i]) == 0 }
 

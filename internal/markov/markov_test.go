@@ -68,8 +68,8 @@ func TestTransitionAccumulation(t *testing.T) {
 	if len(trs) != 1 || trs[0].Rate != 4 {
 		t.Errorf("accumulated transitions = %v, want single rate 4", trs)
 	}
-	if c.ExitRate(0) != 4 {
-		t.Errorf("ExitRate = %v, want 4", c.ExitRate(0))
+	if c.exit[0] != 4 {
+		t.Errorf("exit rate = %v, want 4", c.exit[0])
 	}
 	if !c.IsAbsorbing(1) || c.IsAbsorbing(0) {
 		t.Error("IsAbsorbing wrong")

@@ -57,9 +57,9 @@ type System interface {
 	// Trial stores a fresh random 128-bit payload, applies the burst
 	// events (start bit, length) to the stored image, attempts
 	// recovery and reports whether the payload came back exactly.
-	// Campaigns shard trials over goroutines, so Trial must be safe
-	// for concurrent use on a shared receiver (the stock systems are
-	// stateless; per-trial state lives on the stack and in rng).
+	// A System may keep its codec workspace between trials: every
+	// campaign worker builds its own set (see Scenario), so Trial is
+	// never called concurrently on one receiver.
 	Trial(rng *rand.Rand, bursts [][2]int) (recovered bool, err error)
 }
 
@@ -80,9 +80,12 @@ func flipBits(bits int, bursts [][2]int, flip func(bit int)) {
 // --- Reed-Solomon word -------------------------------------------
 
 // RSWord protects the payload as one RS(n,16) codeword of byte
-// symbols (k*m = 128 bits).
+// symbols (k*m = 128 bits). It owns a decoder workspace, so a trial
+// allocates nothing.
 type RSWord struct {
-	code *rs.Code
+	code     *rs.Code
+	dec      *rs.Decoder
+	data, cw []gf.Elem
 }
 
 // NewRSWord builds the system for a code with k=16, m=8.
@@ -93,7 +96,7 @@ func NewRSWord(code *rs.Code) (*RSWord, error) {
 	if code.K()*code.Field().M() != PayloadBits {
 		return nil, fmt.Errorf("mbusim: code carries %d payload bits, want %d", code.K()*code.Field().M(), PayloadBits)
 	}
-	return &RSWord{code: code}, nil
+	return &RSWord{code: code, dec: code.NewDecoder(), data: make([]gf.Elem, code.K()), cw: make([]gf.Elem, code.N())}, nil
 }
 
 // Name implements System.
@@ -104,19 +107,18 @@ func (s *RSWord) StoredBits() int { return s.code.N() * s.code.Field().M() }
 
 // Trial implements System.
 func (s *RSWord) Trial(rng *rand.Rand, bursts [][2]int) (bool, error) {
-	data := make([]gf.Elem, s.code.K())
+	data, cw := s.data, s.cw
 	for i := range data {
 		data[i] = gf.Elem(rng.Intn(s.code.Field().Size()))
 	}
-	cw, err := s.code.Encode(data)
-	if err != nil {
+	if err := s.code.EncodeTo(cw, data); err != nil {
 		return false, err
 	}
 	m := s.code.Field().M()
 	flipBits(s.StoredBits(), bursts, func(bit int) {
 		cw[bit/m] ^= 1 << uint(bit%m)
 	})
-	res, err := s.code.Decode(cw, nil)
+	res, err := s.dec.Decode(cw, nil)
 	if err != nil {
 		return false, nil // detected loss
 	}
@@ -131,9 +133,13 @@ func (s *RSWord) Trial(rng *rand.Rand, bursts [][2]int) (bool, error) {
 // --- Interleaved Reed-Solomon page --------------------------------
 
 // RSInterleaved protects the payload as a depth-d interleaved page of
-// RS codewords (the ref [6] organization).
+// RS codewords (the ref [6] organization). It owns a page codec
+// workspace, so a trial allocates nothing.
 type RSInterleaved struct {
-	page *interleave.Page
+	page         *interleave.Page
+	codec        *interleave.Codec
+	data, stored []gf.Elem
+	res          interleave.DecodeResult
 }
 
 // NewRSInterleaved wraps a page whose payload is 128 bits.
@@ -145,7 +151,12 @@ func NewRSInterleaved(page *interleave.Page) (*RSInterleaved, error) {
 		return nil, fmt.Errorf("mbusim: page carries %d payload bits, want %d",
 			page.DataSymbols()*page.Code().Field().M(), PayloadBits)
 	}
-	return &RSInterleaved{page: page}, nil
+	return &RSInterleaved{
+		page:   page,
+		codec:  page.NewCodec(),
+		data:   make([]gf.Elem, page.DataSymbols()),
+		stored: make([]gf.Elem, page.StoredSymbols()),
+	}, nil
 }
 
 // Name implements System.
@@ -160,20 +171,18 @@ func (s *RSInterleaved) StoredBits() int {
 
 // Trial implements System.
 func (s *RSInterleaved) Trial(rng *rand.Rand, bursts [][2]int) (bool, error) {
-	data := make([]gf.Elem, s.page.DataSymbols())
+	data, stored, res := s.data, s.stored, &s.res
 	for i := range data {
 		data[i] = gf.Elem(rng.Intn(s.page.Code().Field().Size()))
 	}
-	stored, err := s.page.Encode(data)
-	if err != nil {
+	if err := s.codec.EncodeTo(stored, data); err != nil {
 		return false, err
 	}
 	m := s.page.Code().Field().M()
 	flipBits(s.StoredBits(), bursts, func(bit int) {
 		stored[bit/m] ^= 1 << uint(bit%m)
 	})
-	res, err := s.page.Decode(stored, nil)
-	if err != nil {
+	if err := s.codec.DecodeTo(res, stored, nil); err != nil {
 		return false, err
 	}
 	if len(res.FailedStripes) > 0 {
@@ -334,9 +343,10 @@ type SystemResult struct {
 // scenario adapts a burst campaign to the engine: one campaign trial
 // injects one independent burst pattern into every system.
 type scenario struct {
-	cfg     Config
-	dist    burstlen.Dist
-	systems []System
+	cfg        Config
+	dist       burstlen.Dist
+	newSystems func() ([]System, error)
+	systems    []System // names and footprints; workers build their own
 	// means holds each system's Poisson event mean per trial;
 	// lostKeys/eventsKeys cache counter names so the trial loop does
 	// no per-trial string concatenation.
@@ -345,16 +355,27 @@ type scenario struct {
 }
 
 // Scenario adapts the configuration and system set to the campaign
-// engine's Scenario interface.
-func Scenario(cfg Config, systems []System) (campaign.Scenario, error) {
+// engine's Scenario interface. newSystems builds the set (such as
+// DefaultSystems); it is called once here and once per campaign
+// worker, so every worker trials its own systems and their codec
+// workspaces.
+func Scenario(cfg Config, newSystems func() ([]System, error)) (campaign.Scenario, error) {
+	return newScenario(cfg, newSystems)
+}
+
+func newScenario(cfg Config, newSystems func() ([]System, error)) (*scenario, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	systems, err := newSystems()
+	if err != nil {
 		return nil, err
 	}
 	if len(systems) == 0 {
 		return nil, fmt.Errorf("mbusim: no systems")
 	}
 	dist := cfg.dist()
-	s := &scenario{cfg: cfg, dist: dist, systems: systems}
+	s := &scenario{cfg: cfg, dist: dist, newSystems: newSystems, systems: systems}
 	for _, sys := range systems {
 		// Every event must apply its full length: a fixed burst longer
 		// than the image cannot be placed without truncation, which
@@ -394,14 +415,20 @@ func (s *scenario) Trials() int { return s.cfg.Trials }
 
 // NewWorker implements campaign.Scenario.
 func (s *scenario) NewWorker() (campaign.Worker, error) {
-	return &worker{scn: s, rng: campaign.NewTrialRand(0)}, nil
+	systems, err := s.newSystems()
+	if err != nil {
+		return nil, err
+	}
+	return &worker{scn: s, systems: systems, rng: campaign.NewTrialRand(0)}, nil
 }
 
-// worker owns the per-goroutine RNG and the recycled burst buffer.
+// worker owns its systems, the per-goroutine RNG and the recycled
+// burst buffer.
 type worker struct {
-	scn    *scenario
-	rng    *rand.Rand
-	bursts [][2]int
+	scn     *scenario
+	systems []System
+	rng     *rand.Rand
+	bursts  [][2]int
 }
 
 // Trial implements campaign.Worker: each (system, trial) pair draws
@@ -409,19 +436,13 @@ type worker struct {
 // sharding.
 func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 	cfg := w.scn.cfg
-	for i, sys := range w.scn.systems {
+	for i, sys := range w.systems {
 		w.rng.Seed(campaign.TrialSeed(cfg.Seed+int64(i)*7919, trial))
 		n := poisson(w.rng, w.scn.means[i])
 		w.bursts = w.bursts[:0]
-		// Each event samples its length from the configured
-		// distribution (capped at the image), then a start uniform
-		// over [0, StoredBits-length] so every event flips exactly its
-		// full length; drawing starts over the whole image would
-		// truncate bursts landing near the edge, under-dosing
-		// small-footprint systems.
 		for j := 0; j < n; j++ {
-			length := w.scn.dist.Sample(w.rng, sys.StoredBits())
-			w.bursts = append(w.bursts, [2]int{w.rng.Intn(sys.StoredBits() - length + 1), length})
+			start, length := w.scn.dist.Place(w.rng, sys.StoredBits())
+			w.bursts = append(w.bursts, [2]int{start, length})
 		}
 		acc.Add(w.scn.eventsKeys[i], int64(n))
 		ok, err := sys.Trial(w.rng, w.bursts)
@@ -454,11 +475,11 @@ func ResultsFromCampaign(systems []System, cres *campaign.Result) []SystemResult
 	return out
 }
 
-// Run executes the campaign over the given systems on the shared
-// engine. Statistics are deterministic for a fixed Config.Seed,
-// independent of Workers.
-func Run(cfg Config, systems []System) ([]SystemResult, error) {
-	scn, err := Scenario(cfg, systems)
+// Run executes the campaign over the systems newSystems builds (see
+// Scenario) on the shared engine. Statistics are deterministic for a
+// fixed Config.Seed, independent of Workers.
+func Run(cfg Config, newSystems func() ([]System, error)) ([]SystemResult, error) {
+	scn, err := newScenario(cfg, newSystems)
 	if err != nil {
 		return nil, err
 	}
@@ -466,7 +487,7 @@ func Run(cfg Config, systems []System) ([]SystemResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ResultsFromCampaign(systems, cres), nil
+	return ResultsFromCampaign(scn.systems, cres), nil
 }
 
 // maxPoissonMean bounds the per-trial event mean poisson samples.

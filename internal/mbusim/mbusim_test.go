@@ -98,6 +98,25 @@ func TestRSWordSurvivesIntraSymbolBurst(t *testing.T) {
 	}
 }
 
+// TestRSSystemsTrialZeroAllocs: the Reed-Solomon systems run a trial
+// on their own codec workspaces, so a burst they correct (6 bits
+// inside one symbol) costs no heap allocation.
+func TestRSSystemsTrialZeroAllocs(t *testing.T) {
+	rng := campaign.NewTrialRand(5)
+	bursts := [][2]int{{1, 6}}
+	for _, s := range defaultSystems(t)[:3] {
+		var ok bool
+		var err error
+		allocs := testing.AllocsPerRun(50, func() { ok, err = s.Trial(rng, bursts) })
+		if err != nil || !ok {
+			t.Fatalf("%s: in-symbol burst not corrected (ok=%v, err=%v)", s.Name(), ok, err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per trial, want 0", s.Name(), allocs)
+		}
+	}
+}
+
 func TestSECDEDLosesToBurst(t *testing.T) {
 	rng := campaign.NewTrialRand(3)
 	s, err := NewSECDEDBlock()
@@ -152,18 +171,17 @@ func TestValidation(t *testing.T) {
 			t.Errorf("case %d accepted", i)
 		}
 	}
-	systems := defaultSystems(t)
 	// 2000 events per kilobit is a mean of 768 events on the 384-bit
 	// TMR image, past where the Poisson sampler saturates; the smaller
 	// images stay within range, so the error must name the TMR voter.
-	_, err := Scenario(Config{EventsPerKilobit: 2000, BurstBits: 1, Trials: 1}, systems)
+	_, err := Scenario(Config{EventsPerKilobit: 2000, BurstBits: 1, Trials: 1}, DefaultSystems)
 	if err == nil || !strings.Contains(err.Error(), TMRBlock{}.Name()) {
 		t.Errorf("density beyond the sampler's range: err = %v, want one naming %q", err, TMRBlock{}.Name())
 	}
-	if _, err := Run(Config{EventsPerKilobit: 1, BurstBits: 1, Trials: 1}, nil); err == nil {
+	if _, err := Run(Config{EventsPerKilobit: 1, BurstBits: 1, Trials: 1}, systemsOf()); err == nil {
 		t.Error("empty system list accepted")
 	}
-	if _, err := Run(Config{EventsPerKilobit: -1, BurstBits: 1, Trials: 1}, systems); err == nil {
+	if _, err := Run(Config{EventsPerKilobit: -1, BurstBits: 1, Trials: 1}, DefaultSystems); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -201,9 +219,8 @@ func TestNewRSInterleavedValidation(t *testing.T) {
 // trials. At matched ~1.22-1.25x overhead the symbol organization
 // must keep losses well under half of SEC-DED's.
 func TestCampaignBurstOrdering(t *testing.T) {
-	systems := defaultSystems(t)
 	cfg := Config{EventsPerKilobit: 4, BurstBits: 6, Trials: 4000, Seed: 10}
-	res, err := Run(cfg, systems)
+	res, err := Run(cfg, DefaultSystems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +251,12 @@ func TestCampaignBurstOrdering(t *testing.T) {
 // TestDeterminismAcrossWorkerCounts: per-(system, trial) reseeding
 // makes the campaign statistics bit-identical for any worker count.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	systems := defaultSystems(t)
 	base := Config{EventsPerKilobit: 4, BurstBits: 4, Trials: 1000, Seed: 99}
 	var results [][]SystemResult
 	for _, workers := range []int{1, 4, 8} {
 		cfg := base
 		cfg.Workers = workers
-		res, err := Run(cfg, systems)
+		res, err := Run(cfg, DefaultSystems)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,6 +288,12 @@ func TestRS2016SurvivesAnySingleSixBitBurst(t *testing.T) {
 			t.Fatalf("6-bit burst at offset %d defeated RS(20,16)", start)
 		}
 	}
+}
+
+// systemsOf returns a constructor handing every campaign worker the
+// same systems; the auditors below lock their own state.
+func systemsOf(systems ...System) func() ([]System, error) {
+	return func() ([]System, error) { return systems, nil }
 }
 
 // burstAuditor is a test System that verifies the engine-side burst
@@ -329,7 +351,7 @@ func TestEveryBurstFlipsFullLength(t *testing.T) {
 	// hit ~14% of events.
 	aud := &burstAuditor{bits: 36, burstBits: burstBits, minStart: 1 << 30}
 	cfg := Config{EventsPerKilobit: 200, BurstBits: burstBits, Trials: 3000, Seed: 7}
-	if _, err := Run(cfg, []System{aud}); err != nil {
+	if _, err := Run(cfg, systemsOf(aud)); err != nil {
 		t.Fatal(err)
 	}
 	if aud.bursts == 0 {
@@ -348,7 +370,7 @@ func TestEveryBurstFlipsFullLength(t *testing.T) {
 func TestBurstLongerThanImageRejected(t *testing.T) {
 	aud := &burstAuditor{bits: 8, burstBits: 16}
 	cfg := Config{EventsPerKilobit: 1, BurstBits: 16, Trials: 10, Seed: 1}
-	if _, err := Run(cfg, []System{aud}); err == nil {
+	if _, err := Run(cfg, systemsOf(aud)); err == nil {
 		t.Error("burst longer than the stored image accepted")
 	}
 }
@@ -406,7 +428,7 @@ func TestGeometricBurstsFitImage(t *testing.T) {
 		Trials:           2000,
 		Seed:             21,
 	}
-	if _, err := Run(cfg, []System{aud}); err != nil {
+	if _, err := Run(cfg, systemsOf(aud)); err != nil {
 		t.Fatal(err)
 	}
 	if aud.bursts == 0 {
@@ -423,13 +445,12 @@ func TestGeometricBurstsFitImage(t *testing.T) {
 // TestGeometricCampaignDeterministic: the geometric mode inherits the
 // per-(system, trial) reseeding determinism.
 func TestGeometricCampaignDeterministic(t *testing.T) {
-	systems := defaultSystems(t)
 	base := Config{EventsPerKilobit: 4, BurstDist: "geometric", BurstMeanBits: 4, Trials: 800, Seed: 17}
 	var results [][]SystemResult
 	for _, workers := range []int{1, 4} {
 		cfg := base
 		cfg.Workers = workers
-		res, err := Run(cfg, systems)
+		res, err := Run(cfg, DefaultSystems)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,15 +482,11 @@ func TestPoissonMean(t *testing.T) {
 }
 
 func BenchmarkCampaignBurst4(b *testing.B) {
-	systems, err := DefaultSystems()
-	if err != nil {
-		b.Fatal(err)
-	}
 	cfg := Config{EventsPerKilobit: 8, BurstBits: 4, Trials: 200}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := Run(cfg, systems); err != nil {
+		if _, err := Run(cfg, DefaultSystems); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -507,7 +524,7 @@ func TestDefaultSystemsGolden(t *testing.T) {
 			},
 		},
 	} {
-		scn, err := Scenario(tc.cfg, defaultSystems(t))
+		scn, err := Scenario(tc.cfg, DefaultSystems)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -537,13 +537,7 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 			w.flipBit(rng.Intn(storedBits))
 			seus++
 		case u < seuRate+burstRate:
-			// Each event samples its length from the configured
-			// distribution (capped at the page), then a start uniform
-			// over the placements at which the full burst fits, so
-			// every event flips exactly its sampled length (the mbusim
-			// convention; no edge truncation bias).
-			length := w.dist.Sample(rng, storedBits)
-			start := rng.Intn(storedBits - length + 1)
+			start, length := w.dist.Place(rng, storedBits)
 			for b := 0; b < length; b++ {
 				w.flipBit(start + b)
 			}

@@ -63,9 +63,6 @@ func HoursRange(start, end float64, count int) ([]float64, error) {
 // Months converts a duration in months to hours.
 func Months(m float64) float64 { return m * HoursPerMonth }
 
-// Days converts a duration in days to hours.
-func Days(d float64) float64 { return d * HoursPerDay }
-
 // PaperSEURates are the transient fault rates swept by the paper's
 // Figures 5 and 6, in errors per bit per day: from the quiet-orbit
 // 7.3e-7 up to the worst case 1.7e-5.

@@ -37,9 +37,6 @@ func TestDurations(t *testing.T) {
 	if Months(1) != 720 {
 		t.Errorf("Months(1) = %v, want 720", Months(1))
 	}
-	if Days(2) != 48 {
-		t.Errorf("Days(2) = %v, want 48", Days(2))
-	}
 	if Months(24) != 17280 {
 		t.Errorf("Months(24) = %v", Months(24))
 	}

@@ -2,8 +2,6 @@ package rs
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/gf"
 )
@@ -121,9 +119,9 @@ type BatchResult struct {
 	Clean, Corrected, Failed int
 }
 
-// batchLane is one worker's private slice of the BatchDecoder
-// workspace: a Decoder, the packed-syndrome accumulator the screen
-// writes, an erasure-set cache, and the shard tallies the join sums.
+// batchLane is the BatchDecoder's decode workspace: a Decoder, the
+// packed-syndrome accumulator the screen writes, an erasure-set cache,
+// and the tallies of the last call.
 type batchLane struct {
 	dec   *Decoder
 	acc   []uint64 // generic-width syndrome accumulator
@@ -132,57 +130,15 @@ type batchLane struct {
 	clean, corrected, failed int
 }
 
-func newBatchLane(c *Code, pw int) *batchLane {
-	return &batchLane{
-		dec:   c.NewDecoder(),
-		acc:   make([]uint64, pw),
-		cache: newErasureCache(c),
-	}
-}
-
 // BatchDecoder is a reusable workspace for decoding whole word arenas.
 // Like Decoder it is NOT safe for concurrent use (hold one per
-// goroutine — its own SetWorkers goroutines are internal and scoped to
-// a call) and its BatchResult is valid only until the next call. The
-// packed syndrome table it screens with lives on the Code and is
+// goroutine) and its BatchResult is valid only until the next call.
+// The packed syndrome table it screens with lives on the Code and is
 // shared by every BatchDecoder of that code.
 type BatchDecoder struct {
-	c       *Code
-	workers int
-	lanes   []*batchLane
-	res     BatchResult
-
-	// Parallel decode plumbing (nil/zero until SetWorkers(>1)): shards
-	// are handed to persistent worker goroutines over work, so a
-	// parallel DecodeAll costs channel handoffs, not goroutine spawns,
-	// and allocates nothing. Workers hold only the channel — never the
-	// BatchDecoder — so the finalizer installed by SetWorkers can close
-	// the channel and wind them down once the decoder is unreachable.
-	work    chan batchShard
-	wg      sync.WaitGroup
-	spawned int
-}
-
-// batchShard is one contiguous word range of a parallel DecodeAll,
-// handed to a persistent worker by value over the work channel.
-type batchShard struct {
-	lane   *batchLane
-	bt     *batchTable
-	b      Batch
-	ers    [][]int
-	lo, hi int
-	out    []WordResult
-	wg     *sync.WaitGroup
-}
-
-// batchWorker drains shards until the work channel closes. It is a
-// free function on purpose: holding bd here would keep the decoder
-// reachable forever and defeat its finalizer.
-func batchWorker(work <-chan batchShard) {
-	for sh := range work {
-		sh.lane.decodeRange(sh.bt, sh.b, sh.ers, sh.lo, sh.hi, sh.out)
-		sh.wg.Done()
-	}
+	c    *Code
+	lane batchLane
+	res  BatchResult
 }
 
 // NewBatchDecoder returns a fresh arena-decoding workspace for c,
@@ -190,50 +146,17 @@ func batchWorker(work <-chan batchShard) {
 func (c *Code) NewBatchDecoder() *BatchDecoder {
 	bt := c.batchSyndromeTable()
 	return &BatchDecoder{
-		c:       c,
-		workers: 1,
-		lanes:   []*batchLane{newBatchLane(c, bt.pw)},
+		c: c,
+		lane: batchLane{
+			dec:   c.NewDecoder(),
+			acc:   make([]uint64, bt.pw),
+			cache: newErasureCache(c),
+		},
 	}
 }
 
 // Code returns the code this workspace decodes.
 func (bd *BatchDecoder) Code() *Code { return bd.c }
-
-// SetWorkers sets how many goroutines DecodeAll may use per arena.
-// Words are disjoint and corrected in place, so the arena shards into
-// contiguous word ranges — one per worker, the internal/campaign
-// discipline — and the results are bit-identical for every worker
-// count. n <= 1 keeps the
-// serial path, which spawns no goroutines and preserves the
-// zero-allocation steady state; each extra worker owns a private
-// Decoder, screen accumulator and erasure-set cache. SetWorkers
-// returns bd for chaining and must not be called concurrently with
-// decoding.
-func (bd *BatchDecoder) SetWorkers(n int) *BatchDecoder {
-	if n < 1 {
-		n = 1
-	}
-	bd.workers = n
-	bt := bd.c.batchSyndromeTable()
-	for len(bd.lanes) < n {
-		bd.lanes = append(bd.lanes, newBatchLane(bd.c, bt.pw))
-	}
-	if n > 1 && bd.work == nil {
-		bd.work = make(chan batchShard)
-		// The workers outlive every call but not the decoder: they see
-		// only the channel, so once bd is unreachable the finalizer
-		// closes it and the pool exits.
-		runtime.SetFinalizer(bd, func(bd *BatchDecoder) { close(bd.work) })
-	}
-	for bd.spawned < n-1 {
-		go batchWorker(bd.work)
-		bd.spawned++
-	}
-	return bd
-}
-
-// Workers returns the configured worker count.
-func (bd *BatchDecoder) Workers() int { return bd.workers }
 
 // DecodeAll decodes every word of the arena, correcting successful
 // words in place (a failed word is left exactly as received, like a
@@ -242,19 +165,19 @@ func (bd *BatchDecoder) Workers() int { return bd.workers }
 // or shared between words — see the list-sharing contract on Batch);
 // each word's outcome — corrected symbols, acceptance, error
 // classification — is identical to what Decoder.Decode would have
-// produced for that word and its list, for any worker count.
+// produced for that word and its list.
 //
 // DecodeAll screens every word with the packed syndrome fold; clean
 // words never leave the screen, and dirty words hand the folded
 // syndromes straight to the per-word pipeline instead of recomputing
 // them (the screen's byte lanes *are* the syndromes). Words with
 // erasures additionally resolve their position set through a small
-// per-worker cache of erasure-locator setups, so an arena sharing one
+// cache of erasure-locator setups, so an arena sharing one
 // located-column set pays the polynomial construction once. The
 // returned BatchResult aliases the workspace; the steady state of
-// repeated same-shape serial calls performs no heap allocation
-// (word-level decode failures allocate their error values, built once
-// per cached erasure set).
+// repeated same-shape calls performs no heap allocation (word-level
+// decode failures allocate their error values, built once per cached
+// erasure set).
 func (bd *BatchDecoder) DecodeAll(b Batch, erasures [][]int) (*BatchResult, error) {
 	c := bd.c
 	n := c.n
@@ -276,51 +199,19 @@ func (bd *BatchDecoder) DecodeAll(b Batch, erasures [][]int) (*BatchResult, erro
 	} else {
 		res.Words = res.Words[:b.Count]
 	}
-	res.Clean, res.Corrected, res.Failed = 0, 0, 0
-	bt := c.batchSyndromeTable()
-
-	nw := bd.workers
-	if nw > b.Count {
-		nw = b.Count
-	}
-	if nw <= 1 {
-		lane := bd.lanes[0]
-		lane.decodeRange(bt, b, erasures, 0, b.Count, res.Words)
-		res.Clean, res.Corrected, res.Failed = lane.clean, lane.corrected, lane.failed
-		return res, nil
-	}
-	// Contiguous shards, one per worker: shards 1..nw-1 go to the
-	// persistent pool, shard 0 decodes on the calling goroutine.
-	bd.wg.Add(nw - 1)
-	for i := 1; i < nw; i++ {
-		bd.work <- batchShard{
-			lane: bd.lanes[i],
-			bt:   bt,
-			b:    b,
-			ers:  erasures,
-			lo:   i * b.Count / nw,
-			hi:   (i + 1) * b.Count / nw,
-			out:  res.Words,
-			wg:   &bd.wg,
-		}
-	}
-	bd.lanes[0].decodeRange(bt, b, erasures, 0, b.Count/nw, res.Words)
-	bd.wg.Wait()
-	for i := 0; i < nw; i++ {
-		res.Clean += bd.lanes[i].clean
-		res.Corrected += bd.lanes[i].corrected
-		res.Failed += bd.lanes[i].failed
-	}
+	lane := &bd.lane
+	lane.decodeRange(c.batchSyndromeTable(), b, erasures, res.Words)
+	res.Clean, res.Corrected, res.Failed = lane.clean, lane.corrected, lane.failed
 	return res, nil
 }
 
-// decodeRange decodes the contiguous word range [lo,hi) into out,
-// leaving the shard tallies on the lane for the caller to sum.
-func (l *batchLane) decodeRange(bt *batchTable, b Batch, erasures [][]int, lo, hi int, out []WordResult) {
+// decodeRange decodes every arena word into out, leaving the tallies
+// on the lane.
+func (l *batchLane) decodeRange(bt *batchTable, b Batch, erasures [][]int, out []WordResult) {
 	l.clean, l.corrected, l.failed = 0, 0, 0
 	l.cache.resetMemo()
 	n := l.dec.c.n
-	for w := lo; w < hi; w++ {
+	for w := 0; w < b.Count; w++ {
 		word := b.Words[w*b.Stride : w*b.Stride+n : w*b.Stride+n]
 		var ers []int
 		if erasures != nil {

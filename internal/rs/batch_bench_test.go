@@ -2,7 +2,6 @@ package rs
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/gf"
@@ -184,56 +183,4 @@ func BenchmarkBatchDecodeErasuresShared(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBatchDecodeParallel decodes a large erasure-heavy arena
-// with SetWorkers(GOMAXPROCS), so `-cpu 1,4` compares the serial path
-// against four contiguous shards on the same arena (results are
-// bit-identical either way; the equivalence tests enforce it).
-func BenchmarkBatchDecodeParallel(b *testing.B) {
-	const words = 256
-	s := benchShape{name: "RS255_223", n: 255, k: 223, errs: 16, erasures: 32}
-	b.Run(s.name, func(b *testing.B) {
-		c := MustNew(f8, s.n, s.k)
-		rng := rand.New(rand.NewSource(86))
-		arena := make([]gf.Elem, words*s.n)
-		for w := 0; w < words; w++ {
-			if err := c.EncodeTo(arena[w*s.n:(w+1)*s.n], randData(rng, c)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		shared := rng.Perm(s.n)[:s.erasures:s.erasures]
-		erasures := make([][]int, words)
-		type flip struct {
-			pos int
-			val gf.Elem
-		}
-		var flips []flip
-		for w := 0; w < words; w++ {
-			erasures[w] = shared
-			for _, p := range shared {
-				flips = append(flips, flip{w*s.n + p, gf.Elem(1 + rng.Intn(255))})
-			}
-		}
-		bd := c.NewBatchDecoder().SetWorkers(runtime.GOMAXPROCS(0))
-		batch := Batch{Words: arena, Stride: s.n, Count: words}
-		if _, err := bd.DecodeAll(batch, erasures); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(arena)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, f := range flips {
-				arena[f.pos] ^= f.val
-			}
-			res, err := bd.DecodeAll(batch, erasures)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Corrected != words {
-				b.Fatalf("%d corrected words, want %d", res.Corrected, words)
-			}
-		}
-	})
 }

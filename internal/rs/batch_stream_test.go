@@ -38,16 +38,16 @@ func runBatch(t *testing.T, bd *BatchDecoder, pristine []gf.Elem, stride, count 
 	}
 }
 
-// TestDecodeAllWorkersDeterministic is the parallel half of the
+// TestDecodeAllWorkersDeterministic pins the cache half of the
 // equivalence law: for randomized mixed arenas (clean, sparse errors,
 // erasures with shared and distinct lists, invalid symbols,
-// beyond-capability words), every worker count must produce
-// bit-identical arenas, identical per-word results (including error
-// values), and identical tallies — and repeated calls on the same
-// warm BatchDecoder must reproduce the cold-cache outcomes exactly.
+// beyond-capability words), a repeated call on the same warm
+// BatchDecoder must reproduce the cold-cache outcome exactly —
+// bit-identical arena, identical per-word results (including error
+// values) and identical tallies — and both must match a per-word
+// Decoder.Decode loop.
 func TestDecodeAllWorkersDeterministic(t *testing.T) {
 	shapes := []struct{ n, k int }{{18, 16}, {36, 16}, {255, 223}}
-	workerCounts := []int{1, 4, 8}
 	for _, s := range shapes {
 		c := MustNew(f8, s.n, s.k)
 		rng := rand.New(rand.NewSource(int64(900 + s.n)))
@@ -57,30 +57,19 @@ func TestDecodeAllWorkersDeterministic(t *testing.T) {
 			b, erasures, _ := buildArena(t, rng, c, count, stride)
 			pristine := append([]gf.Elem(nil), b.Words...)
 
-			var ref batchOutcome
-			for wi, w := range workerCounts {
-				bd := c.NewBatchDecoder().SetWorkers(w)
-				if got := bd.Workers(); got != w {
-					t.Fatalf("Workers() = %d, want %d", got, w)
-				}
-				cold := runBatch(t, bd, pristine, stride, count, erasures)
-				warm := runBatch(t, bd, pristine, stride, count, erasures)
-				if wi == 0 {
-					ref = cold
-				}
-				for name, got := range map[string]batchOutcome{"cold": cold, "warm": warm} {
-					if !equalElems(got.arena, ref.arena) {
-						t.Fatalf("n=%d trial=%d workers=%d %s: arena differs from workers=1", s.n, trial, w, name)
-					}
-					if !reflect.DeepEqual(got.words, ref.words) {
-						t.Fatalf("n=%d trial=%d workers=%d %s: word results differ from workers=1\n got %+v\nwant %+v",
-							s.n, trial, w, name, got.words, ref.words)
-					}
-					if got.clean != ref.clean || got.corr != ref.corr || got.failed != ref.failed {
-						t.Fatalf("n=%d trial=%d workers=%d %s: tallies (%d,%d,%d) != (%d,%d,%d)",
-							s.n, trial, w, name, got.clean, got.corr, got.failed, ref.clean, ref.corr, ref.failed)
-					}
-				}
+			bd := c.NewBatchDecoder()
+			ref := runBatch(t, bd, pristine, stride, count, erasures)
+			warm := runBatch(t, bd, pristine, stride, count, erasures)
+			if !equalElems(warm.arena, ref.arena) {
+				t.Fatalf("n=%d trial=%d: warm arena differs from cold", s.n, trial)
+			}
+			if !reflect.DeepEqual(warm.words, ref.words) {
+				t.Fatalf("n=%d trial=%d: warm word results differ from cold\n got %+v\nwant %+v",
+					s.n, trial, warm.words, ref.words)
+			}
+			if warm.clean != ref.clean || warm.corr != ref.corr || warm.failed != ref.failed {
+				t.Fatalf("n=%d trial=%d: warm tallies (%d,%d,%d) != cold (%d,%d,%d)",
+					s.n, trial, warm.clean, warm.corr, warm.failed, ref.clean, ref.corr, ref.failed)
 			}
 
 			// Ground truth: the per-word Decoder.Decode loop over the

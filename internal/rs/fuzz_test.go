@@ -15,21 +15,21 @@ const maxFuzzWords = 8
 // wide selects RS(36,16) over RS(18,16), words is split into n-symbol
 // received words (zero-padded, at most maxFuzzWords) and each byte of
 // erasures names a position in [-1, n] — out-of-range and duplicate
-// positions included. Decoder.Decode, BatchDecoder at 1 and 4 workers
-// (one arena, one shared erasure list) must agree on every word: the
-// same corrected codeword or the same error text. DecodeEuclidean must
+// positions included. Decoder.Decode and BatchDecoder (one arena, one
+// shared erasure list) must agree on every word: the same corrected
+// codeword or the same error text. DecodeEuclidean must
 // give the same codeword or validation error, and fail exactly where
 // Decode finds the word uncorrectable. A word reported as corrected
 // must be a codeword within 2e+v <= n-k of the received word.
 func FuzzDecode(f *testing.F) {
 	codes := map[bool]*Code{false: MustNew(f8, 18, 16), true: MustNew(f8, 36, 16)}
 	type workspace struct {
-		dec      *Decoder
-		bd1, bd4 *BatchDecoder
+		dec *Decoder
+		bd  *BatchDecoder
 	}
 	spaces := make(map[bool]workspace)
 	for wide, c := range codes {
-		spaces[wide] = workspace{c.NewDecoder(), c.NewBatchDecoder(), c.NewBatchDecoder().SetWorkers(4)}
+		spaces[wide] = workspace{c.NewDecoder(), c.NewBatchDecoder()}
 	}
 	for _, wide := range []bool{false, true} {
 		c := codes[wide]
@@ -69,20 +69,18 @@ func FuzzDecode(f *testing.F) {
 			lists[w] = ers
 		}
 
-		batch := map[string][]string{}
-		for name, bd := range map[string]*BatchDecoder{"batch/1": ws.bd1, "batch/4": ws.bd4} {
-			out := append([]gf.Elem(nil), arena...)
-			res, err := bd.DecodeAll(Batch{Words: out, Stride: n, Count: count}, lists)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+		var batch []string
+		out := append([]gf.Elem(nil), arena...)
+		bres, err := ws.bd.DecodeAll(Batch{Words: out, Stride: n, Count: count}, lists)
+		if err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+		for w, r := range bres.Words {
+			word := out[w*n : (w+1)*n]
+			if r.Err != nil && !equalElems(word, arena[w*n:(w+1)*n]) {
+				t.Fatalf("batch word %d: failed word was modified", w)
 			}
-			for w, r := range res.Words {
-				word := out[w*n : (w+1)*n]
-				if r.Err != nil && !equalElems(word, arena[w*n:(w+1)*n]) {
-					t.Fatalf("%s word %d: failed word was modified", name, w)
-				}
-				batch[name] = append(batch[name], outcome(word, r.Err))
-			}
+			batch = append(batch, outcome(word, r.Err))
 		}
 		for w := 0; w < count; w++ {
 			received := arena[w*n : (w+1)*n]
@@ -93,10 +91,8 @@ func FuzzDecode(f *testing.F) {
 				checkBounded(t, c, received, got, ers)
 			}
 			want := outcome(got, err)
-			for _, name := range []string{"batch/1", "batch/4"} {
-				if batch[name][w] != want {
-					t.Fatalf("word %d: Decode %s, %s %s", w, want, name, batch[name][w])
-				}
+			if batch[w] != want {
+				t.Fatalf("word %d: Decode %s, batch %s", w, want, batch[w])
 			}
 			// The two key-equation solvers can detect one failure at
 			// different steps, so on uncorrectable words only the
@@ -144,7 +140,7 @@ func checkBounded(t *testing.T, c *Code, received, codeword []gf.Elem, ers []int
 			e++
 		}
 	}
-	if 2*e+len(ers) > c.Redundancy() {
+	if !canCorrect(c, len(ers), e) {
 		t.Fatalf("corrected %d errors with %d erasures, beyond n-k=%d", e, len(ers), c.Redundancy())
 	}
 }

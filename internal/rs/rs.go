@@ -73,9 +73,9 @@
 // between words (see Batch); sharing one list arena-wide is the fast
 // path.
 //
-// DecodeAll is serial by default; BatchDecoder.SetWorkers shards the
-// arena into contiguous word ranges decoded by a persistent worker
-// pool, with results bit-identical for every worker count.
+// DecodeAll runs on the calling goroutine: the simulators parallelize
+// across trials, each worker holding its own BatchDecoder over an
+// arena of a few words.
 //
 // A BatchDecoder from Code.NewBatchDecoder owns its scratch like a
 // Decoder does (one per goroutine, results valid until the next call)
@@ -233,19 +233,6 @@ func (c *Code) Redundancy() int { return c.n - c.k }
 
 // T returns the random-error correction capability floor((n-k)/2).
 func (c *Code) T() int { return (c.n - c.k) / 2 }
-
-// FCR returns the power of alpha of the first consecutive root.
-func (c *Code) FCR() int { return c.fcr }
-
-// Generator returns a copy of the generator polynomial.
-func (c *Code) Generator() gfpoly.Poly { return c.gen.Clone() }
-
-// CanCorrect reports whether a pattern of the given erasure and random
-// error counts is within the guaranteed correction capability:
-// 2*errors + erasures <= n-k.
-func (c *Code) CanCorrect(erasures, randomErrors int) bool {
-	return erasures >= 0 && randomErrors >= 0 && 2*randomErrors+erasures <= c.n-c.k
-}
 
 // String identifies the code, e.g. "RS(18,16) over GF(2^8, poly=0x11d)".
 func (c *Code) String() string {

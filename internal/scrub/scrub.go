@@ -14,7 +14,6 @@
 package scrub
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -34,24 +33,15 @@ type Never struct{}
 // Next always returns +Inf.
 func (Never) Next(float64) float64 { return math.Inf(1) }
 
-// Periodic scrubs at the boundaries Offset + i*Period (all integers
-// i), the deterministic schedule of a real memory controller; Next
-// returns the first boundary strictly after the query time.
+// Periodic scrubs at the multiples i*Period (all integers i), the
+// deterministic schedule of a real memory controller, with the
+// mission clock starting on a scrub boundary; Next returns the first
+// boundary strictly after the query time.
 type Periodic struct {
 	Period float64 // hours between scrubs, > 0
-	Offset float64 // phase of the first scrub boundary
 }
 
-// NewPeriodic validates and builds a periodic schedule.
-func NewPeriodic(period float64) (Periodic, error) {
-	if period <= 0 || math.IsNaN(period) || math.IsInf(period, 0) {
-		return Periodic{}, fmt.Errorf("scrub: invalid period %v", period)
-	}
-	return Periodic{Period: period}, nil
-}
-
-// Next returns the first multiple of Period (shifted by Offset)
-// strictly after t. A non-finite query time (a simulator that ran off
+// Next returns the first multiple of Period strictly after t. A non-finite query time (a simulator that ran off
 // the end of its horizon, or a NaN from an upstream computation) has
 // no boundary strictly after it, so Next returns +Inf instead of
 // looping on Inf <= Inf forever.
@@ -62,8 +52,8 @@ func (p Periodic) Next(t float64) float64 {
 	if math.IsInf(t, 0) || math.IsNaN(t) {
 		return math.Inf(1)
 	}
-	k := math.Floor((t - p.Offset) / p.Period)
-	next := p.Offset + (k+1)*p.Period
+	k := math.Floor(t / p.Period)
+	next := (k + 1) * p.Period
 	for next <= t { // guard against floating-point landing at or before t
 		stepped := next + p.Period
 		if stepped == next {
@@ -87,17 +77,6 @@ func (p Periodic) Next(t float64) float64 {
 type Exponential struct {
 	Period float64 // mean hours between scrubs, > 0
 	Rng    *rand.Rand
-}
-
-// NewExponential validates and builds an exponential schedule.
-func NewExponential(period float64, rng *rand.Rand) (*Exponential, error) {
-	if period <= 0 || math.IsNaN(period) || math.IsInf(period, 0) {
-		return nil, fmt.Errorf("scrub: invalid mean period %v", period)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("scrub: nil rng")
-	}
-	return &Exponential{Period: period, Rng: rng}, nil
 }
 
 // Next samples the next scrub instant after t. Memorylessness makes

@@ -14,27 +14,8 @@ func TestNeverNext(t *testing.T) {
 	}
 }
 
-func TestNewPeriodicValidation(t *testing.T) {
-	if _, err := NewPeriodic(0); err == nil {
-		t.Error("zero period accepted")
-	}
-	if _, err := NewPeriodic(-1); err == nil {
-		t.Error("negative period accepted")
-	}
-	if _, err := NewPeriodic(math.NaN()); err == nil {
-		t.Error("NaN period accepted")
-	}
-	if _, err := NewPeriodic(math.Inf(1)); err == nil {
-		t.Error("infinite period accepted")
-	}
-	p, err := NewPeriodic(0.25)
-	if err != nil || p.Period != 0.25 {
-		t.Fatalf("NewPeriodic: %v %v", p, err)
-	}
-}
-
 func TestPeriodicSequence(t *testing.T) {
-	p, _ := NewPeriodic(0.25)
+	p := Periodic{Period: 0.25}
 	want := []float64{0.25, 0.5, 0.75, 1.0}
 	t0 := 0.0
 	for _, w := range want {
@@ -47,7 +28,7 @@ func TestPeriodicSequence(t *testing.T) {
 }
 
 func TestPeriodicStrictlyAfter(t *testing.T) {
-	p, _ := NewPeriodic(1)
+	p := Periodic{Period: 1}
 	if got := p.Next(3); got <= 3 {
 		t.Errorf("Next(3) = %v, want > 3", got)
 	}
@@ -59,19 +40,6 @@ func TestPeriodicStrictlyAfter(t *testing.T) {
 	}
 }
 
-func TestPeriodicOffset(t *testing.T) {
-	p := Periodic{Period: 2, Offset: 0.5}
-	if got := p.Next(0); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Next(0) = %v, want 0.5", got)
-	}
-	if got := p.Next(0.5); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("Next(0.5) = %v, want 2.5", got)
-	}
-	if got := p.Next(2.5); math.Abs(got-4.5) > 1e-12 {
-		t.Errorf("Next(2.5) = %v, want 4.5", got)
-	}
-}
-
 // TestNonFiniteQueryTerminates is the regression test for the
 // scheduler hang: Periodic.Next(+Inf) used to spin forever in the
 // guard loop (next += Period never escapes Inf <= Inf), and
@@ -80,8 +48,8 @@ func TestPeriodicOffset(t *testing.T) {
 // calls run in a goroutine under a deadline so a reintroduced hang
 // fails the test instead of wedging the suite.
 func TestNonFiniteQueryTerminates(t *testing.T) {
-	p, _ := NewPeriodic(4)
-	e, _ := NewExponential(4, rand.New(rand.NewSource(1)))
+	p := Periodic{Period: 4}
+	e := &Exponential{Period: 4, Rng: rand.New(rand.NewSource(1))}
 	scheds := map[string]Scheduler{"periodic": p, "exponential": e, "never": Never{}}
 	for name, s := range scheds {
 		// 1e16 exercises the finite variant of the hang: the period is
@@ -114,25 +82,9 @@ func TestPeriodicZeroValueSafe(t *testing.T) {
 	}
 }
 
-func TestNewExponentialValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := NewExponential(0, rng); err == nil {
-		t.Error("zero period accepted")
-	}
-	if _, err := NewExponential(1, nil); err == nil {
-		t.Error("nil rng accepted")
-	}
-	if _, err := NewExponential(math.NaN(), rng); err == nil {
-		t.Error("NaN period accepted")
-	}
-}
-
 func TestExponentialStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	e, err := NewExponential(0.5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := &Exponential{Period: 0.5, Rng: rng}
 	const samples = 200000
 	var sum, sumSq float64
 	t0 := 0.0
