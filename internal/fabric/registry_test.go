@@ -35,11 +35,11 @@ func postJobs(t *testing.T, url, token string, doc string) *JobStatus {
 	return st
 }
 
-// TestRegistryMultiJobSharedPool is the tentpole's law: two specs
+// TestRegistryMultiJobSharedPool is the shared pool's law: two specs
 // submitted to one registry, drained by one shared 3-executor pool,
 // both server-side merges produce artifact trees byte-identical to
-// unpartitioned runs — and at least one executor demonstrably leased
-// work from both jobs.
+// unpartitioned runs — and the scheduler hands one executor work from
+// both jobs in turn.
 func TestRegistryMultiJobSharedPool(t *testing.T) {
 	reg, err := NewRegistry(RegistryConfig{
 		Dir:        t.TempDir(),

@@ -120,14 +120,12 @@ type BatchResult struct {
 }
 
 // batchLane is the BatchDecoder's decode workspace: a Decoder, the
-// packed-syndrome accumulator the screen writes, an erasure-set cache,
-// and the tallies of the last call.
+// packed-syndrome accumulator the screen writes and an erasure-set
+// cache.
 type batchLane struct {
 	dec   *Decoder
 	acc   []uint64 // generic-width syndrome accumulator
 	cache erasureCache
-
-	clean, corrected, failed int
 }
 
 // BatchDecoder is a reusable workspace for decoding whole word arenas.
@@ -199,18 +197,10 @@ func (bd *BatchDecoder) DecodeAll(b Batch, erasures [][]int) (*BatchResult, erro
 	} else {
 		res.Words = res.Words[:b.Count]
 	}
-	lane := &bd.lane
-	lane.decodeRange(c.batchSyndromeTable(), b, erasures, res.Words)
-	res.Clean, res.Corrected, res.Failed = lane.clean, lane.corrected, lane.failed
-	return res, nil
-}
-
-// decodeRange decodes every arena word into out, leaving the tallies
-// on the lane.
-func (l *batchLane) decodeRange(bt *batchTable, b Batch, erasures [][]int, out []WordResult) {
-	l.clean, l.corrected, l.failed = 0, 0, 0
+	res.Clean, res.Corrected, res.Failed = 0, 0, 0
+	bt := c.batchSyndromeTable()
+	l := &bd.lane
 	l.cache.resetMemo()
-	n := l.dec.c.n
 	for w := 0; w < b.Count; w++ {
 		word := b.Words[w*b.Stride : w*b.Stride+n : w*b.Stride+n]
 		var ers []int
@@ -218,16 +208,17 @@ func (l *batchLane) decodeRange(bt *batchTable, b Batch, erasures [][]int, out [
 			ers = erasures[w]
 		}
 		r := l.decodeWord(bt, word, ers)
-		out[w] = r
+		res.Words[w] = r
 		switch {
 		case r.Err != nil:
-			l.failed++
+			res.Failed++
 		case r.Corrections > 0:
-			l.corrected++
+			res.Corrected++
 		default:
-			l.clean++
+			res.Clean++
 		}
 	}
+	return res, nil
 }
 
 // decodeWord decodes one arena word, correcting it in place on

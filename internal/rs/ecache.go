@@ -32,12 +32,12 @@ import (
 // case (every word a distinct set, all colliding) degrades to the
 // build-per-word cost, never worse than uncached.
 
-// erasureCacheBuckets sizes the per-lane direct-mapped table (power of
-// two). Scrub arenas carry from one shared set up to one set per word;
-// 512 buckets keeps an arena of 64 distinct sets essentially
+// erasureCacheBuckets sizes the BatchDecoder's direct-mapped table
+// (power of two). Scrub arenas carry from one shared set up to one set
+// per word; 512 buckets keeps an arena of 64 distinct sets essentially
 // collision-free (expected colliding pairs ~2) while bounding the
-// lane's memory — entries are built lazily, so unused buckets cost one
-// nil pointer each.
+// decoder's memory — entries are built lazily, so unused buckets cost
+// one nil pointer each.
 const erasureCacheBuckets = 512
 
 // erasureRoot precomputes the fused Chien/Forney state at one root of
@@ -70,16 +70,16 @@ type erasureEntry struct {
 	fastOK    bool
 }
 
-// erasureCache is the per-lane (hence single-goroutine) direct-mapped
-// cache of erasure-set entries.
+// erasureCache is the BatchDecoder's (hence single-goroutine)
+// direct-mapped cache of erasure-set entries.
 type erasureCache struct {
 	c       *Code
 	buckets [erasureCacheBuckets]*erasureEntry
 	erased  []bool // validation bitset, kept all-false between builds
 
 	// One-entry pointer memo, valid only within a single DecodeAll
-	// call (reset at every range start): lists shared across an
-	// arena's words resolve with one pointer compare.
+	// call (reset at its start): lists shared across an arena's words
+	// resolve with one pointer compare.
 	memoSrc *int
 	memoLen int
 	memoEnt *erasureEntry

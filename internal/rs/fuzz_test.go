@@ -17,10 +17,10 @@ const maxFuzzWords = 8
 // erasures names a position in [-1, n] — out-of-range and duplicate
 // positions included. Decoder.Decode and BatchDecoder (one arena, one
 // shared erasure list) must agree on every word: the same corrected
-// codeword or the same error text. DecodeEuclidean must
-// give the same codeword or validation error, and fail exactly where
-// Decode finds the word uncorrectable. A word reported as corrected
-// must be a codeword within 2e+v <= n-k of the received word.
+// codeword or the same error text. DecodeEuclidean must give the same
+// codeword or validation error, and fail exactly where Decode finds
+// the word uncorrectable. A word reported as corrected must be a
+// codeword within 2e+v <= n-k of the received word.
 func FuzzDecode(f *testing.F) {
 	codes := map[bool]*Code{false: MustNew(f8, 18, 16), true: MustNew(f8, 36, 16)}
 	type workspace struct {
