@@ -41,10 +41,11 @@ type Periodic struct {
 	Period float64 // hours between scrubs, > 0
 }
 
-// Next returns the first multiple of Period strictly after t. A non-finite query time (a simulator that ran off
-// the end of its horizon, or a NaN from an upstream computation) has
-// no boundary strictly after it, so Next returns +Inf instead of
-// looping on Inf <= Inf forever.
+// Next returns the first multiple of Period strictly after t. A
+// non-finite query time (a simulator that ran off the end of its
+// horizon, or a NaN from an upstream computation) has no boundary
+// strictly after it, so Next returns +Inf instead of looping on
+// Inf <= Inf forever.
 func (p Periodic) Next(t float64) float64 {
 	if p.Period <= 0 {
 		return math.Inf(1)
