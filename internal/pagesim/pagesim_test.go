@@ -747,6 +747,27 @@ func batchGoldenCases() []struct {
 			},
 			digest: "9578a54daff1866816aef00a9c9ba684e9b7ff0cea1e388221af64665838f93c",
 		},
+		{
+			// Variable-length bursts under scrub-time location on an
+			// n-k = 4 code at an odd depth, exponentially scrubbed: the
+			// scrub rewrite and its location observations over stripes
+			// that each absorb two errors.
+			name: "geometric/scrub-detect/RS(20,16)x3",
+			cfg: Config{
+				N: 20, K: 16, Depth: 3, LambdaBit: 5e-5, BurstPerKilobit: 0.1,
+				BurstDist: "geometric", BurstMeanBits: 6, LambdaColumn: 1e-3,
+				ScrubPeriod: 6, ExponentialScrub: true, Detection: DetectScrub,
+				Horizon: 48, Trials: 800, Seed: 23,
+			},
+			counters: map[string]int64{
+				"bursts": 1801, "corrected_symbols": 1836, "failed_stripes": 387,
+				"located_columns": 1621, "page_correct": 496, "page_loss": 304,
+				"page_silent_loss": 3, "scrub_ops": 6347, "seus": 905,
+				"single_burst_trials": 3, "stuck_columns": 2339,
+				"stuck_unlocated_reads": 2359,
+			},
+			digest: "f92db02a155b454ae2df1d82983de042427143e69b83535a8bbecdca122bafe2",
+		},
 	}
 }
 
