@@ -127,6 +127,10 @@ type Codec struct {
 	// every stripe without rehashing new slices.
 	lastErs []int // copy of the list perStripe currently reflects
 	split   bool  // perStripe matches lastErs
+
+	// last is the per-stripe outcome of the last DecodeTo (nil before
+	// the first one completes); CorrectedStripe reads it.
+	last *rs.BatchResult
 }
 
 // NewCodec builds a reusable workspace for the page layout.
@@ -171,6 +175,7 @@ func (c *Codec) EncodeTo(stored, data []gf.Elem) error {
 // stripes that need it.
 func (c *Codec) DecodeTo(res *DecodeResult, stored []gf.Elem, erasures []int) error {
 	p := c.page
+	c.last = nil
 	if len(stored) != p.StoredSymbols() {
 		return fmt.Errorf("interleave: stored page has %d symbols, want %d", len(stored), p.StoredSymbols())
 	}
@@ -205,6 +210,7 @@ func (c *Codec) DecodeTo(res *DecodeResult, stored []gf.Elem, erasures []int) er
 	if err != nil {
 		return err
 	}
+	c.last = bres
 	// Corrected stripes were repaired in the arena; failed stripes were
 	// left as received, which is exactly what the per-stripe path
 	// contributes for them.
@@ -220,6 +226,29 @@ func (c *Codec) DecodeTo(res *DecodeResult, stored []gf.Elem, erasures []int) er
 		}
 	}
 	return nil
+}
+
+// CorrectedStripe returns stripe s's codeword from the last DecodeTo
+// when that decode succeeded and changed at least one symbol, and nil
+// when the stripe was already a codeword or failed to decode. The
+// word holds n symbols in codeword order (position j is stored index
+// j*depth+s) and aliases the codec's arena until the next DecodeTo.
+//
+// A scrub rewrite can store the word as is: a successful decode ends
+// on a codeword (the decoder rejects residual syndromes), and
+// systematic encoding makes that codeword the re-encode of its own
+// data, which DecodeTo returned in res.Data. Nil stripes need no
+// rewrite: a clean stripe already holds its codeword, and a failed one
+// has nothing better to write back.
+func (c *Codec) CorrectedStripe(s int) []gf.Elem {
+	if c.last == nil {
+		return nil
+	}
+	if r := c.last.Words[s]; r.Err != nil || r.Corrections == 0 {
+		return nil
+	}
+	n := c.page.code.N()
+	return c.arena[s*n : (s+1)*n : (s+1)*n]
 }
 
 // intsEq reports element-wise equality (order-sensitive, like the

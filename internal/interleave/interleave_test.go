@@ -353,6 +353,118 @@ func TestCodecValidation(t *testing.T) {
 	}
 }
 
+// TestCorrectedStripeContract: after DecodeTo, CorrectedStripe returns
+// a word for exactly the stripes whose decode succeeded with at least
+// one correction, and that word may stand in for a scrub re-encode: it
+// is a codeword, it equals the encode of its own first k symbols, and
+// those are the data DecodeTo returned. Pages carry random errors and
+// erasures, dense enough to overload and miscorrect some stripes.
+func TestCorrectedStripeContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, cd := range []*rs.Code{code, rs.MustNew(f8, 20, 16)} {
+		n, k := cd.N(), cd.K()
+		for _, depth := range []int{1, 3, 4} {
+			p, err := New(cd, depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := p.NewCodec()
+			for s := 0; s < depth; s++ {
+				if c.CorrectedStripe(s) != nil {
+					t.Fatal("a stripe is corrected before any decode")
+				}
+			}
+			var res DecodeResult
+			word := make([]gf.Elem, n)
+			reenc := make([]gf.Elem, n)
+			var clean, corrected, failed, miscorrected int
+			for trial := 0; trial < 200; trial++ {
+				stored, err := p.Encode(randPage(rng, p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				truth := append([]gf.Elem(nil), stored...)
+				// Per stripe: up to n-k erasures (some keeping their
+				// value) and up to t+2 errors at other positions.
+				var erasures []int
+				perStripe := make([][]int, depth)
+				for s := 0; s < depth; s++ {
+					pos := rng.Perm(n)
+					ne, nerr := rng.Intn(cd.Redundancy()+1), rng.Intn(cd.T()+3)
+					for _, j := range pos[:ne] {
+						if rng.Intn(2) == 0 {
+							stored[j*depth+s] = gf.Elem(rng.Intn(256))
+						}
+						erasures = append(erasures, j*depth+s)
+						perStripe[s] = append(perStripe[s], j)
+					}
+					for _, j := range pos[ne : ne+nerr] {
+						stored[j*depth+s] ^= gf.Elem(1 + rng.Intn(255))
+					}
+				}
+				if err := c.DecodeTo(&res, stored, erasures); err != nil {
+					t.Fatal(err)
+				}
+				for s := 0; s < depth; s++ {
+					for j := range word {
+						word[j] = stored[j*depth+s]
+					}
+					ref, refErr := cd.Decode(word, perStripe[s])
+					got := c.CorrectedStripe(s)
+					switch {
+					case refErr != nil:
+						failed++
+					case ref.Corrections == 0:
+						clean++
+					default:
+						corrected++
+					}
+					if want := refErr == nil && ref.Corrections > 0; (got != nil) != want {
+						t.Fatalf("RS(%d,%d)x%d trial %d stripe %d: word returned %t, want %t",
+							n, k, depth, trial, s, got != nil, want)
+					}
+					if got == nil {
+						continue
+					}
+					if len(got) != n || !cd.IsCodeword(got) {
+						t.Fatalf("stripe %d: returned word is not a codeword", s)
+					}
+					if err := cd.EncodeTo(reenc, got[:k]); err != nil {
+						t.Fatal(err)
+					}
+					for j := range got {
+						if got[j] != reenc[j] {
+							t.Fatalf("stripe %d: word differs from the encode of its data at %d", s, j)
+						}
+						if j < k && got[j] != res.Data[j*depth+s] {
+							t.Fatalf("stripe %d: word data differs from res.Data at %d", s, j)
+						}
+					}
+					for j := range got {
+						if got[j] != truth[j*depth+s] {
+							miscorrected++
+							break
+						}
+					}
+				}
+			}
+			if clean == 0 || corrected == 0 || failed == 0 || miscorrected == 0 {
+				t.Errorf("RS(%d,%d)x%d: %d clean, %d corrected, %d failed, %d miscorrected stripes",
+					n, k, depth, clean, corrected, failed, miscorrected)
+			}
+			// A decode that fails structurally leaves no stale words.
+			if err := c.DecodeTo(&res, word[:1], nil); err == nil {
+				t.Fatal("short page accepted")
+			}
+			for s := 0; s < depth; s++ {
+				if c.CorrectedStripe(s) != nil {
+					t.Fatal("a failed DecodeTo left a corrected stripe behind")
+				}
+			}
+		}
+	}
+}
+
 // TestCodecZeroAllocs pins the workspace contract: steady-state page
 // encode and decode (clean and with corrections) allocate nothing.
 func TestCodecZeroAllocs(t *testing.T) {

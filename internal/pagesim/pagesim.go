@@ -19,6 +19,13 @@
 // between events. The page is read once at the mission horizon and
 // the outcome classified per stripe and per page.
 //
+// A scrub pass rewrites only the stripes its decode corrected, from
+// the codewords the page codec left in its arena, and a pass over a
+// settled page (no fault and no location event since the previous
+// completed pass) skips the decode altogether. Both shortcuts are
+// exact — the outcome is that of decoding and re-encoding the whole
+// page on every pass — as the doScrub comment argues.
+//
 // # Stuck-column detection and location
 //
 // The paper's central transient-vs-permanent distinction is that a
@@ -276,7 +283,7 @@ const (
 	CounterStuckUnlocatedReads = "stuck_unlocated_reads"
 
 	// CounterScrubDecodeErrors counts scrub passes abandoned because
-	// the page decode (or the rewrite re-encode) failed structurally.
+	// the page decode failed structurally.
 	// Such failures are impossible for a validated configuration, so
 	// the counter is normally absent; a nonzero value is surfaced by
 	// cmd/campaign instead of being silently swallowed (the abandoned
@@ -421,8 +428,8 @@ func (s *scenario) NewWorker() (campaign.Worker, error) {
 // reusable page codec (whose DecodeTo runs each page through the rs
 // batch arena path, so healthy stripes cost only the syndrome
 // screen), the RNG (reseeded per trial), the stored-page state and
-// every erasure/reencode buffer, so the steady state performs no
-// per-trial heap allocation.
+// the erasure list, so the steady state performs no per-trial heap
+// allocation.
 type worker struct {
 	cfg    Config
 	dist   burstlen.Dist
@@ -439,7 +446,6 @@ type worker struct {
 	data   []gf.Elem // page payload scratch
 	truth  []gf.Elem // ground-truth stored page
 	stored []gf.Elem // current stored page
-	reenc  []gf.Elem // re-encoded page for scrub rewrites
 
 	stuck   []bool    // whole-symbol stuck-at flags (physical)
 	located []bool    // stuck columns known to the controller
@@ -451,9 +457,13 @@ type worker struct {
 	// memo plus the rs erasure-set cache resolve the whole page without
 	// rebuilding locator state.
 	erasures []int
-	ersDirty bool   // erasures no longer reflects located
-	failed   []bool // per-stripe failed-decode scratch for scrub rewrites
+	ersDirty bool // erasures no longer reflects located
 	res      interleave.DecodeResult
+	// settled reports that no fault has changed the stored page since
+	// the last completed scrub pass. Together with a clean erasure list
+	// it lets the next pass skip its decode (see doScrub); the zero
+	// value means "decode".
+	settled bool
 
 	// Per-trial location bookkeeping (reset by Trial).
 	unlocated    int // stuck columns the controller has not located yet
@@ -474,12 +484,10 @@ func newWorker(cfg Config, dist burstlen.Dist, policy detectPolicy, page *interl
 		data:          make([]gf.Elem, page.DataSymbols()),
 		truth:         make([]gf.Elem, page.StoredSymbols()),
 		stored:        make([]gf.Elem, page.StoredSymbols()),
-		reenc:         make([]gf.Elem, page.StoredSymbols()),
 		stuck:         make([]bool, page.StoredSymbols()),
 		located:       make([]bool, page.StoredSymbols()),
 		strikeT:       make([]float64, page.StoredSymbols()),
 		erasures:      make([]int, 0, page.StoredSymbols()),
-		failed:        make([]bool, page.Depth()),
 	}
 	w.clock = scrub.NewClock(w.rng, scrub.New(cfg.ScrubPeriod, cfg.ExponentialScrub, w.rng), cfg.TiltFactor, cfg.Horizon)
 	return w
@@ -509,6 +517,7 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 	}
 	w.erasures = w.erasures[:0]
 	w.ersDirty = false
+	w.settled = false
 	w.unlocated, w.trialLocated, w.unlocReads = 0, 0, 0
 
 	// Per-page event rates (per hour). Importance sampling tilts only
@@ -559,6 +568,7 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 				}
 			}
 			w.stored[s] = v
+			w.settled = false
 			cols++
 		}
 	}
@@ -675,6 +685,7 @@ func (w *worker) flipBit(bit int) {
 		return
 	}
 	w.stored[s] ^= 1 << uint(bit%m)
+	w.settled = false
 }
 
 // decode runs the page decoder on the stored page (DecodeTo never
@@ -702,17 +713,38 @@ func (w *worker) decode() error {
 	return nil
 }
 
-// doScrub decodes, corrects and rewrites the page at time t. Stripes
-// that fail to decode are left untouched (the controller has nothing
-// better to write back); stuck columns reassert themselves through
-// the rewrite. Under the scrub detection policy, an unlocated stuck
-// column whose symbol the (successful) decode corrected has been
-// observed deviating and becomes located for every later decode.
+// doScrub decodes, corrects and rewrites the page at time t. Only the
+// stripes the decode changed are rewritten, straight from the codec's
+// arena: a clean stripe already holds its codeword, and a stripe that
+// fails to decode is left untouched (the controller has nothing better
+// to write back). Stuck columns reassert themselves through the
+// rewrite. Under the scrub detection policy, an unlocated stuck column
+// whose symbol the (successful) decode corrected has been observed
+// deviating and becomes located for every later decode. The rewrite
+// visits stored indices in ascending order, so location samples keep
+// their order.
+//
+// A pass over a settled page skips the decode and the rewrite but
+// still counts as a scrub op and as an unlocated read. The page is
+// settled when no fault has touched it since the last completed pass
+// and no column was located since that pass's decode (a new erasure
+// can let a failed stripe correct). Skipping is then exact. Every
+// stripe that decoded differs from its codeword only at stuck symbols
+// the decode already corrected or erased, so decoding it again lands
+// on the same codeword within the same bounded distance, and the
+// rewrite changes no symbol. Nor does it locate anything: under the
+// scrub policy, the pass that left an unlocated stuck symbol differing
+// from its codeword located it, dirtying the erasure list. Failed
+// stripes are unchanged, so they fail the same way again.
 func (w *worker) doScrub(t float64, trial int, acc *campaign.Acc) {
 	if w.policy == detLatency {
 		w.locateByLatency(t, trial, acc)
 	}
 	w.noteUnlocatedRead()
+	if w.settled && !w.ersDirty {
+		acc.Add(CounterScrubOps, 1)
+		return
+	}
 	if err := w.decode(); err != nil {
 		// Structural decode failures are impossible for a validated
 		// config; count them (the pass did not complete, so it is not a
@@ -721,33 +753,28 @@ func (w *worker) doScrub(t float64, trial int, acc *campaign.Acc) {
 		acc.Add(CounterScrubDecodeErrors, 1)
 		return
 	}
-	if err := w.codec.EncodeTo(w.reenc, w.res.Data); err != nil {
-		acc.Add(CounterScrubDecodeErrors, 1)
-		return
-	}
 	acc.Add(CounterScrubOps, 1)
-	depth := w.page.Depth()
-	for s := range w.failed {
-		w.failed[s] = false
-	}
-	for _, s := range w.res.FailedStripes {
-		w.failed[s] = true
-	}
-	for idx := range w.reenc {
-		if w.failed[idx%depth] {
-			continue
-		}
-		if w.stuck[idx] {
-			// The dead column reasserts itself through the rewrite; if
-			// the corrected codeword disagrees with what it drives, the
-			// controller has observed the deviation.
-			if w.policy == detScrub && !w.located[idx] && w.stored[idx] != w.reenc[idx] {
-				w.locate(idx, t-w.strikeT[idx], trial, acc)
+	n, depth := w.page.Code().N(), w.page.Depth()
+	for j := 0; j < n; j++ {
+		for s := 0; s < depth; s++ {
+			cw := w.codec.CorrectedStripe(s)
+			if cw == nil {
+				continue
 			}
-			continue
+			idx := j*depth + s
+			if w.stuck[idx] {
+				// The dead column reasserts itself through the rewrite; if
+				// the corrected codeword disagrees with what it drives, the
+				// controller has observed the deviation.
+				if w.policy == detScrub && !w.located[idx] && w.stored[idx] != cw[j] {
+					w.locate(idx, t-w.strikeT[idx], trial, acc)
+				}
+				continue
+			}
+			w.stored[idx] = cw[j]
 		}
-		w.stored[idx] = w.reenc[idx]
 	}
+	w.settled = true
 }
 
 // ResultFromCampaign reassembles the simulator's Result from the

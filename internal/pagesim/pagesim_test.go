@@ -5,13 +5,16 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/gf"
 )
 
 func TestValidation(t *testing.T) {
@@ -414,6 +417,36 @@ func BenchmarkPageCampaign(b *testing.B) {
 	}
 }
 
+// BenchmarkPagesimTrial times one page trial on a warm worker: the
+// reseed, the fault and scrub events, the page decodes and scrub
+// rewrites and the counter updates, without planning, worker
+// construction or merging. The page is the paper's RS(18,16) at depth
+// 4 under SEUs, bursts and stuck columns, scrubbed hourly.
+func BenchmarkPagesimTrial(b *testing.B) {
+	scn, err := Scenario(Config{
+		Depth: 4, LambdaBit: 2e-5, BurstPerKilobit: 0.05, BurstBits: 9,
+		LambdaColumn: 5e-5, ScrubPeriod: 1, Horizon: 48, Trials: 1, Seed: 21,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := scn.NewWorker()
+	if err != nil {
+		b.Fatal(err)
+	}
+	acc := campaign.NewAcc()
+	if err := w.Trial(0, acc); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.Trial(i, acc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // goldenCounters pins the exact campaign counters of the pre-detection
 // simulator (captured at the commit introducing detection policies)
 // for two fixed-seed configurations. The immediate policy — spelled
@@ -672,6 +705,182 @@ func TestScrubDecodeErrorCounted(t *testing.T) {
 	if got := acc.Counter(CounterScrubOps); got != 0 {
 		t.Errorf("abandoned scrub pass counted as %d completed scrub_ops", got)
 	}
+}
+
+// plantFaults writes a random page onto a fresh worker and corrupts
+// it the way a mission can: stuck columns (a random subset already
+// located, all of them under the immediate policy) struck at random
+// instants before now, SEUs, one burst, and now and then a stripe
+// pushed past the code's capability. It returns the page payload.
+func plantFaults(t *testing.T, w *worker, rng *rand.Rand, now float64) []gf.Elem {
+	t.Helper()
+	code := w.page.Code()
+	n, depth, m := code.N(), w.page.Depth(), code.Field().M()
+	data := make([]gf.Elem, w.page.DataSymbols())
+	for i := range data {
+		data[i] = gf.Elem(rng.Intn(code.Field().Size()))
+	}
+	if err := w.codec.EncodeTo(w.stored, data); err != nil {
+		t.Fatal(err)
+	}
+	for i := rng.Intn(depth*code.Redundancy()/2 + 1); i > 0; i-- {
+		s := rng.Intn(len(w.stored))
+		if w.stuck[s] {
+			continue
+		}
+		w.stuck[s] = true
+		w.strikeT[s] = now * rng.Float64()
+		w.stored[s] = gf.Elem(rng.Intn(code.Field().Size()))
+		if w.policy == detImmediate || rng.Intn(2) == 0 {
+			w.located[s] = true
+			w.ersDirty = true
+		} else {
+			w.unlocated++
+		}
+	}
+	storedBits := len(w.stored) * m
+	for i := rng.Intn(6); i > 0; i-- {
+		w.flipBit(rng.Intn(storedBits))
+	}
+	length := 1 + rng.Intn(3*m)
+	start := rng.Intn(storedBits - length + 1)
+	for b := 0; b < length; b++ {
+		w.flipBit(start + b)
+	}
+	if rng.Intn(3) == 0 {
+		s := rng.Intn(depth)
+		for i := 0; i <= code.Redundancy(); i++ {
+			if idx := rng.Intn(n)*depth + s; !w.stuck[idx] {
+				w.stored[idx] ^= gf.Elem(1 + rng.Intn(code.Field().Size()-1))
+			}
+		}
+	}
+	return data
+}
+
+// TestCompletedScrubIsFixedPoint pins the invariant behind skipping
+// the decode on a settled page: once a scrub pass has completed, a
+// second pass at the same instant — forced to decode — changes nothing
+// but the scrub_ops count. Not the stored page, not the located
+// columns, not a counter or a time_to_location sample.
+func TestCompletedScrubIsFixedPoint(t *testing.T) {
+	const now = 30.0
+	for _, detection := range []string{DetectImmediate, DetectScrub, DetectLatency} {
+		t.Run(detection, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			var corrected, failed, miscorrected, located int
+			for _, shape := range []struct{ n, depth int }{{18, 4}, {20, 3}} {
+				scn := mustScenario(t, Config{
+					N: shape.n, Depth: shape.depth, ScrubPeriod: 1, Detection: detection,
+					DetectionLatency: now / 2, Horizon: 2 * now, Trials: 1,
+				})
+				for round := 0; round < 300; round++ {
+					cw, err := scn.NewWorker()
+					if err != nil {
+						t.Fatal(err)
+					}
+					w := cw.(*worker)
+					data := plantFaults(t, w, rng, now)
+					acc := campaign.NewAcc()
+					w.doScrub(now, 0, acc)
+					if !w.settled {
+						t.Fatal("a completed scrub pass left the page unsettled")
+					}
+					if w.res.CorrectedSymbols > 0 {
+						corrected++
+					}
+					if len(w.res.FailedStripes) > 0 {
+						failed++
+					}
+					if miscorrectedStripes(w, data) > 0 {
+						miscorrected++
+					}
+					if w.trialLocated > 0 {
+						located++
+					}
+					snapshot := func() string {
+						return fmt.Sprintf("%v\n%v\nunlocated %d located %d\n%+v",
+							w.stored, w.located, w.unlocated, w.trialLocated, *acc)
+					}
+					before := snapshot()
+					ops := acc.Counter(CounterScrubOps)
+					w.settled = false
+					w.doScrub(now, 0, acc)
+					if got := acc.Counter(CounterScrubOps); got != ops+1 {
+						t.Fatalf("second pass counted %d scrub_ops, want 1", got-ops)
+					}
+					acc.Add(CounterScrubOps, -1)
+					if after := snapshot(); after != before {
+						t.Fatalf("RS(%d,16)x%d round %d: second pass changed the state\nbefore %s\nafter  %s",
+							shape.n, shape.depth, round, before, after)
+					}
+				}
+			}
+			if corrected == 0 || failed == 0 || miscorrected == 0 {
+				t.Errorf("fault mix too mild: %d rounds corrected, %d failed, %d miscorrected",
+					corrected, failed, miscorrected)
+			}
+			if detection != DetectImmediate && located == 0 {
+				t.Error("no first pass located a column")
+			}
+		})
+	}
+}
+
+// TestLocationForcesDecode: a location event unsettles the page even
+// when no fault arrived. Two unlocated stuck columns plus one flipped
+// symbol overload an RS(20,16) stripe; once the latency policy locates
+// both columns, the next pass must decode again, and the stripe now
+// corrects (two erasures and one error fit n-k = 4).
+func TestLocationForcesDecode(t *testing.T) {
+	scn := mustScenario(t, Config{
+		N: 20, Depth: 1, ScrubPeriod: 1, Detection: DetectLatency,
+		DetectionLatency: 1, Horizon: 4, Trials: 1,
+	})
+	cw, err := scn.NewWorker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := cw.(*worker)
+	if err := w.codec.EncodeTo(w.stored, make([]gf.Elem, w.page.DataSymbols())); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []int{2, 9} {
+		w.stuck[s], w.stored[s] = true, 0x5A
+		w.unlocated++
+	}
+	w.flipBit(8 * 14)
+	acc := campaign.NewAcc()
+	w.doScrub(0.5, 0, acc)
+	if len(w.res.FailedStripes) != 1 || w.stored[14] == 0 || !w.settled {
+		t.Fatalf("first pass: failed stripes %v, symbol 14 = %#x, settled %t",
+			w.res.FailedStripes, w.stored[14], w.settled)
+	}
+	w.doScrub(1.5, 0, acc)
+	if w.trialLocated != 2 || len(w.res.FailedStripes) != 0 || w.stored[14] != 0 {
+		t.Errorf("after location: %d located, failed stripes %v, symbol 14 = %#x",
+			w.trialLocated, w.res.FailedStripes, w.stored[14])
+	}
+}
+
+// miscorrectedStripes counts the stripes that decoded into w.res but
+// whose payload differs from data.
+func miscorrectedStripes(w *worker, data []gf.Elem) int {
+	depth := w.page.Depth()
+	failed := make([]bool, depth)
+	for _, s := range w.res.FailedStripes {
+		failed[s] = true
+	}
+	wrong := 0
+	for s := 0; s < depth; s++ {
+		for i := s; i < len(data) && !failed[s]; i += depth {
+			if w.res.Data[i] != data[i] {
+				wrong++
+				break
+			}
+		}
+	}
+	return wrong
 }
 
 // batchGoldenCases are the fixed-seed configurations whose complete
