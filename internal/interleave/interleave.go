@@ -128,8 +128,8 @@ type Codec struct {
 	lastErs []int // copy of the list perStripe currently reflects
 	split   bool  // perStripe matches lastErs
 
-	// last is the per-stripe outcome of the last DecodeTo (nil before
-	// the first one completes); CorrectedStripe reads it.
+	// last is the per-stripe outcome of the last DecodeTo, nil unless
+	// that call completed; CorrectedStripe reads it.
 	last *rs.BatchResult
 }
 
@@ -229,17 +229,12 @@ func (c *Codec) DecodeTo(res *DecodeResult, stored []gf.Elem, erasures []int) er
 }
 
 // CorrectedStripe returns stripe s's codeword from the last DecodeTo
-// when that decode succeeded and changed at least one symbol, and nil
-// when the stripe was already a codeword or failed to decode. The
-// word holds n symbols in codeword order (position j is stored index
-// j*depth+s) and aliases the codec's arena until the next DecodeTo.
-//
-// A scrub rewrite can store the word as is: a successful decode ends
-// on a codeword (the decoder rejects residual syndromes), and
-// systematic encoding makes that codeword the re-encode of its own
-// data, which DecodeTo returned in res.Data. Nil stripes need no
-// rewrite: a clean stripe already holds its codeword, and a failed one
-// has nothing better to write back.
+// if that decode succeeded and changed at least one symbol, else nil
+// (the stripe was already a codeword, or failed). The n symbols are in
+// codeword order (position j is stored index j*depth+s) and alias the
+// codec's arena until the next DecodeTo. A scrub may store the word in
+// place of a re-encode: a successful decode ends on a codeword, and
+// systematic encoding makes that codeword the encode of its own data.
 func (c *Codec) CorrectedStripe(s int) []gf.Elem {
 	if c.last == nil {
 		return nil

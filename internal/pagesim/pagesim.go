@@ -19,12 +19,10 @@
 // between events. The page is read once at the mission horizon and
 // the outcome classified per stripe and per page.
 //
-// A scrub pass rewrites only the stripes its decode corrected, from
-// the codewords the page codec left in its arena, and a pass over a
-// settled page (no fault and no location event since the previous
-// completed pass) skips the decode altogether. Both shortcuts are
-// exact — the outcome is that of decoding and re-encoding the whole
-// page on every pass — as the doScrub comment argues.
+// A scrub pass rewrites only the stripes its decode corrected, from the
+// page codec's arena, and skips the decode on a page no fault or
+// location event touched since the last completed pass. Both are exact
+// (see doScrub): outcomes equal a full decode and re-encode per pass.
 //
 // # Stuck-column detection and location
 //
@@ -720,9 +718,7 @@ func (w *worker) decode() error {
 // to write back). Stuck columns reassert themselves through the
 // rewrite. Under the scrub detection policy, an unlocated stuck column
 // whose symbol the (successful) decode corrected has been observed
-// deviating and becomes located for every later decode. The rewrite
-// visits stored indices in ascending order, so location samples keep
-// their order.
+// deviating and becomes located for every later decode.
 //
 // A pass over a settled page skips the decode and the rewrite but
 // still counts as a scrub op and as an unlocated read. The page is
@@ -754,24 +750,27 @@ func (w *worker) doScrub(t float64, trial int, acc *campaign.Acc) {
 		return
 	}
 	acc.Add(CounterScrubOps, 1)
-	n, depth := w.page.Code().N(), w.page.Depth()
-	for j := 0; j < n; j++ {
-		for s := 0; s < depth; s++ {
-			cw := w.codec.CorrectedStripe(s)
-			if cw == nil {
+	depth := w.page.Depth()
+	for s := 0; s < depth; s++ {
+		cw := w.codec.CorrectedStripe(s)
+		for j, v := range cw {
+			// A dead column reasserts itself through the rewrite.
+			if idx := j*depth + s; !w.stuck[idx] {
+				w.stored[idx] = v
+			}
+		}
+	}
+	if w.policy == detScrub && w.unlocated > 0 {
+		// An unlocated dead column that disagrees with its corrected
+		// codeword has been observed deviating. Ascending stored index
+		// fixes the order of the location samples.
+		for idx, stuck := range w.stuck {
+			if !stuck || w.located[idx] {
 				continue
 			}
-			idx := j*depth + s
-			if w.stuck[idx] {
-				// The dead column reasserts itself through the rewrite; if
-				// the corrected codeword disagrees with what it drives, the
-				// controller has observed the deviation.
-				if w.policy == detScrub && !w.located[idx] && w.stored[idx] != cw[j] {
-					w.locate(idx, t-w.strikeT[idx], trial, acc)
-				}
-				continue
+			if cw := w.codec.CorrectedStripe(idx % depth); cw != nil && w.stored[idx] != cw[idx/depth] {
+				w.locate(idx, t-w.strikeT[idx], trial, acc)
 			}
-			w.stored[idx] = cw[j]
 		}
 	}
 	w.settled = true
