@@ -792,7 +792,7 @@ func TestCompletedScrubIsFixedPoint(t *testing.T) {
 					if len(w.res.FailedStripes) > 0 {
 						failed++
 					}
-					if miscorrectedStripes(w, data) > 0 {
+					if hasMiscorrection(w, data) {
 						miscorrected++
 					}
 					if w.trialLocated > 0 {
@@ -863,24 +863,20 @@ func TestLocationForcesDecode(t *testing.T) {
 	}
 }
 
-// miscorrectedStripes counts the stripes that decoded into w.res but
-// whose payload differs from data.
-func miscorrectedStripes(w *worker, data []gf.Elem) int {
+// hasMiscorrection reports whether a stripe decoded into w.res with a
+// payload that differs from data.
+func hasMiscorrection(w *worker, data []gf.Elem) bool {
 	depth := w.page.Depth()
 	failed := make([]bool, depth)
 	for _, s := range w.res.FailedStripes {
 		failed[s] = true
 	}
-	wrong := 0
-	for s := 0; s < depth; s++ {
-		for i := s; i < len(data) && !failed[s]; i += depth {
-			if w.res.Data[i] != data[i] {
-				wrong++
-				break
-			}
+	for i := range data {
+		if !failed[i%depth] && w.res.Data[i] != data[i] {
+			return true
 		}
 	}
-	return wrong
+	return false
 }
 
 // batchGoldenCases are the fixed-seed configurations whose complete
