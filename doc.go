@@ -69,11 +69,9 @@
 // container the erasure-heavy RS(255,223) arena decodes ~6.6x faster
 // than the pre-cache batch path (5.7 -> ~38 MB/s) and the clean-arena
 // screen holds >300 MB/s. interleave.Codec.DecodeTo decodes each page
-// as one depth-word arena (with a split memo keeping per-stripe
-// erasure lists stable across scrub passes), which pagesim inherits,
-// and the memsim worker decodes its one- or two-word scrub arena with
-// DecodeAll the same way, so every Monte Carlo scrub loop rides the
-// fast path.
+// as one depth-word arena, which pagesim inherits, and the memsim
+// worker decodes its one- or two-word scrub arena with DecodeAll the
+// same way, so every Monte Carlo scrub loop rides the fast path.
 //
 // # The campaign engine: plan, execute, merge
 //

@@ -310,9 +310,6 @@ type Config struct {
 	// Stop optionally ends the campaign once a counter's confidence
 	// interval is narrow enough.
 	Stop *EarlyStop
-	// Progress, when non-nil, is called from the collector as trials
-	// complete (monotonically, including resumed trials).
-	Progress func(doneTrials, totalTrials int)
 }
 
 // Result is the merged output of a campaign.
@@ -446,7 +443,6 @@ func Run(scn Scenario, cfg Config) (*Result, error) {
 		Workers:  cfg.Workers,
 		Artifact: cfg.Checkpoint,
 		Stop:     cfg.Stop,
-		Progress: cfg.Progress,
 	})
 	if err != nil {
 		return nil, err

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -241,25 +240,6 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	}
 	if _, err := Run(scn, Config{ShardSize: 100, Checkpoint: cp}); err == nil {
 		t.Error("corrupt checkpoint accepted")
-	}
-}
-
-func TestProgressMonotonic(t *testing.T) {
-	scn := &coinScenario{name: "coin", trials: 1000, seed: 2, p: 0.5}
-	var last int64 = -1
-	var calls int64
-	run(t, scn, Config{Workers: 4, ShardSize: 50, Progress: func(done, total int) {
-		atomic.AddInt64(&calls, 1)
-		if int64(done) < atomic.LoadInt64(&last) || total != 1000 {
-			t.Errorf("progress went backwards: %d after %d (total %d)", done, last, total)
-		}
-		atomic.StoreInt64(&last, int64(done))
-	}})
-	if atomic.LoadInt64(&calls) == 0 {
-		t.Error("progress callback never invoked")
-	}
-	if got := atomic.LoadInt64(&last); got != 1000 {
-		t.Errorf("final progress %d, want 1000", got)
 	}
 }
 

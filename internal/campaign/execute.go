@@ -44,10 +44,6 @@ type ExecConfig struct {
 	// artifact resumes where the bounded one left off, so bounded and
 	// unbounded executions reach the identical artifact.
 	MaxShards int
-	// Progress, when non-nil, is called from the collector as trials
-	// complete (monotonically, including resumed trials), with the
-	// partition's trial total.
-	Progress func(doneTrials, totalTrials int)
 }
 
 // Execute runs one partition of the campaign and returns its partial
@@ -174,9 +170,8 @@ func Execute(scn Scenario, plan *Plan, cfg ExecConfig) (*Partial, error) {
 	// early stopping (full plans), and append to the artifact. Spilled
 	// records drop their samples from memory once durably appended.
 	var (
-		buffered   []*shardRecord
-		doneTrials = partial.resumed
-		lastWrite  = time.Now()
+		buffered  []*shardRecord
+		lastWrite = time.Now()
 	)
 	flushDue := func() bool {
 		if appender == nil || len(buffered) == 0 {
@@ -205,12 +200,6 @@ func Execute(scn Scenario, plan *Plan, cfg ExecConfig) (*Partial, error) {
 		lastWrite = time.Now()
 		return nil
 	}
-	reportProgress := func() {
-		if cfg.Progress != nil {
-			cfg.Progress(doneTrials, plan.PartitionTrials())
-		}
-	}
-	reportProgress()
 
 	for done := range results {
 		if done.err != nil {
@@ -236,8 +225,6 @@ func Execute(scn Scenario, plan *Plan, cfg ExecConfig) (*Partial, error) {
 		if appender != nil {
 			buffered = append(buffered, rec)
 		}
-		lo, hi := plan.ShardSpan(done.index)
-		doneTrials += hi - lo
 		advancePrefix()
 		if flushDue() {
 			if err := flush(); err != nil && firstErr == nil {
@@ -245,7 +232,6 @@ func Execute(scn Scenario, plan *Plan, cfg ExecConfig) (*Partial, error) {
 				atomic.StoreInt64(&stopFlag, 1)
 			}
 		}
-		reportProgress()
 	}
 
 	// Flush remaining progress (including partial progress before an

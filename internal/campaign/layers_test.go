@@ -353,6 +353,32 @@ func TestMergeSinkStreamsInTrialOrder(t *testing.T) {
 	}
 }
 
+// TestMergeSinkError: a sink error mid-stream aborts the merge and
+// surfaces the error.
+func TestMergeSinkError(t *testing.T) {
+	scn := &coinScenario{name: "coin", trials: 2000, seed: 8, p: 0.5}
+	p := executePartial(t, scn, 64, t.TempDir())
+	defer p.Close()
+	_, err := Merge([]*Partial{p}, MergeConfig{Sink: &failingSink{failAt: 50}})
+	if err == nil || err.Error() != "sink full" {
+		t.Fatalf("merge with failing sink: err %v, want 'sink full'", err)
+	}
+}
+
+type failingSink struct {
+	n, failAt int
+}
+
+func (s *failingSink) Start(*Result) error { return nil }
+func (s *failingSink) Sample(Sample) error {
+	s.n++
+	if s.n >= s.failAt {
+		return fmt.Errorf("sink full")
+	}
+	return nil
+}
+func (s *failingSink) Note(Note) error { return nil }
+
 func executePartial(t *testing.T, scn Scenario, shardSize int, dir string) *Partial {
 	t.Helper()
 	plan, err := NewPlan(scn, shardSize, Whole)

@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Sink consumes a merged campaign's samples and notes in trial order
@@ -45,15 +44,6 @@ type MergeConfig struct {
 	// uses it to read out a budget-bounded campaign whose stop rule
 	// never fired. At least one leading shard must be complete.
 	AllowIncomplete bool
-	// Workers parallelizes pass 2: shard records (the per-slice sample
-	// streams, possibly spilled to disk) are loaded and decoded by
-	// Workers goroutines while the fold still consumes them in global
-	// shard order, so the merged Result — and every Sink callback
-	// sequence — is bit-identical to the sequential merge. The number
-	// of loaded-but-unconsumed shards is bounded (a small multiple of
-	// Workers), preserving the bounded-memory property of streaming
-	// merges. <= 1 keeps the sequential path.
-	Workers int
 }
 
 // Merge folds any set of partial results — from one process or many —
@@ -170,142 +160,28 @@ func Merge(partials []*Partial, cfg MergeConfig) (*Result, error) {
 			return nil, err
 		}
 	}
-	emit := func(rec *shardRecord) error {
-		if cfg.Sink != nil {
-			for _, s := range rec.Samples {
-				if err := cfg.Sink.Sample(s); err != nil {
-					return err
-				}
-			}
-			for _, n := range rec.Notes {
-				if err := cfg.Sink.Note(n); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		res.Samples = append(res.Samples, rec.Samples...)
-		res.Notes = append(res.Notes, rec.Notes...)
-		return nil
-	}
-	if cfg.Workers > 1 && useShards > 1 {
-		if err := foldRecordsParallel(owner, useShards, cfg.Workers, emit); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
 	for i := 0; i < useShards; i++ {
 		rec, err := owner[i].load(i)
 		if err != nil {
 			return nil, err
 		}
-		if err := emit(rec); err != nil {
-			return nil, err
+		if cfg.Sink == nil {
+			res.Samples = append(res.Samples, rec.Samples...)
+			res.Notes = append(res.Notes, rec.Notes...)
+			continue
+		}
+		for _, s := range rec.Samples {
+			if err := cfg.Sink.Sample(s); err != nil {
+				return nil, err
+			}
+		}
+		for _, n := range rec.Notes {
+			if err := cfg.Sink.Note(n); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return res, nil
-}
-
-// foldRecordsParallel is pass 2's parallel shard-record pipeline:
-// workers load (and JSON-decode) shard records concurrently while the
-// caller's emit still runs sequentially in global shard order — the
-// same order the sequential loop uses, so the output is bit-identical.
-// A window semaphore bounds the number of dispatched-but-unconsumed
-// shards, so a streaming merge keeps its bounded-memory property.
-// Dispatch is strictly in shard order, which guarantees the next shard
-// the consumer needs is always within the window (no deadlock).
-//
-// One subtlety: concurrent loads of different shards of the SAME
-// partial share its *os.File via ReadAt (safe: positional reads) but
-// must not race on the lazy reopen, which load serializes internally.
-func foldRecordsParallel(owner map[int]*Partial, useShards, workers int, emit func(*shardRecord) error) error {
-	if workers > useShards {
-		workers = useShards
-	}
-	window := 2 * workers
-
-	type loaded struct {
-		idx int
-		rec *shardRecord
-		err error
-	}
-	sem := make(chan struct{}, window)
-	jobs := make(chan int)
-	results := make(chan loaded, window)
-	quit := make(chan struct{})
-	var quitOnce sync.Once
-	stop := func() { quitOnce.Do(func() { close(quit) }) }
-	var wg sync.WaitGroup
-	// On every exit — error paths included — signal quit and join the
-	// workers, so no goroutine outlives the merge still reading partials
-	// the caller is about to Close.
-	defer func() {
-		stop()
-		wg.Wait()
-	}()
-
-	// Dispatcher: admit shard indices in order, gated by the window.
-	go func() {
-		defer close(jobs)
-		for i := 0; i < useShards; i++ {
-			select {
-			case sem <- struct{}{}:
-			case <-quit:
-				return
-			}
-			select {
-			case jobs <- i:
-			case <-quit:
-				return
-			}
-		}
-	}()
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				rec, err := owner[idx].load(idx)
-				select {
-				case results <- loaded{idx: idx, rec: rec, err: err}:
-				case <-quit:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Consumer: reorder the out-of-order completions back into global
-	// shard order. pending never exceeds the window.
-	pending := make(map[int]loaded, window)
-	for next := 0; next < useShards; {
-		l, ok := pending[next]
-		if !ok {
-			r, open := <-results
-			if !open {
-				// Workers exited without delivering shard `next` — only
-				// possible after quit, i.e. an earlier error path.
-				return fmt.Errorf("campaign: parallel merge lost shard %d", next)
-			}
-			pending[r.idx] = r
-			continue
-		}
-		delete(pending, next)
-		if l.err != nil {
-			return l.err
-		}
-		if err := emit(l.rec); err != nil {
-			return err
-		}
-		<-sem
-		next++
-	}
-	return nil
 }
 
 // describePartial names a partial for error messages.

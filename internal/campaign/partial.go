@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Partial-result artifact format. Version 2 is an append-only JSON
@@ -196,7 +195,8 @@ func (s *Sample) UnmarshalJSON(data []byte) error {
 // merge validation) plus per-shard samples and notes, held in memory
 // for artifact-less executions and lazily re-read from the artifact
 // file otherwise, so a file-backed Partial's memory footprint is
-// independent of the campaign's sample volume.
+// independent of the campaign's sample volume. A Partial is not safe
+// for concurrent use.
 type Partial struct {
 	header  partialHeader
 	resumed int // trials restored from a pre-existing artifact
@@ -206,9 +206,8 @@ type Partial struct {
 	mem      map[int]*shardRecord       // artifact-less (or gzip-loaded) records
 	loc      map[int][2]int64           // file-backed record {offset, length}
 
-	path   string
-	fileMu sync.Mutex // guards the lazy reopen below (parallel merges load concurrently)
-	file   *os.File   // lazily opened read handle for load; reads use ReadAt (positional, shareable)
+	path string
+	file *os.File // lazily opened read handle for load
 }
 
 // Partition returns the slice of the campaign this partial holds.
@@ -267,19 +266,15 @@ func (p *Partial) load(idx int) (*shardRecord, error) {
 	if !ok {
 		return nil, fmt.Errorf("campaign: partial %s has no shard %d", describePartial(p), idx)
 	}
-	p.fileMu.Lock()
 	if p.file == nil {
 		f, err := os.Open(p.path)
 		if err != nil {
-			p.fileMu.Unlock()
 			return nil, fmt.Errorf("campaign: reopen partial: %w", err)
 		}
 		p.file = f
 	}
-	file := p.file
-	p.fileMu.Unlock()
 	buf := make([]byte, loc[1])
-	if _, err := file.ReadAt(buf, loc[0]); err != nil {
+	if _, err := p.file.ReadAt(buf, loc[0]); err != nil {
 		return nil, fmt.Errorf("campaign: read partial %s shard %d: %w", p.path, idx, err)
 	}
 	var rec shardRecord

@@ -82,10 +82,7 @@ func (b *Built) RunPartition(f *File, part campaign.Partition, dir string) (*cam
 // (bit-identically — the campaign engine's determinism law), applying
 // the entry's early-stop rule on the contiguous prefix. A non-nil
 // sink streams samples and notes instead of materializing them (the
-// bounded-memory path for million-sample campaigns). The file's
-// worker count parallelizes pass 2's record loading (per-slice sample
-// streams fold concurrently, concatenated in global shard order — the
-// output is bit-identical at any worker count).
+// bounded-memory path for million-sample campaigns).
 func (b *Built) MergePartials(f *File, dir string, sink campaign.Sink) (*campaign.Result, error) {
 	paths, err := b.Entry.PartialFiles(dir)
 	if err != nil {
@@ -109,7 +106,7 @@ func (b *Built) MergePartials(f *File, dir string, sink campaign.Sink) (*campaig
 		partials = append(partials, p)
 	}
 	cfg := b.EngineConfig(f)
-	cres, err := campaign.Merge(partials, campaign.MergeConfig{Stop: cfg.Stop, Sink: sink, ParamsDigest: cfg.ParamsDigest, Workers: cfg.Workers})
+	cres, err := campaign.Merge(partials, campaign.MergeConfig{Stop: cfg.Stop, Sink: sink, ParamsDigest: cfg.ParamsDigest})
 	if err != nil {
 		return nil, fmt.Errorf("spec: %s: %w", b.Entry.Name, err)
 	}

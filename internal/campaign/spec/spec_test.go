@@ -37,6 +37,7 @@ func TestBuildRejectsBadParams(t *testing.T) {
 		{Name: "a", Kind: "memsim", Params: []byte(`{"bogus":1}`)},
 		{Name: "a", Kind: "memsim", Params: []byte(`{"trials":0,"horizon_hours":1}`)},
 		{Name: "a", Kind: "memsim", Params: []byte(`{"n":3,"k":5,"trials":1,"horizon_hours":1}`)},
+		{Name: "a", Kind: "memsim", Params: []byte(`{"lambda_bit_per_hour":1e307,"trials":1,"horizon_hours":48}`)},
 		{Name: "a", Kind: "mbusim", Params: []byte(`{"events_per_kilobit":0,"burst_bits":1,"trials":1}`)},
 		{Name: "a", Kind: "mbusim", Params: []byte(`{"events_per_kilobit":4,"burst_bits":1,"trials":0}`)},
 		{Name: "a", Kind: "bercurve", Params: []byte(`{"hours":0}`)},
@@ -46,6 +47,7 @@ func TestBuildRejectsBadParams(t *testing.T) {
 		{Name: "a", Kind: "interleave", Params: []byte(`{"bogus":1}`)},
 		{Name: "a", Kind: "interleave", Params: []byte(`{"trials":0,"horizon_hours":1}`)},
 		{Name: "a", Kind: "interleave", Params: []byte(`{"depth":-1,"trials":1,"horizon_hours":1}`)},
+		{Name: "a", Kind: "interleave", Params: []byte(`{"depth":2,"lambda_bit_per_hour":1e300,"trials":1,"horizon_hours":48}`)},
 		{Name: "a", Kind: "array", Params: []byte(`{"hours":0,"trials":1}`)},
 		{Name: "a", Kind: "array", Params: []byte(`{"hours":1,"trials":1,"arrangement":"triplex"}`)},
 		{Name: "a", Kind: "array", Params: []byte(`{"hours":1,"trials":1,"n":3,"k":5}`)},

@@ -30,11 +30,11 @@ func checkDecodeMatch(t *testing.T, label string, want *DecodeResult, got *Decod
 }
 
 // TestCodecErasureMemoAcrossLists drives one codec through a sequence
-// of erasure lists designed to trip a stale split memo — list A, a
-// different same-length list B, A again, no list, then A mutated in
-// place — comparing every decode against Page.Decode on the same
-// inputs. A memo keyed on anything weaker than list content (pointer,
-// length) fails this.
+// of erasure lists designed to trip any state kept from one decode to
+// the next — list A, a different same-length list B, A again, no list,
+// then A mutated in place — comparing every decode against Page.Decode
+// on the same inputs. Reusing a split or an rs erasure-set entry keyed
+// on anything weaker than list content (pointer, length) fails this.
 func TestCodecErasureMemoAcrossLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	p, err := New(code36, 4) // RS(36,16): d=20 erasures per stripe
@@ -62,7 +62,7 @@ func TestCodecErasureMemoAcrossLists(t *testing.T) {
 		for _, step := range steps {
 			if step.name == "mutated-in-place" {
 				// Same backing array as the previous round's pass, new
-				// contents: the memo must notice.
+				// contents: the decode must see the new list.
 				for i := range mutated {
 					mutated[i] = rng.Intn(p.StoredSymbols())
 				}
@@ -95,7 +95,7 @@ func TestCodecErasureMemoAcrossLists(t *testing.T) {
 		}
 	}
 
-	// An invalid list must still be rejected after a valid memo, and a
+	// An invalid list must still be rejected after valid ones, and a
 	// valid decode must still work after the rejection.
 	if err := c.DecodeTo(&res, stored2, []int{p.StoredSymbols()}); err == nil {
 		t.Fatal("out-of-range erasure accepted after memoized split")

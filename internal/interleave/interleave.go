@@ -119,15 +119,6 @@ type Codec struct {
 	stripeCW   []gf.Elem
 	perStripe  [][]int
 
-	// Erasure-split memo: when a decode passes the same stored-page
-	// erasure list as the previous one (the located-column list of a
-	// scrub loop is stable between strikes), the per-stripe split is
-	// reused instead of rebuilt, keeping each stripe's list — contents
-	// *and* backing array — stable so the rs erasure-set cache resolves
-	// every stripe without rehashing new slices.
-	lastErs []int // copy of the list perStripe currently reflects
-	split   bool  // perStripe matches lastErs
-
 	// last is the per-stripe outcome of the last DecodeTo, nil unless
 	// that call completed; CorrectedStripe reads it.
 	last *rs.BatchResult
@@ -179,16 +170,11 @@ func (c *Codec) DecodeTo(res *DecodeResult, stored []gf.Elem, erasures []int) er
 	if len(stored) != p.StoredSymbols() {
 		return fmt.Errorf("interleave: stored page has %d symbols, want %d", len(stored), p.StoredSymbols())
 	}
-	if !c.split || !intsEq(erasures, c.lastErs) {
-		for s := range c.perStripe {
-			c.perStripe[s] = c.perStripe[s][:0]
-		}
-		c.split = false
-		if err := p.splitErasures(c.perStripe, erasures); err != nil {
-			return err
-		}
-		c.lastErs = append(c.lastErs[:0], erasures...)
-		c.split = true
+	for s := range c.perStripe {
+		c.perStripe[s] = c.perStripe[s][:0]
+	}
+	if err := p.splitErasures(c.perStripe, erasures); err != nil {
+		return err
 	}
 	if cap(res.Data) < p.DataSymbols() {
 		res.Data = make([]gf.Elem, p.DataSymbols())
@@ -204,8 +190,8 @@ func (c *Codec) DecodeTo(res *DecodeResult, stored []gf.Elem, erasures []int) er
 			word[j] = stored[j*depth+s]
 		}
 	}
-	// The per-stripe lists are not mutated until the next split, which
-	// satisfies the rs.Batch list-sharing contract for this call.
+	// The per-stripe lists are not mutated until the next DecodeTo,
+	// which satisfies the rs.Batch list-sharing contract for this call.
 	bres, err := c.bdec.DecodeAll(rs.Batch{Words: c.arena, Stride: n, Count: depth}, c.perStripe)
 	if err != nil {
 		return err
@@ -244,18 +230,4 @@ func (c *Codec) CorrectedStripe(s int) []gf.Elem {
 	}
 	n := c.page.code.N()
 	return c.arena[s*n : (s+1)*n : (s+1)*n]
-}
-
-// intsEq reports element-wise equality (order-sensitive, like the
-// split it memoizes).
-func intsEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -90,15 +90,16 @@ func (c Config) weighted() bool { return c.TiltFactor > 1 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
+	finite := func(v float64) bool { return v >= 0 && !math.IsInf(v, 0) && !math.IsNaN(v) }
 	switch {
 	case c.Code == nil:
 		return fmt.Errorf("memsim: nil code")
-	case c.LambdaBit < 0 || c.LambdaSymbol < 0:
-		return fmt.Errorf("memsim: negative fault rate")
-	case c.ScrubPeriod < 0:
-		return fmt.Errorf("memsim: negative scrub period")
-	case c.DetectionLatency < 0:
-		return fmt.Errorf("memsim: negative detection latency")
+	case !finite(c.LambdaBit) || !finite(c.LambdaSymbol):
+		return fmt.Errorf("memsim: fault rates must be finite and nonnegative")
+	case !finite(c.ScrubPeriod):
+		return fmt.Errorf("memsim: invalid scrub period %v", c.ScrubPeriod)
+	case !finite(c.DetectionLatency):
+		return fmt.Errorf("memsim: invalid detection latency %v", c.DetectionLatency)
 	case math.IsNaN(c.TiltFactor) || math.IsInf(c.TiltFactor, 0) || c.TiltFactor < 0:
 		return fmt.Errorf("memsim: invalid tilt factor %v", c.TiltFactor)
 	case c.TiltFactor != 0 && c.TiltFactor < 1:
@@ -108,7 +109,25 @@ func (c Config) Validate() error {
 	case c.Trials <= 0:
 		return fmt.Errorf("memsim: need at least one trial")
 	}
+	_, _, total := c.rates()
+	if err := scrub.CheckArrivals(total, c.TiltFactor, c.Horizon); err != nil {
+		return fmt.Errorf("memsim: %w", err)
+	}
 	return nil
+}
+
+// rates returns the per-module SEU and permanent-fault rates and the
+// untilted total over all modules (per hour): the rate each trial's
+// clock starts with, and the one Validate bounds.
+func (c Config) rates() (seu, perm, total float64) {
+	n, m := c.Code.N(), c.Code.Field().M()
+	seu = float64(n*m) * c.LambdaBit
+	perm = float64(n) * c.LambdaSymbol
+	modules := 1
+	if c.Duplex {
+		modules = 2
+	}
+	return seu, perm, float64(modules) * (seu + perm)
 }
 
 // Counter keys under which the scenario reports into the campaign
@@ -431,7 +450,7 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // RunCampaign executes the campaign with explicit engine controls
-// (checkpoint path, early stopping, progress); ecfg.Workers defaults
+// (checkpoint path, early stopping); ecfg.Workers defaults
 // to cfg.Workers when zero. It returns both the simulator-level and
 // the raw engine result (for early-stop and resume bookkeeping).
 func RunCampaign(cfg Config, ecfg campaign.Config) (*Result, *campaign.Result, error) {
@@ -474,9 +493,8 @@ func (ws *worker) runTrial(trial int, acc *campaign.Acc) {
 	// arrival clock (all fault rates jointly, so module and fault-type
 	// selection keep their untilted distribution); the clock's
 	// likelihood ratio corrects the estimator.
-	seuRate := float64(n*m) * cfg.LambdaBit
-	permRate := float64(n) * cfg.LambdaSymbol
-	ws.clock.Start(float64(len(ws.mods)) * (seuRate + permRate))
+	seuRate, permRate, totalRate := cfg.rates()
+	ws.clock.Start(totalRate)
 	for {
 		t, ev := ws.clock.Next()
 		if ev == scrub.Done {

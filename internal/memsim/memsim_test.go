@@ -39,6 +39,15 @@ func TestValidate(t *testing.T) {
 		{Code: code, Horizon: 0, Trials: 1},
 		{Code: code, Horizon: math.NaN(), Trials: 1},
 		{Code: code, Horizon: 1, Trials: 0},
+		// Non-finite values: +Inf rate hangs the event loop, NaN rate
+		// and scrub period silently switch SEUs and scrubbing off.
+		{Code: code, LambdaBit: math.Inf(1), Horizon: 1, Trials: 1},
+		{Code: code, LambdaBit: math.NaN(), Horizon: 1, Trials: 1},
+		{Code: code, ScrubPeriod: math.NaN(), Horizon: 1, Trials: 1},
+		// Finite rates whose expected arrivals per trial overflow or
+		// exceed the clock's bound would never reach the horizon.
+		{Code: code, LambdaBit: 1e307, Horizon: 48, Trials: 1},
+		{Code: code, Duplex: true, LambdaSymbol: 1e300, Horizon: 48, Trials: 1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

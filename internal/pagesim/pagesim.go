@@ -380,7 +380,23 @@ func Scenario(cfg Config) (campaign.Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
+	_, _, total := cfg.rates(page)
+	if err := scrub.CheckArrivals(total, cfg.TiltFactor, cfg.Horizon); err != nil {
+		return nil, fmt.Errorf("pagesim: %w", err)
+	}
 	return &scenario{cfg: cfg, dist: dist, policy: policy, page: page}, nil
+}
+
+// rates returns the page's SEU and burst event rates and the untilted
+// total with stuck columns (per hour): the rate each trial's clock
+// starts with, and the one Scenario bounds.
+func (c Config) rates(page *interleave.Page) (seu, burst, total float64) {
+	storedSymbols := page.StoredSymbols()
+	storedBits := storedSymbols * page.Code().Field().M()
+	seu = c.LambdaBit * float64(storedBits)
+	burst = c.BurstPerKilobit * float64(storedBits) / 1000
+	col := c.LambdaColumn * float64(storedSymbols)
+	return seu, burst, seu + burst + col
 }
 
 // Name encodes the full configuration so checkpoints from a different
@@ -450,10 +466,9 @@ type worker struct {
 	strikeT []float64 // strike instant per stuck column (hours)
 	// erasures is the located-column list handed to every decode of the
 	// trial. It is rebuilt (in column order) only when a location event
-	// dirties it, so between strikes each scrub pass reuses the same
-	// list — contents and backing array — and the codec's erasure-split
-	// memo plus the rs erasure-set cache resolve the whole page without
-	// rebuilding locator state.
+	// dirties it, so between strikes each scrub pass hands the codec the
+	// same list and the rs erasure-set cache, keyed on list content,
+	// resolves every stripe without rebuilding locator state.
 	erasures []int
 	ersDirty bool // erasures no longer reflects located
 	res      interleave.DecodeResult
@@ -522,10 +537,7 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 	// the arrival clock — all rates jointly — so the event-type split
 	// below keeps its untilted distribution; the clock's likelihood
 	// ratio corrects the estimator.
-	seuRate := cfg.LambdaBit * float64(storedBits)
-	burstRate := cfg.BurstPerKilobit * float64(storedBits) / 1000
-	colRate := cfg.LambdaColumn * float64(storedSymbols)
-	totalRate := seuRate + burstRate + colRate
+	seuRate, burstRate, totalRate := cfg.rates(page)
 	w.clock.Start(totalRate)
 
 	seus, bursts, cols := 0, 0, 0

@@ -47,6 +47,13 @@ func TestValidation(t *testing.T) {
 	if _, err := Scenario(Config{Depth: 2, BurstPerKilobit: 1, BurstBits: 10000, Horizon: 1, Trials: 1}); err == nil {
 		t.Error("burst longer than the stored page accepted")
 	}
+	// Finite rates whose expected arrivals per trial overflow (1e307)
+	// or exceed the clock's bound (1e300) would never reach the horizon.
+	for _, lb := range []float64{1e307, 1e300} {
+		if _, err := Scenario(Config{Depth: 2, LambdaBit: lb, Horizon: 48, Trials: 1}); err == nil {
+			t.Errorf("lambda_bit %g accepted", lb)
+		}
+	}
 }
 
 func TestNoFaultsNoLoss(t *testing.T) {

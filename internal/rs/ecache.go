@@ -185,7 +185,9 @@ func (ec *erasureCache) build(e *erasureEntry, ers []int) {
 
 	// Gamma(x) = prod (1 - x*alpha^(n-1-p)), built exactly as decode
 	// builds it, zero-padded to d+1 coefficients. Each linear factor
-	// multiplies through one row view when the field carries tables.
+	// multiplies through one row view: the cache serves only the batch
+	// path's packed table, which exists just for fields with
+	// multiplication tables.
 	for len(e.gamma) <= d {
 		e.gamma = append(e.gamma, 0)
 	}
@@ -194,15 +196,9 @@ func (ec *erasureCache) build(e *erasureEntry, ers []int) {
 	}
 	e.gamma[0] = 1
 	for deg, p := range ers {
-		a := f.Exp(c.n - 1 - p)
-		if row := f.MulRow(a); row != nil {
-			for j := deg + 1; j >= 1; j-- {
-				e.gamma[j] ^= row[e.gamma[j-1]]
-			}
-		} else {
-			for j := deg + 1; j >= 1; j-- {
-				e.gamma[j] ^= f.Mul(e.gamma[j-1], a)
-			}
+		row := f.MulRow(f.Exp(c.n - 1 - p))
+		for j := deg + 1; j >= 1; j-- {
+			e.gamma[j] ^= row[e.gamma[j-1]]
 		}
 	}
 
@@ -222,14 +218,9 @@ func (ec *erasureCache) build(e *erasureEntry, ers []int) {
 		// coefficients, scaled by xInv.
 		xi2 := f.Mul(xInv, xInv)
 		var odd gf.Elem
-		if row := f.MulRow(xi2); row != nil {
-			for j := oddTop; j >= 1; j -= 2 {
-				odd = row[odd] ^ e.gamma[j]
-			}
-		} else {
-			for j := oddTop; j >= 1; j -= 2 {
-				odd = f.Mul(odd, xi2) ^ e.gamma[j]
-			}
+		row := f.MulRow(xi2)
+		for j := oddTop; j >= 1; j -= 2 {
+			odd = row[odd] ^ e.gamma[j]
 		}
 		odd = f.Mul(odd, xInv)
 		if odd == 0 {

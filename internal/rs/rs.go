@@ -718,7 +718,10 @@ func (dec *Decoder) decodeWithSyndromes(received []gf.Elem, ent *erasureEntry) (
 // and the Chien search would rediscover what the cache already knows.
 // The arithmetic is the root-hit body of chienForney verbatim (same
 // magnitudes, same syndrome folding), minus the O(n*deg) sweep; the
-// caller's residual-syndrome check still stands guard behind it.
+// caller's residual-syndrome check still stands guard behind it. Only
+// the batch path reaches it, and only with the packed syndrome table,
+// which exists just for fields with multiplication tables, so every
+// MulRow below is a table row.
 func (dec *Decoder) forneyAtRoots(ent *erasureEntry) {
 	f := dec.c.f
 	omega := dec.omega
@@ -728,76 +731,57 @@ func (dec *Decoder) forneyAtRoots(ent *erasureEntry) {
 	}
 	fcr1 := dec.c.fcr == 1
 	syn := dec.syn
-	if f.MulRow(1) != nil {
-		// Row-view form: the Horner numerator and the syndrome fold are
-		// serial chains of one-constant multiplies, so each runs on a
-		// single L1-resident table row instead of log/exp round trips —
-		// and two roots' chains are independent, so they interleave to
-		// overlap the load latencies (the syndrome folds of a pair XOR
-		// into the same register, which is the same GF sum).
-		roots := ent.roots
-		i := 0
-		for ; i+1 < len(roots); i += 2 {
-			r0, r1 := &roots[i], &roots[i+1]
-			row0, row1 := f.MulRow(r0.xInv), f.MulRow(r1.xInv)
-			var n0, n1 gf.Elem
-			for j := omegaDeg; j >= 0; j-- {
-				w := omega[j]
-				n0 = row0[n0] ^ w
-				n1 = row1[n1] ^ w
-			}
-			mag0 := f.Mul(n0, r0.invDenom)
-			mag1 := f.Mul(n1, r1.invDenom)
-			if !fcr1 {
-				mag0 = f.Mul(mag0, r0.fcrAdj)
-				mag1 = f.Mul(mag1, r1.fcrAdj)
-			}
-			dec.word[r0.pos] ^= mag0
-			dec.word[r1.pos] ^= mag1
-			rx0, rx1 := f.MulRow(r0.x), f.MulRow(r1.x)
-			t0 := f.Mul(mag0, r0.synBase)
-			t1 := f.Mul(mag1, r1.synBase)
-			for j := range syn {
-				syn[j] ^= t0 ^ t1
-				t0 = rx0[t0]
-				t1 = rx1[t1]
-			}
+	// Row-view form: the Horner numerator and the syndrome fold are
+	// serial chains of one-constant multiplies, so each runs on a
+	// single L1-resident table row instead of log/exp round trips —
+	// and two roots' chains are independent, so they interleave to
+	// overlap the load latencies (the syndrome folds of a pair XOR
+	// into the same register, which is the same GF sum).
+	roots := ent.roots
+	i := 0
+	for ; i+1 < len(roots); i += 2 {
+		r0, r1 := &roots[i], &roots[i+1]
+		row0, row1 := f.MulRow(r0.xInv), f.MulRow(r1.xInv)
+		var n0, n1 gf.Elem
+		for j := omegaDeg; j >= 0; j-- {
+			w := omega[j]
+			n0 = row0[n0] ^ w
+			n1 = row1[n1] ^ w
 		}
-		for ; i < len(roots); i++ {
-			r := &roots[i]
-			rowXInv := f.MulRow(r.xInv)
-			var num gf.Elem
-			for j := omegaDeg; j >= 0; j-- {
-				num = rowXInv[num] ^ omega[j]
-			}
-			mag := f.Mul(num, r.invDenom)
-			if !fcr1 {
-				mag = f.Mul(mag, r.fcrAdj)
-			}
-			dec.word[r.pos] ^= mag
-			rowX := f.MulRow(r.x)
-			t := f.Mul(mag, r.synBase)
-			for j := range syn {
-				syn[j] ^= t
-				t = rowX[t]
-			}
+		mag0 := f.Mul(n0, r0.invDenom)
+		mag1 := f.Mul(n1, r1.invDenom)
+		if !fcr1 {
+			mag0 = f.Mul(mag0, r0.fcrAdj)
+			mag1 = f.Mul(mag1, r1.fcrAdj)
 		}
-		return
+		dec.word[r0.pos] ^= mag0
+		dec.word[r1.pos] ^= mag1
+		rx0, rx1 := f.MulRow(r0.x), f.MulRow(r1.x)
+		t0 := f.Mul(mag0, r0.synBase)
+		t1 := f.Mul(mag1, r1.synBase)
+		for j := range syn {
+			syn[j] ^= t0 ^ t1
+			t0 = rx0[t0]
+			t1 = rx1[t1]
+		}
 	}
-	for _, r := range ent.roots {
+	for ; i < len(roots); i++ {
+		r := &roots[i]
+		rowXInv := f.MulRow(r.xInv)
 		var num gf.Elem
 		for j := omegaDeg; j >= 0; j-- {
-			num = f.Mul(num, r.xInv) ^ omega[j]
+			num = rowXInv[num] ^ omega[j]
 		}
 		mag := f.Mul(num, r.invDenom)
 		if !fcr1 {
 			mag = f.Mul(mag, r.fcrAdj)
 		}
 		dec.word[r.pos] ^= mag
+		rowX := f.MulRow(r.x)
 		t := f.Mul(mag, r.synBase)
 		for j := range syn {
 			syn[j] ^= t
-			t = f.Mul(t, r.x)
+			t = rowX[t]
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package scrub
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -60,6 +61,32 @@ func NewClock(rng *rand.Rand, sched Scheduler, tilt, horizon float64) *Clock {
 		tilt = 1
 	}
 	return &Clock{rng: rng, sched: sched, tilt: tilt, horizon: horizon}
+}
+
+// maxArrivals bounds the expected fault arrivals per trial. Every
+// arrival is one step of the caller's event loop, so a rate whose
+// expectation is astronomically large (or overflows to +Inf) would
+// keep a trial from ever reaching its horizon. The bound sits orders
+// of magnitude above any useful campaign (a few arrivals per trial)
+// while a memsim or pagesim trial at the bound still runs in well
+// under a second.
+const maxArrivals = 1e6
+
+// CheckArrivals rejects a trial whose expected fault-arrival count,
+// tilt × rate × horizon, is not finite or exceeds maxArrivals. rate is
+// the untilted total the caller passes to Start; a tilt of 0 means
+// untilted, as in NewClock. Simulators call it when validating a
+// configuration, so a runaway rate fails before any trial runs.
+func CheckArrivals(rate, tilt, horizon float64) error {
+	if tilt == 0 {
+		tilt = 1
+	}
+	n := tilt * rate * horizon
+	if math.IsNaN(n) || math.IsInf(n, 0) || n > maxArrivals {
+		return fmt.Errorf("scrub: a trial expects %g fault arrivals (tilt %g × rate %g/h × horizon %g h), beyond the limit of %g",
+			n, tilt, rate, horizon, float64(maxArrivals))
+	}
+	return nil
 }
 
 // Start begins a trial at t = 0 with the untilted total fault rate R0

@@ -176,3 +176,34 @@ func TestClockEvents(t *testing.T) {
 		t.Errorf("likelihood ratio %v, want %v", lr, want)
 	}
 }
+
+// TestCheckArrivals: the bound itself passes, anything above it or
+// non-finite is rejected, and tilt 0 counts as untilted.
+func TestCheckArrivals(t *testing.T) {
+	good := []struct{ rate, tilt, horizon float64 }{
+		{0, 0, 48},
+		{1, 1, maxArrivals},
+		{1, 0, maxArrivals},
+		{maxArrivals / 4, 4, 1},
+	}
+	for _, c := range good {
+		if err := CheckArrivals(c.rate, c.tilt, c.horizon); err != nil {
+			t.Errorf("CheckArrivals(%v, %v, %v): %v", c.rate, c.tilt, c.horizon, err)
+		}
+	}
+	above := math.Nextafter(maxArrivals, math.Inf(1))
+	bad := []struct{ rate, tilt, horizon float64 }{
+		{above, 1, 1},
+		{above, 0, 1},
+		{maxArrivals, 2, 1},
+		{math.NaN(), 1, 1},
+		{math.Inf(1), 1, 1},
+		{1e307, 1, 48 * 144},
+		{1, math.Inf(1), 1},
+	}
+	for _, c := range bad {
+		if err := CheckArrivals(c.rate, c.tilt, c.horizon); err == nil {
+			t.Errorf("CheckArrivals(%v, %v, %v) accepted", c.rate, c.tilt, c.horizon)
+		}
+	}
+}
