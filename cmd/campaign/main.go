@@ -29,12 +29,8 @@
 // answer. Weighted scenarios render the biased-measure counts plus
 // the weighted estimate, its relative error and the effective sample
 // size; a "stop" rule with "rel_half_width" stops them once the
-// estimate's relative error is small enough. A file-level "adaptive"
-// block {"round_trials":N,"max_rounds":M} re-plans the trial budget
-// across scenarios between merge rounds, spending each round's trials
-// where the relative error is widest; adaptive specs run
-// single-process (-partition/-merge are rejected, and so is a -submit
-// to the job service). See examples/campaign/rare.json.
+// estimate's relative error is small enough. See
+// examples/campaign/rare.json.
 //
 // # Multi-process sharding
 //
@@ -146,7 +142,7 @@ func main() {
 		quiet     = flag.Bool("q", false, "suppress per-scenario rendering, print only verdicts")
 		partition = flag.String("partition", "", "run only slice i/N of every scenario (e.g. 0/3), writing partial artifacts under -partials")
 		merge     = flag.Bool("merge", false, "merge the partial artifacts under -partials instead of running scenarios")
-		partials  = flag.String("partials", "", "directory of partial-result artifacts (required with -partition or -merge)")
+		partials  = flag.String("partials", "", "directory of partial-result artifacts; required by, and used only with, -partition, -merge and -serve")
 		stream    = flag.Bool("stream", false, "with -merge and -out: stream samples into the CSV artifacts instead of holding them in memory (implies -q; JSON artifacts omit samples)")
 
 		serveAddr    = flag.String("serve", "", "host the fabric job service on this address (e.g. :9618): specs arrive with -submit, executors pull slice leases, each job merges server-side")
@@ -198,6 +194,11 @@ func main() {
 	}
 	if (*tenants != "" || *drainAfter != 0) && *serveAddr == "" {
 		fatal(fmt.Errorf("-tenants/-drain-after configure the -serve service"))
+	}
+	if *partials != "" && *serveAddr == "" && *partition == "" && !*merge {
+		// A forgotten -partition would otherwise run the whole
+		// campaign and leave the directory empty.
+		fatal(fmt.Errorf("-partials is the artifact directory of -partition, -merge and -serve; pass one of them"))
 	}
 	if *serveAddr != "" {
 		// Multi-tenant job service: no campaign of its own, jobs arrive
@@ -262,11 +263,6 @@ func main() {
 	if *workers > 0 {
 		f.Workers = *workers
 	}
-	if f.Adaptive != nil && (*partition != "" || *merge) {
-		// The adaptive allocator owns sharding: it re-plans the trial
-		// budget between rounds, which a fixed partition cannot follow.
-		fatal(fmt.Errorf("spec has an adaptive block, which runs single-process; drop -partition/-merge"))
-	}
 	built, err := f.BuildAll()
 	if err != nil {
 		fatal(err)
@@ -282,12 +278,11 @@ func main() {
 		os.Exit(runPartition(f, built, part, *partials))
 	}
 	os.Exit(runCampaigns(f, built, runOptions{
-		outDir:   *outDir,
-		quiet:    *quiet,
-		merge:    *merge,
-		stream:   *stream,
-		dir:      *partials,
-		adaptive: f.Adaptive != nil,
+		outDir: *outDir,
+		quiet:  *quiet,
+		merge:  *merge,
+		stream: *stream,
+		dir:    *partials,
 	}))
 }
 
@@ -314,12 +309,11 @@ func runPartition(f *spec.File, built []*spec.Built, part campaign.Partition, di
 }
 
 type runOptions struct {
-	outDir   string
-	quiet    bool
-	merge    bool // obtain results by merging partials instead of running
-	stream   bool // stream samples to CSV during the merge
-	dir      string
-	adaptive bool // spec has an adaptive block: results come from spec.RunAdaptive
+	outDir string
+	quiet  bool
+	merge  bool // obtain results by merging partials instead of running
+	stream bool // stream samples to CSV during the merge
+	dir    string
 }
 
 // runCampaigns obtains every scenario's result (running it, or
@@ -330,33 +324,6 @@ func runCampaigns(f *spec.File, built []*spec.Built, opts runOptions) int {
 		if err := os.MkdirAll(opts.outDir, 0o755); err != nil {
 			fatal(err)
 		}
-	}
-
-	// Adaptive specs compute every result up front: RunAdaptive
-	// interleaves the scenarios in allocation rounds, so results only
-	// exist once the whole loop converged. Rendering, expectations and
-	// artifacts then reuse the ordinary per-scenario flow below.
-	var adaptiveResults []*campaign.Result
-	if opts.adaptive {
-		dir := opts.dir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "campaign-adaptive-")
-			if err != nil {
-				fatal(err)
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		}
-		logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
-		if opts.quiet {
-			logf = nil
-		}
-		res, err := spec.RunAdaptive(f, built, dir, logf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
-			return 1
-		}
-		adaptiveResults = res
 	}
 
 	failures := 0
@@ -370,7 +337,7 @@ func runCampaigns(f *spec.File, built []*spec.Built, opts runOptions) int {
 		cellCount[b.Entry.MatrixOrigin]++
 	}
 	headerPrinted := make(map[string]bool)
-	for bi, b := range built {
+	for _, b := range built {
 		// One header per matrix (at its first cell), not one per cell —
 		// the cells' results arrive as a single grid table at the end
 		// (which also shows each cell's own trial count; "trials" can
@@ -387,13 +354,7 @@ func runCampaigns(f *spec.File, built []*spec.Built, opts runOptions) int {
 		} else {
 			fmt.Printf("=== %s (%s, %d trials) ===\n", b.Entry.Name, b.Entry.Kind, b.Scenario.Trials())
 		}
-		var cres *campaign.Result
-		var err error
-		if adaptiveResults != nil {
-			cres = adaptiveResults[bi]
-		} else {
-			cres, err = obtainResult(f, b, opts)
-		}
+		cres, err := obtainResult(f, b, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "campaign: %s: %v\n", b.Entry.Name, err)
 			failures++

@@ -194,16 +194,6 @@
 // fingerprint, and weighted/unweighted partial versions refuse each
 // other).
 //
-// A file-level "adaptive" block {"round_trials":N,"max_rounds":M}
-// re-plans the trial budget across scenarios between merge rounds:
-// each round evaluates every entry's current relative error from its
-// partial artifacts and allocates the next N trials proportionally to
-// squared relative error (spend where the CI is widest), executing
-// only the covering shard prefix until every stop rule fires or the
-// requested trials are exhausted — deterministic, resumable, and
-// single-process (-partition/-merge and fabric submissions are
-// refused with a diagnosis).
-//
 // Spec entries can also carry a "matrix" field mapping parameter
 // names to value lists: the entry expands into the full cross-product
 // of cells (auto-suffixed names, shared defaults, the entry's

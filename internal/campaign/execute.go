@@ -37,13 +37,6 @@ type ExecConfig struct {
 	// stop deterministically on the contiguous global prefix. Both
 	// decide through a PrefixFold.
 	Stop *EarlyStop
-	// MaxShards, when positive, bounds how many pending (not yet
-	// completed) shards this call executes, in shard order. The
-	// adaptive allocator uses it to grow a campaign's artifact by a
-	// budgeted increment per round; a later call with the same
-	// artifact resumes where the bounded one left off, so bounded and
-	// unbounded executions reach the identical artifact.
-	MaxShards int
 }
 
 // Execute runs one partition of the campaign and returns its partial
@@ -77,9 +70,6 @@ func Execute(scn Scenario, plan *Plan, cfg ExecConfig) (*Partial, error) {
 		if !partial.has(i) {
 			pending = append(pending, i)
 		}
-	}
-	if cfg.MaxShards > 0 && len(pending) > cfg.MaxShards {
-		pending = pending[:cfg.MaxShards]
 	}
 
 	// The early stop is decided only for a full plan, whose local

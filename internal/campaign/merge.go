@@ -38,12 +38,6 @@ type MergeConfig struct {
 	// edited spec and the merge is refused. Partials without a digest
 	// (pre-digest artifacts) pass — the documented caveat.
 	ParamsDigest string
-	// AllowIncomplete folds only the contiguous complete shard prefix
-	// instead of refusing a merge with missing shards: the Result's
-	// Trials then reflect the folded prefix. The adaptive allocator
-	// uses it to read out a budget-bounded campaign whose stop rule
-	// never fired. At least one leading shard must be complete.
-	AllowIncomplete bool
 }
 
 // Merge folds any set of partial results — from one process or many —
@@ -122,11 +116,6 @@ func Merge(partials []*Partial, cfg MergeConfig) (*Result, error) {
 	for !fold.stopped && fold.next < numShards {
 		p, ok := owner[fold.next]
 		if !ok {
-			// With AllowIncomplete the contiguous complete prefix is the
-			// result; without it a missing shard is a refused merge.
-			if cfg.AllowIncomplete && fold.next > 0 {
-				break
-			}
 			return nil, fmt.Errorf("campaign: %s: incomplete merge: shard %d of %d missing from the %d given partial(s)",
 				head.Scenario, fold.next, numShards, len(partials))
 		}

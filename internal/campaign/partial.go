@@ -418,15 +418,6 @@ func OpenPartial(path string) (*Partial, error) {
 	return p, nil
 }
 
-// ReadPartial is OpenPartial for callers that treat a missing file as
-// "no state yet": it returns (nil, nil) when the artifact does not
-// exist. The adaptive allocator polls cell artifacts this way between
-// rounds.
-func ReadPartial(path string) (*Partial, error) {
-	p, _, err := readPartial(path)
-	return p, err
-}
-
 // readPartial loads an artifact in any format. It returns the
 // partial, the byte offset at which a plain JSONL file's next append
 // belongs (the end of the last complete record — a torn tail is

@@ -126,13 +126,6 @@ type File struct {
 	Workers   int     `json:"workers,omitempty"`
 	ShardSize int     `json:"shard_size,omitempty"`
 	Scenarios []Entry `json:"scenarios"`
-	// Adaptive, when set, replaces the run-every-entry-to-completion
-	// execution with round-based adaptive allocation (see RunAdaptive):
-	// each round distributes a fixed trial budget across the scenarios
-	// in proportion to their squared relative errors, so trials flow to
-	// the cells with the widest confidence intervals. Requires every
-	// scenario to carry a stop rule (the allocator's target).
-	Adaptive *Adaptive `json:"adaptive,omitempty"`
 }
 
 // Entry is one scenario of a spec file — or, when Matrix is set, a
@@ -293,19 +286,6 @@ func Parse(data []byte) (*File, error) {
 func (f *File) Validate() error {
 	if len(f.Scenarios) == 0 {
 		return fmt.Errorf("spec: no scenarios")
-	}
-	if ad := f.Adaptive; ad != nil {
-		if ad.RoundTrials <= 0 {
-			return fmt.Errorf("spec: adaptive round_trials must be positive")
-		}
-		if ad.MaxRounds < 0 {
-			return fmt.Errorf("spec: adaptive max_rounds must be nonnegative")
-		}
-		for _, e := range f.Scenarios {
-			if e.Stop == nil {
-				return fmt.Errorf("spec: adaptive allocation requires a stop rule on every scenario; %q has none", e.Name)
-			}
-		}
 	}
 	seen := make(map[string]bool)
 	seenPath := make(map[string]string)

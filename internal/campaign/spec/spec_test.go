@@ -22,6 +22,9 @@ func TestParseValidation(t *testing.T) {
 		{"stop no counter", `{"scenarios":[{"name":"a","kind":"memsim","stop":{"rel_half_width":0.1}}]}`},
 		{"expect no counter", `{"scenarios":[{"name":"a","kind":"memsim","expect":[{"min_fraction":0.1}]}]}`},
 		{"expect no bound", `{"scenarios":[{"name":"a","kind":"memsim","expect":[{"counter":"x"}]}]}`},
+		// An unknown file-level block is refused, not dropped: a spec
+		// asking for a round budget must not run without one.
+		{"adaptive block", `{"adaptive":{"round_trials":100},"scenarios":[{"name":"a","kind":"memsim","stop":{"counter":"x","rel_half_width":0.1}}]}`},
 		{"not json", `nope`},
 	}
 	for _, c := range cases {
@@ -38,6 +41,7 @@ func TestBuildRejectsBadParams(t *testing.T) {
 		{Name: "a", Kind: "memsim", Params: []byte(`{"trials":0,"horizon_hours":1}`)},
 		{Name: "a", Kind: "memsim", Params: []byte(`{"n":3,"k":5,"trials":1,"horizon_hours":1}`)},
 		{Name: "a", Kind: "memsim", Params: []byte(`{"lambda_bit_per_hour":1e307,"trials":1,"horizon_hours":48}`)},
+		{Name: "a", Kind: "memsim", Params: []byte(`{"scrub_period_hours":1e-12,"trials":1,"horizon_hours":48}`)},
 		{Name: "a", Kind: "mbusim", Params: []byte(`{"events_per_kilobit":0,"burst_bits":1,"trials":1}`)},
 		{Name: "a", Kind: "mbusim", Params: []byte(`{"events_per_kilobit":4,"burst_bits":1,"trials":0}`)},
 		{Name: "a", Kind: "bercurve", Params: []byte(`{"hours":0}`)},
@@ -48,6 +52,7 @@ func TestBuildRejectsBadParams(t *testing.T) {
 		{Name: "a", Kind: "interleave", Params: []byte(`{"trials":0,"horizon_hours":1}`)},
 		{Name: "a", Kind: "interleave", Params: []byte(`{"depth":-1,"trials":1,"horizon_hours":1}`)},
 		{Name: "a", Kind: "interleave", Params: []byte(`{"depth":2,"lambda_bit_per_hour":1e300,"trials":1,"horizon_hours":48}`)},
+		{Name: "a", Kind: "interleave", Params: []byte(`{"depth":2,"scrub_period_hours":1e-12,"exponential_scrub":true,"trials":1,"horizon_hours":48}`)},
 		{Name: "a", Kind: "array", Params: []byte(`{"hours":0,"trials":1}`)},
 		{Name: "a", Kind: "array", Params: []byte(`{"hours":1,"trials":1,"arrangement":"triplex"}`)},
 		{Name: "a", Kind: "array", Params: []byte(`{"hours":1,"trials":1,"n":3,"k":5}`)},

@@ -316,97 +316,6 @@ func TestWeightedPartitionedSpecMerges(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRun: round-based adaptive allocation must satisfy every
-// stop rule, be deterministic across repeated runs, and leave resumable
-// partial artifacts.
-func TestAdaptiveRun(t *testing.T) {
-	doc := `{
-	  "seed": 13, "workers": 4,
-	  "adaptive": {"round_trials": 4000, "max_rounds": 8},
-	  "scenarios": [
-	    {
-	      "name": "common",
-	      "kind": "memsim",
-	      "stop": {"counter": "capability_exceeded", "rel_half_width": 0.1, "min_trials": 200},
-	      "params": {"duplex": true, "lambda_bit_per_hour": 6e-4, "lambda_symbol_per_hour": 2e-4,
-	                 "scrub_period_hours": 4, "exponential_scrub": true,
-	                 "horizon_hours": 48, "trials": 20000}
-	    },
-	    {
-	      "name": "rare-tilted",
-	      "kind": "memsim",
-	      "sampling": {"method": "tilt", "factor": 19169},
-	      "stop": {"counter": "capability_exceeded", "rel_half_width": 0.15, "min_trials": 500},
-	      "params": {"n": 18, "k": 16, "lambda_bit_per_hour": 1.7e-8,
-	                 "lambda_symbol_per_hour": 8.5e-10,
-	                 "scrub_period_hours": 4, "exponential_scrub": true,
-	                 "horizon_hours": 48, "trials": 40000}
-	    }
-	  ]
-	}`
-	runOnce := func(dir string) []*campaign.Result {
-		f, err := Parse([]byte(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		built, err := f.BuildAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunAdaptive(f, built, dir, t.Logf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a := runOnce(t.TempDir())
-	if len(a) != 2 {
-		t.Fatalf("got %d results", len(a))
-	}
-	for i, res := range a {
-		if !res.EarlyStopped && res.Trials < res.Requested {
-			t.Errorf("result %d neither stopped nor exhausted: %d of %d trials", i, res.Trials, res.Requested)
-		}
-	}
-	// The allocator must not have spent the whole budget on the cheap
-	// cell: the tilted rare cell needs and gets trials too.
-	if a[1].Trials < 500 {
-		t.Errorf("rare cell starved: %d trials", a[1].Trials)
-	}
-	// Determinism: a fresh run over a fresh directory reproduces the
-	// results bit for bit.
-	b := runOnce(t.TempDir())
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("adaptive run not deterministic:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// TestAdaptiveValidation: the adaptive block demands a stop rule on
-// every scenario and sane round parameters.
-func TestAdaptiveValidation(t *testing.T) {
-	cases := []struct{ name, doc, want string }{
-		{"no stop",
-			`{"adaptive":{"round_trials":100},"scenarios":[{"name":"a","kind":"memsim"}]}`,
-			"stop"},
-		{"zero round trials",
-			`{"adaptive":{"round_trials":0},"scenarios":[{"name":"a","kind":"memsim","stop":{"counter":"x","rel_half_width":0.1}}]}`,
-			"round_trials"},
-		{"negative rounds",
-			`{"adaptive":{"round_trials":100,"max_rounds":-1},"scenarios":[{"name":"a","kind":"memsim","stop":{"counter":"x","rel_half_width":0.1}}]}`,
-			"max_rounds"},
-	}
-	for _, c := range cases {
-		_, err := Parse([]byte(c.doc))
-		if err == nil {
-			t.Errorf("%s: accepted", c.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
-		}
-	}
-}
-
 // TestWeightedRenderShowsEstimator: the memsim render of a tilted
 // entry must surface the weighted estimate, relative error and ESS.
 func TestWeightedRenderShowsEstimator(t *testing.T) {

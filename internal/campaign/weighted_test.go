@@ -461,51 +461,6 @@ func TestGzipPartialRefusesAppend(t *testing.T) {
 	}
 }
 
-func TestAllocate(t *testing.T) {
-	cells := []CellState{
-		{Name: "wide", Trials: 100, RelErr: 0.8},
-		{Name: "narrow", Trials: 100, RelErr: 0.2},
-		{Name: "done", Trials: 100, Done: true, RelErr: 0.9},
-	}
-	alloc := Allocate(cells, 1000)
-	if len(alloc) != 3 {
-		t.Fatalf("alloc length %d", len(alloc))
-	}
-	if alloc[2] != 0 {
-		t.Errorf("done cell allocated %d trials", alloc[2])
-	}
-	if alloc[0]+alloc[1] != 1000 {
-		t.Errorf("budget not exhausted: %v", alloc)
-	}
-	// Squared-relative-error proportionality: 0.64 : 0.04 = 16 : 1,
-	// within one trial of rounding on each side.
-	if ratio := float64(alloc[0]) / float64(alloc[1]); math.Abs(ratio-16) > 0.5 {
-		t.Errorf("allocation %v not proportional to squared rel err (ratio %v)", alloc, ratio)
-	}
-
-	// Unestimated cells (infinite rel err) hit the cap, not Inf.
-	fresh := []CellState{
-		{Name: "a", RelErr: math.Inf(1)},
-		{Name: "b", RelErr: math.NaN()},
-	}
-	alloc = Allocate(fresh, 101)
-	if alloc[0]+alloc[1] != 101 {
-		t.Errorf("fresh-cell budget lost: %v", alloc)
-	}
-	if diff := alloc[0] - alloc[1]; diff < -1 || diff > 1 {
-		t.Errorf("equally unknown cells split unevenly: %v", alloc)
-	}
-
-	// All done: nothing to hand out.
-	alloc = Allocate([]CellState{{Done: true}, {Done: true}}, 50)
-	if alloc[0] != 0 || alloc[1] != 0 {
-		t.Errorf("done cells allocated trials: %v", alloc)
-	}
-	if got := Allocate(nil, 100); len(got) != 0 {
-		t.Errorf("nil cells allocated: %v", got)
-	}
-}
-
 func TestSatisfiedWeighted(t *testing.T) {
 	stop := &EarlyStop{Counter: "hits", RelHalfWidth: 0.1, MinTrials: 100}
 	// Constant weight w over k of n trials: se/p = sqrt((n-k)/(k*n)),

@@ -277,11 +277,6 @@ func (r *Registry) buildJob(j *job) error {
 	if err != nil {
 		return err
 	}
-	if f.Adaptive != nil {
-		// The adaptive allocator re-plans the trial budget between
-		// rounds, which a fixed lease schedule cannot follow.
-		return fmt.Errorf("spec has an adaptive block, which runs single-process; the fabric cannot schedule it")
-	}
 	built, err := f.BuildAll()
 	if err != nil {
 		return err

@@ -110,7 +110,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("memsim: need at least one trial")
 	}
 	_, _, total := c.rates()
-	if err := scrub.CheckArrivals(total, c.TiltFactor, c.Horizon); err != nil {
+	if err := scrub.CheckArrivals(total, c.TiltFactor, c.Horizon, c.ScrubPeriod); err != nil {
 		return fmt.Errorf("memsim: %w", err)
 	}
 	return nil

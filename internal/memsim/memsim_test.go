@@ -48,6 +48,8 @@ func TestValidate(t *testing.T) {
 		// exceed the clock's bound would never reach the horizon.
 		{Code: code, LambdaBit: 1e307, Horizon: 48, Trials: 1},
 		{Code: code, Duplex: true, LambdaSymbol: 1e300, Horizon: 48, Trials: 1},
+		// So would 4.8e13 scrub instants per trial.
+		{Code: code, ScrubPeriod: 1e-12, Horizon: 48, Trials: 1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -381,7 +381,7 @@ func Scenario(cfg Config) (campaign.Scenario, error) {
 		return nil, err
 	}
 	_, _, total := cfg.rates(page)
-	if err := scrub.CheckArrivals(total, cfg.TiltFactor, cfg.Horizon); err != nil {
+	if err := scrub.CheckArrivals(total, cfg.TiltFactor, cfg.Horizon, cfg.ScrubPeriod); err != nil {
 		return nil, fmt.Errorf("pagesim: %w", err)
 	}
 	return &scenario{cfg: cfg, dist: dist, policy: policy, page: page}, nil

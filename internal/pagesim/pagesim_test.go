@@ -54,6 +54,10 @@ func TestValidation(t *testing.T) {
 			t.Errorf("lambda_bit %g accepted", lb)
 		}
 	}
+	// So would 4.8e13 scrub instants per trial.
+	if _, err := Scenario(Config{Depth: 2, ScrubPeriod: 1e-12, ExponentialScrub: true, Horizon: 48, Trials: 1}); err == nil {
+		t.Error("scrub period 1e-12 accepted")
+	}
 }
 
 func TestNoFaultsNoLoss(t *testing.T) {

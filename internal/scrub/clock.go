@@ -63,21 +63,25 @@ func NewClock(rng *rand.Rand, sched Scheduler, tilt, horizon float64) *Clock {
 	return &Clock{rng: rng, sched: sched, tilt: tilt, horizon: horizon}
 }
 
-// maxArrivals bounds the expected fault arrivals per trial. Every
-// arrival is one step of the caller's event loop, so a rate whose
-// expectation is astronomically large (or overflows to +Inf) would
-// keep a trial from ever reaching its horizon. The bound sits orders
-// of magnitude above any useful campaign (a few arrivals per trial)
-// while a memsim or pagesim trial at the bound still runs in well
-// under a second.
+// maxArrivals bounds the expected fault arrivals per trial, and
+// separately its expected scrub instants. Every arrival and every
+// scrub is one step of the caller's event loop, so a rate whose
+// expectation is astronomically large (or overflows to +Inf), or a
+// vanishing scrub period, would keep a trial from ever reaching its
+// horizon. The bound sits orders of magnitude above any useful
+// campaign (a few arrivals and tens of scrubs per trial) while a
+// memsim or pagesim trial at the bound still runs in well under a
+// second.
 const maxArrivals = 1e6
 
 // CheckArrivals rejects a trial whose expected fault-arrival count,
-// tilt × rate × horizon, is not finite or exceeds maxArrivals. rate is
-// the untilted total the caller passes to Start; a tilt of 0 means
-// untilted, as in NewClock. Simulators call it when validating a
-// configuration, so a runaway rate fails before any trial runs.
-func CheckArrivals(rate, tilt, horizon float64) error {
+// tilt × rate × horizon, or expected scrub-instant count, horizon /
+// scrubPeriod, is not finite or exceeds maxArrivals. rate is the
+// untilted total the caller passes to Start; a tilt of 0 means
+// untilted, as in NewClock, and a scrubPeriod of 0 means no scrubbing,
+// as in New. Simulators call it when validating a configuration, so a
+// runaway rate or period fails before any trial runs.
+func CheckArrivals(rate, tilt, horizon, scrubPeriod float64) error {
 	if tilt == 0 {
 		tilt = 1
 	}
@@ -85,6 +89,12 @@ func CheckArrivals(rate, tilt, horizon float64) error {
 	if math.IsNaN(n) || math.IsInf(n, 0) || n > maxArrivals {
 		return fmt.Errorf("scrub: a trial expects %g fault arrivals (tilt %g × rate %g/h × horizon %g h), beyond the limit of %g",
 			n, tilt, rate, horizon, float64(maxArrivals))
+	}
+	if scrubPeriod > 0 {
+		if s := horizon / scrubPeriod; math.IsNaN(s) || math.IsInf(s, 0) || s > maxArrivals {
+			return fmt.Errorf("scrub: a trial expects %g scrub instants (horizon %g h / period %g h), beyond the limit of %g",
+				s, horizon, scrubPeriod, float64(maxArrivals))
+		}
 	}
 	return nil
 }

@@ -92,10 +92,11 @@ func (e *Exponential) Next(t float64) float64 {
 	next := t + e.Rng.ExpFloat64()*e.Period
 	if next == t {
 		// The sampled interval is below the float spacing at this
-		// magnitude; there is no representable instant strictly after
-		// t to return, and handing t back would wedge the caller's
-		// event loop at one instant.
-		return math.Inf(1)
+		// magnitude. Handing t back would wedge the caller's event
+		// loop at one instant, and +Inf would end scrubbing for the
+		// rest of the trial, so round up to the next representable
+		// instant.
+		return math.Nextafter(t, math.Inf(1))
 	}
 	return next
 }

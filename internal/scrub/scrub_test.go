@@ -178,32 +178,48 @@ func TestClockEvents(t *testing.T) {
 }
 
 // TestCheckArrivals: the bound itself passes, anything above it or
-// non-finite is rejected, and tilt 0 counts as untilted.
+// non-finite is rejected, tilt 0 counts as untilted, and scrub period
+// 0 means no scrubbing.
 func TestCheckArrivals(t *testing.T) {
-	good := []struct{ rate, tilt, horizon float64 }{
-		{0, 0, 48},
-		{1, 1, maxArrivals},
-		{1, 0, maxArrivals},
-		{maxArrivals / 4, 4, 1},
+	good := []struct{ rate, tilt, horizon, period float64 }{
+		{0, 0, 48, 0},
+		{1, 1, maxArrivals, 0},
+		{1, 0, maxArrivals, 0},
+		{maxArrivals / 4, 4, 1, 0},
+		{0, 0, maxArrivals, 1},
+		{0, 0, 48, 48 / maxArrivals},
 	}
 	for _, c := range good {
-		if err := CheckArrivals(c.rate, c.tilt, c.horizon); err != nil {
-			t.Errorf("CheckArrivals(%v, %v, %v): %v", c.rate, c.tilt, c.horizon, err)
+		if err := CheckArrivals(c.rate, c.tilt, c.horizon, c.period); err != nil {
+			t.Errorf("CheckArrivals(%v, %v, %v, %v): %v", c.rate, c.tilt, c.horizon, c.period, err)
 		}
 	}
 	above := math.Nextafter(maxArrivals, math.Inf(1))
-	bad := []struct{ rate, tilt, horizon float64 }{
-		{above, 1, 1},
-		{above, 0, 1},
-		{maxArrivals, 2, 1},
-		{math.NaN(), 1, 1},
-		{math.Inf(1), 1, 1},
-		{1e307, 1, 48 * 144},
-		{1, math.Inf(1), 1},
+	bad := []struct{ rate, tilt, horizon, period float64 }{
+		{above, 1, 1, 0},
+		{above, 0, 1, 0},
+		{maxArrivals, 2, 1, 0},
+		{math.NaN(), 1, 1, 0},
+		{math.Inf(1), 1, 1, 0},
+		{1e307, 1, 48 * 144, 0},
+		{1, math.Inf(1), 1, 0},
+		{0, 0, above, 1},
+		{0, 0, 48, 1e-12},
+		{0, 0, 48, 5e-324},
 	}
 	for _, c := range bad {
-		if err := CheckArrivals(c.rate, c.tilt, c.horizon); err == nil {
-			t.Errorf("CheckArrivals(%v, %v, %v) accepted", c.rate, c.tilt, c.horizon)
+		if err := CheckArrivals(c.rate, c.tilt, c.horizon, c.period); err == nil {
+			t.Errorf("CheckArrivals(%v, %v, %v, %v) accepted", c.rate, c.tilt, c.horizon, c.period)
 		}
+	}
+}
+
+// TestExponentialTinyIntervalKeepsScrubbing: a drawn interval that
+// rounds away at t must still yield a finite instant after t, not the
+// +Inf that means "no scrub will ever happen".
+func TestExponentialTinyIntervalKeepsScrubbing(t *testing.T) {
+	e := &Exponential{Period: 1e-300, Rng: rand.New(rand.NewSource(1))}
+	if next := e.Next(1); math.IsInf(next, 0) || !(next > 1) {
+		t.Errorf("Next(1) = %v, want a finite instant after 1", next)
 	}
 }
