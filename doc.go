@@ -128,6 +128,19 @@
 // unpartitioned run — the multi-process sharding workflow CI
 // smoke-tests end to end.
 //
+// Every result tree — a run, a merge, the fabric's server-side merge
+// — is written by spec.Built.WriteArtifacts: per entry a JSON file
+// (the raw engine result) and a CSV file (counters and samples), each
+// written to a temp file and renamed into place, so a crash or a
+// concurrent reader never sees a truncated artifact. Both encoders
+// are hand-written for speed but keep the library encoders' bytes:
+// campaign.AppendResultJSON writes exactly what
+// json.MarshalIndent(result, "", "  ") writes (strings that need
+// escaping go through json.Marshal, weights and notes through
+// encoding/json itself), and the CSV stream appends a sample row by
+// hand only when encoding/csv would quote none of its fields.
+// FuzzArtifactEncoders holds both to encoding/json and encoding/csv.
+//
 // # Trial RNG
 //
 // Each simulator worker owns one generator and reseeds it with

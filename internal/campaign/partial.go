@@ -149,7 +149,8 @@ func parseWeights(m map[string]momentWire) (map[string]Moments, error) {
 	return out, nil
 }
 
-// sampleWire is the JSON form of Sample. Coordinates travel as
+// sampleWire is the JSON form of Sample, as UnmarshalJSON reads it
+// (sampleLayout writes it). Coordinates travel as
 // strconv-formatted strings because campaigns legitimately record
 // non-finite values (an MTTDL of +Inf, say) that encoding/json
 // refuses to emit as numbers; FormatFloat('g', -1) round-trips every
@@ -162,14 +163,11 @@ type sampleWire struct {
 	Y      string `json:"y"`
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler. It writes the bytes
+// json.Marshal writes for the sample's sampleWire, through the same
+// appender as AppendResultJSON's samples array.
 func (s Sample) MarshalJSON() ([]byte, error) {
-	return json.Marshal(sampleWire{
-		Trial:  s.Trial,
-		Series: s.Series,
-		X:      strconv.FormatFloat(s.X, 'g', -1, 64),
-		Y:      strconv.FormatFloat(s.Y, 'g', -1, 64),
-	})
+	return compactSample.append(make([]byte, 0, 64), s), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/campaign"
@@ -91,4 +92,73 @@ func TestArtifactBytesGolden(t *testing.T) {
 			t.Errorf("%s drifted: sha256 %s (%d bytes), want %s (%d bytes)", name, got, len(data), w.sha, w.size)
 		}
 	}
+}
+
+// TestWriteArtifactsAtomic: a reader re-reading the artifacts while
+// WriteArtifacts replaces a small result with a large one, and back,
+// must see one of the two whole files every time, never a prefix.
+func TestWriteArtifactsAtomic(t *testing.T) {
+	result := func(samples int) *campaign.Result {
+		r := &campaign.Result{Scenario: "atomic", Requested: samples, Trials: samples,
+			Counters: map[string]int64{"page_loss": int64(samples / 7)}}
+		for i := 0; i < samples; i++ {
+			r.Samples = append(r.Samples, campaign.Sample{Trial: i, Series: "time_to_location", X: float64(i) / 3, Y: 12})
+		}
+		return r
+	}
+	small, large := result(1000), result(200000)
+	b := &Built{Entry: Entry{Name: "atomic"}}
+	want := map[string][2][]byte{} // extension -> small, large bytes
+	for i, r := range []*campaign.Result{small, large} {
+		dir := t.TempDir()
+		if err := b.WriteArtifacts(dir, r); err != nil {
+			t.Fatal(err)
+		}
+		for _, ext := range []string{".json", ".csv"} {
+			data, err := os.ReadFile(filepath.Join(dir, "atomic"+ext))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := want[ext]
+			w[i] = data
+			want[ext] = w
+		}
+	}
+
+	dir := t.TempDir()
+	if err := b.WriteArtifacts(dir, small); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, ext := range []string{".json", ".csv"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			path := filepath.Join(dir, "atomic"+ext)
+			for reads, torn := 0, 0; ; reads++ {
+				select {
+				case <-done:
+					if torn > 0 {
+						t.Errorf("%s: %d of %d reads saw neither whole artifact", ext, torn, reads)
+					}
+					return
+				default:
+				}
+				data, err := os.ReadFile(path)
+				if err != nil || !(bytes.Equal(data, want[ext][0]) || bytes.Equal(data, want[ext][1])) {
+					torn++
+				}
+			}
+		}()
+	}
+	for i := 0; i < 3; i++ {
+		for _, r := range []*campaign.Result{large, small} {
+			if err := b.WriteArtifacts(dir, r); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -1,6 +1,7 @@
 package expdata
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -114,15 +115,23 @@ func ResultsFromCampaign(exps []Experiment, cres *campaign.Result) ([]*Result, e
 // by sample without ever materializing the sample list in memory —
 // the bounded-memory output path for million-sample campaigns. The
 // bytes produced are identical to WriteCampaignCSV's for the same
-// result (WriteCampaignCSV is itself built on this writer).
+// result (WriteCampaignCSV is itself built on this writer), and to
+// encoding/csv's: a sample row is appended by hand only when no field
+// of it needs quoting.
 type CampaignCSVStream struct {
-	cw *csv.Writer
+	bw *bufio.Writer
+	// cw writes the header, the counter block and every row with a
+	// field it would quote. csv.NewWriter reuses a *bufio.Writer of at
+	// least its default size, so cw writes through bw in row order.
+	cw  *csv.Writer
+	row []byte // scratch for a hand-appended row
 }
 
 // NewCampaignCSVStream wraps a writer; call Start, then Sample per
 // sample in trial order, then Flush.
 func NewCampaignCSVStream(w io.Writer) *CampaignCSVStream {
-	return &CampaignCSVStream{cw: csv.NewWriter(w)}
+	bw := bufio.NewWriter(w)
+	return &CampaignCSVStream{bw: bw, cw: csv.NewWriter(bw)}
 }
 
 // Start implements campaign.Sink: it writes the header and the
@@ -143,22 +152,46 @@ func (s *CampaignCSVStream) Start(cres *campaign.Result) error {
 
 // Sample implements campaign.Sink.
 func (s *CampaignCSVStream) Sample(sm campaign.Sample) error {
-	return s.cw.Write([]string{
-		"sample", sm.Series, strconv.Itoa(sm.Trial),
-		strconv.FormatFloat(sm.X, 'g', -1, 64),
-		strconv.FormatFloat(sm.Y, 'g', -1, 64),
-	})
+	if !csvBare(sm.Series) {
+		return s.cw.Write([]string{
+			"sample", sm.Series, strconv.Itoa(sm.Trial),
+			strconv.FormatFloat(sm.X, 'g', -1, 64),
+			strconv.FormatFloat(sm.Y, 'g', -1, 64),
+		})
+	}
+	b := append(s.row[:0], "sample,"...)
+	b = append(b, sm.Series...)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(sm.Trial), 10)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, sm.X, 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, sm.Y, 'g', -1, 64)
+	s.row = append(b, '\n')
+	_, err := s.bw.Write(s.row)
+	return err
+}
+
+// csvBare reports whether encoding/csv writes field unquoted for
+// certain: bytes 0x21-0x7E other than '"', ',' and '\' never need
+// quotes (a leading space, a line break or a lone `\.` may).
+func csvBare(field string) bool {
+	for i := 0; i < len(field); i++ {
+		if c := field[i]; c < 0x21 || c > 0x7e || c == '"' || c == ',' || c == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // Note implements campaign.Sink; notes are not part of the campaign
 // CSV schema.
 func (s *CampaignCSVStream) Note(campaign.Note) error { return nil }
 
-// Flush drains the underlying csv writer and reports any deferred
-// write error.
+// Flush drains the buffered rows and reports any deferred write
+// error.
 func (s *CampaignCSVStream) Flush() error {
-	s.cw.Flush()
-	return s.cw.Error()
+	return s.bw.Flush()
 }
 
 // WriteCampaignCSV emits a raw campaign result as CSV: one block of
