@@ -131,8 +131,9 @@
 // Every result tree — a run, a merge, the fabric's server-side merge
 // — is written by spec.Built.WriteArtifacts: per entry a JSON file
 // (the raw engine result) and a CSV file (counters and samples), each
-// written to a temp file and renamed into place, so a crash or a
-// concurrent reader never sees a truncated artifact. Both encoders
+// written to a temp file and renamed into place, so a concurrent
+// reader never sees a truncated artifact and a process killed
+// mid-write leaves the previous one in place. Both encoders
 // are hand-written for speed but keep the library encoders' bytes:
 // campaign.AppendResultJSON writes exactly what
 // json.MarshalIndent(result, "", "  ") writes (strings that need
