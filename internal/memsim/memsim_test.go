@@ -689,6 +689,27 @@ func batchGoldenCases() []struct {
 			},
 			digest: "02d1287f53476de74f206fcf5def28550405ba33a6ebe6b414041dcfdba5c1e6",
 		},
+		// Cross-repair under detection latency: a duplex scrub that
+		// rewrites a dead module from its twin, with located sets that
+		// change between scrub instants in either module.
+		{
+			name: "duplex/xrepair+latency+exp-scrub",
+			cfg: Config{
+				Code: code, Duplex: true, LambdaBit: 3e-4, LambdaSymbol: 1e-3,
+				ScrubPeriod: 4, ExponentialScrub: true, DetectionLatency: 5,
+				CrossRepair: true, Horizon: 48, Trials: 600, Seed: 31,
+			},
+			counters: map[string]int64{
+				"capability_exceeded": 67, "correct": 568, "data_bit_errors": 70,
+				"no_output": 21, "permanent_faults": 1016, "scrub_miscorrections": 171,
+				"scrub_ops": 7267, "seus": 2500,
+				"verdict/both-failed": 14, "verdict/both-flagged-differ": 1,
+				"verdict/corrected-agree": 154, "verdict/differ-no-flags": 6,
+				"verdict/flag-resolved": 6, "verdict/no-error": 386,
+				"verdict/one-word-failed": 33, "wrong_output": 11,
+			},
+			digest: "c45c8268ea41e75d628ffcecdd271c5d40981d190eefbfab794f510c8117f123",
+		},
 	}
 }
 
