@@ -72,6 +72,15 @@
 // as one depth-word arena, which pagesim inherits, and the memsim
 // worker decodes its one- or two-word scrub arena with DecodeAll the
 // same way, so every Monte Carlo scrub loop rides the fast path.
+// A code with n-k = 2, the paper's RS(18,16), solves its dirty words
+// in closed form on the batch path: one error at the locator S1/S0, or
+// a one- or two-erasure Forney solve. rs.Decoder.Decode keeps
+// Berlekamp-Massey and the Chien sweep for every code; the arbiter
+// uses it, and FuzzDecode holds the batch path to it. Above the codec,
+// memsim skips a scrub pass that would repeat the last one exactly: a
+// pass that rewrote no symbol settles the word until the next fault
+// arrives or is located, and a skipped pass counts the settled pass's
+// miscorrections again.
 //
 // # The campaign engine: plan, execute, merge
 //

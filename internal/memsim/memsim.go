@@ -18,6 +18,16 @@
 // All rates are per hour; trials are independent and reproducible
 // from Config.Seed regardless of worker count.
 //
+// A scrub pass costs only what changed since the last one. A pass that
+// rewrote no stored symbol settles the word (or pair): until the next
+// fault arrives or the next permanent fault is located, a pass would
+// repeat its decodes, writes and counts exactly, because a pass draws
+// no randomness. Such a pass is skipped, and the settled pass's
+// miscorrections are counted again. The per-event counters (seus,
+// permanent_faults, scrub_ops, scrub_miscorrections) are tallied by the
+// worker and added once per trial, only when non-zero, so every counter
+// key and artifact byte is what per-event adds would produce.
+//
 // Campaigns run on the internal/campaign engine: Config.Scenario
 // adapts a configuration to the engine's Scenario interface, Run is
 // the convenience wrapper for plain full-length campaigns, and
@@ -190,8 +200,10 @@ type Result struct {
 	SEUs            int64
 	PermanentFaults int64
 	ScrubOps        int64
-	// ScrubMiscorrections counts scrub passes that rewrote a module
-	// with a valid but wrong codeword (entrenched mis-correction).
+	// ScrubMiscorrections counts module rewrites, by scrub passes,
+	// with a valid but wrong codeword (entrenched mis-correction). A
+	// duplex pass rewrites each module at most once, so it can add two,
+	// and a pass over an entrenched word counts it again.
 	ScrubMiscorrections int64
 
 	// Verdicts tallies arbiter decision paths (duplex only).
@@ -280,11 +292,27 @@ func (mo *module) stick(s, b int, v uint16, locate float64) {
 	}
 }
 
-// write stores a fresh codeword; stuck bits reassert themselves.
-func (mo *module) write(codeword []gf.Elem) {
+// write stores a fresh codeword; stuck bits reassert themselves. It
+// reports whether any stored symbol changed.
+func (mo *module) write(codeword []gf.Elem) (changed bool) {
 	for i, v := range codeword {
-		mo.stored[i] = mo.applyStuck(i, v)
+		v = mo.applyStuck(i, v)
+		changed = changed || mo.stored[i] != v
+		mo.stored[i] = v
 	}
+	return changed
+}
+
+// nextLocateAfter returns the earliest located time after t: the next
+// instant the module's erasure list at a scrub grows (+Inf if none).
+func (mo *module) nextLocateAfter(t float64) float64 {
+	next := math.Inf(1)
+	for _, at := range mo.locatedAt {
+		if at > t && at < next {
+			next = at
+		}
+	}
+	return next
 }
 
 // erasuresInto appends the located permanent-fault positions at time t
@@ -308,6 +336,10 @@ func (mo *module) erasuresInto(buf []int, t float64) []int {
 // two masked duplex words) decode as a one- or two-word batch, so a
 // healthy word costs only the batch syndrome screen while keeping
 // per-word outcomes identical to Decoder.Decode.
+//
+// A scrub pass that would exactly repeat the last one is skipped (the
+// settled rule, see doScrub), and the per-event counters are tallied
+// in worker fields and added to the accumulator once per trial.
 type worker struct {
 	cfg   Config
 	rng   *rand.Rand
@@ -334,6 +366,18 @@ type worker struct {
 	// exponential-tilt likelihood ratio of the realized fault arrivals.
 	weighted bool
 	lr       float64
+
+	// settled reports that the last completed scrub pass changed no
+	// stored symbol in any module and that no fault has arrived since.
+	// settledMis is the scrub_miscorrections that pass added, and
+	// nextLocate the earliest located time after it over all modules.
+	settled    bool
+	settledMis int64
+	nextLocate float64
+
+	// The trial's tallies of the per-event counters, added to the
+	// accumulator when the trial ends.
+	seus, permanentFaults, scrubOps, scrubMis int64
 }
 
 func newWorker(cfg Config) *worker {
@@ -488,6 +532,8 @@ func (ws *worker) runTrial(trial int, acc *campaign.Acc) {
 	for _, mo := range ws.mods {
 		mo.reset(ws.truth)
 	}
+	ws.settled = false
+	ws.seus, ws.permanentFaults, ws.scrubOps, ws.scrubMis = 0, 0, 0, 0
 
 	// Per-module stochastic rates. Importance sampling tilts only the
 	// arrival clock (all fault rates jointly, so module and fault-type
@@ -501,17 +547,33 @@ func (ws *worker) runTrial(trial int, acc *campaign.Acc) {
 			break
 		}
 		if ev == scrub.Scrub {
-			ws.doScrub(t, acc)
+			ws.doScrub(t)
 			continue
 		}
 		// Pick module, then fault type, then location.
+		ws.settled = false
 		mo := ws.mods[rng.Intn(len(ws.mods))]
 		if rng.Float64()*(seuRate+permRate) < seuRate {
 			mo.flip(rng.Intn(n), rng.Intn(m))
-			acc.Add(CounterSEUs, 1)
+			ws.seus++
 		} else {
 			mo.stick(rng.Intn(n), rng.Intn(m), uint16(rng.Intn(2)), t+cfg.DetectionLatency)
-			acc.Add(CounterPermanentFaults, 1)
+			ws.permanentFaults++
+		}
+	}
+	// A counter is added only when non-zero, so a shard carries exactly
+	// the keys that per-event adds would have created.
+	for _, c := range [...]struct {
+		key string
+		n   int64
+	}{
+		{CounterSEUs, ws.seus},
+		{CounterPermanentFaults, ws.permanentFaults},
+		{CounterScrubOps, ws.scrubOps},
+		{CounterScrubMiscorrections, ws.scrubMis},
+	} {
+		if c.n != 0 {
+			acc.Add(c.key, c.n)
 		}
 	}
 	ws.weighted = ws.cfg.weighted()
@@ -570,35 +632,63 @@ func (ws *worker) decodeArena(count int) *rs.BatchResult {
 	return res
 }
 
-// doScrub reads, corrects and rewrites the stored word(s) through the
-// real decoder. A detected-uncorrectable word is left untouched; a
-// mis-corrected word is entrenched (and counted).
-func (ws *worker) doScrub(t float64, acc *campaign.Acc) {
-	acc.Add(CounterScrubOps, 1)
+// doScrub performs the scrub pass at t, counting it in the trial's
+// scrub_ops and scrub_miscorrections tallies.
+//
+// A pass over a settled pair is skipped when no module's located set
+// grew since the settling pass (t < nextLocate); it adds that pass's
+// miscorrections again. Skipping is exact: scrubPass draws no
+// randomness, and its only inputs are the stored words, the located
+// sets at t and the truth word. None of them changed — the settling
+// pass rewrote no symbol, no fault has arrived and no position was
+// located since — so the pass would repeat the last one's decodes, its
+// writes (which change nothing) and its counts. That holds for the
+// duplex masking, CrossRepair and DetectionLatency alike.
+func (ws *worker) doScrub(t float64) {
+	ws.scrubOps++
+	if ws.settled && t < ws.nextLocate {
+		ws.scrubMis += ws.settledMis
+		return
+	}
+	changed, mis := ws.scrubPass(t)
+	ws.scrubMis += mis
+	ws.settled = !changed
+	if ws.settled {
+		ws.settledMis = mis
+		ws.nextLocate = math.Inf(1)
+		for _, mo := range ws.mods {
+			ws.nextLocate = min(ws.nextLocate, mo.nextLocateAfter(t))
+		}
+	}
+}
+
+// scrubPass reads, corrects and rewrites the stored word(s) through
+// the real decoder. A detected-uncorrectable word is left untouched; a
+// mis-corrected word is entrenched. It reports whether any stored
+// symbol changed and how many module rewrites wrote a wrong codeword.
+func (ws *worker) scrubPass(t float64) (changed bool, mis int64) {
 	cfg := ws.cfg
+	rewrite := func(mo *module, codeword []gf.Elem) {
+		if mo.write(codeword) {
+			changed = true
+		}
+		if !equalWords(codeword, ws.truth) {
+			mis++
+		}
+	}
 	if !cfg.Duplex {
 		mo := ws.mods[0]
 		copy(ws.w1, mo.stored)
 		ws.elists[0] = mo.erasuresInto(ws.e1, t)
-		if ws.decodeArena(1).Words[0].Err != nil {
-			return
+		if ws.decodeArena(1).Words[0].Err == nil {
+			rewrite(mo, ws.w1)
 		}
-		mo.write(ws.w1)
-		if !equalWords(ws.w1, ws.truth) {
-			acc.Add(CounterScrubMiscorrections, 1)
-		}
-		return
+		return changed, mis
 	}
 	w1, w2, shared := ws.maskPair(t)
 	ws.elists[0], ws.elists[1] = shared, shared
 	bres := ws.decodeArena(2)
 	err1, err2 := bres.Words[0].Err, bres.Words[1].Err
-	rewrite := func(mo *module, codeword []gf.Elem) {
-		mo.write(codeword)
-		if !equalWords(codeword, ws.truth) {
-			acc.Add(CounterScrubMiscorrections, 1)
-		}
-	}
 	switch {
 	case err1 == nil && err2 == nil:
 		rewrite(ws.mods[0], w1)
@@ -614,6 +704,7 @@ func (ws *worker) doScrub(t float64, acc *campaign.Acc) {
 			rewrite(ws.mods[0], w2)
 		}
 	}
+	return changed, mis
 }
 
 // finalRead performs the paper's read-at-stopping-time and classifies

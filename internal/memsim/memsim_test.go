@@ -5,7 +5,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
@@ -548,6 +550,129 @@ func TestWilsonInterval(t *testing.T) {
 	}
 }
 
+// plantScrubFaults gives ws a random truth word and plants up to three
+// faults per module: SEUs, and stuck bits located either before now or
+// after now+1.
+func plantScrubFaults(t *testing.T, ws *worker, rng *rand.Rand, now float64) {
+	t.Helper()
+	code := ws.cfg.Code
+	n, m := code.N(), code.Field().M()
+	for i := range ws.data {
+		ws.data[i] = gf.Elem(rng.Intn(code.Field().Size()))
+	}
+	if err := code.EncodeTo(ws.truth, ws.data); err != nil {
+		t.Fatal(err)
+	}
+	for _, mo := range ws.mods {
+		mo.reset(ws.truth)
+		for range rng.Intn(4) {
+			s, b := rng.Intn(n), rng.Intn(m)
+			if rng.Intn(2) == 0 {
+				mo.flip(s, b)
+				continue
+			}
+			locate := now - rng.Float64()
+			if rng.Intn(2) == 0 {
+				locate = now + 1 + rng.Float64()
+			}
+			mo.stick(s, b, uint16(rng.Intn(2)), locate)
+		}
+	}
+}
+
+// TestSettledPassRepeatsLastPass pins the invariant behind skipping a
+// scrub pass over a settled pair: once a pass changed no stored
+// symbol, a pass before the next location, forced to decode, changes
+// no symbol either and counts the same miscorrections; and the skipped
+// pass counts them too.
+func TestSettledPassRepeatsLastPass(t *testing.T) {
+	const now = 20.0
+	base := Config{Code: code, ScrubPeriod: 1, Horizon: 48, Trials: 1}
+	duplex := base
+	duplex.Duplex = true
+	repair := duplex
+	repair.CrossRepair = true
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"simplex", base}, {"duplex", duplex}, {"duplex/cross-repair", repair}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			snapshot := func(ws *worker) string {
+				return fmt.Sprint(ws.modBuf[0].stored, ws.modBuf[1].stored)
+			}
+			var settled, miscorrected, pending int
+			for round := 0; round < 600; round++ {
+				ws := newWorker(tc.cfg)
+				plantScrubFaults(t, ws, rng, now)
+				for pass := 0; pass < 3 && !ws.settled; pass++ {
+					ws.doScrub(now)
+				}
+				if !ws.settled {
+					t.Fatalf("round %d: three passes at one instant never settled", round)
+				}
+				settled++
+				mis, next := ws.settledMis, ws.nextLocate
+				if mis > 0 {
+					miscorrected++
+				}
+				if !math.IsInf(next, 1) {
+					pending++
+				}
+				if next < now+1 {
+					t.Fatalf("round %d: nextLocate %v, want no located time in (%v, %v)", round, next, now, now+1)
+				}
+				before := snapshot(ws)
+				ws.settled = false
+				ws.scrubMis = 0
+				ws.doScrub(now + 0.5)
+				if !ws.settled || ws.scrubMis != mis || ws.settledMis != mis || ws.nextLocate != next {
+					t.Fatalf("round %d: forced pass settled %t, added %d miscorrections (want %d), nextLocate %v (want %v)",
+						round, ws.settled, ws.scrubMis, mis, ws.nextLocate, next)
+				}
+				if after := snapshot(ws); after != before {
+					t.Fatalf("round %d: forced pass changed the stored words\nbefore %s\nafter  %s", round, before, after)
+				}
+				ws.scrubMis, ws.scrubOps = 0, 0
+				ws.doScrub(now + 0.75)
+				if ws.scrubOps != 1 || ws.scrubMis != mis {
+					t.Fatalf("round %d: skipped pass counted %d scrub_ops and %d miscorrections, want 1 and %d",
+						round, ws.scrubOps, ws.scrubMis, mis)
+				}
+			}
+			if miscorrected == 0 || pending == 0 {
+				t.Errorf("fault mix too mild: of %d settled rounds, %d miscorrected, %d had a location pending",
+					settled, miscorrected, pending)
+			}
+		})
+	}
+}
+
+// TestLocationForcesScrubDecode: a location with no new fault makes
+// the next pass decode. Module 0 of a duplex pair holds an unlocated
+// stuck bit and an SEU, two errors its RS(18,16) word cannot correct.
+// Once the stuck symbol is located, masking takes the twin's symbol
+// there and the pass corrects the SEU.
+func TestLocationForcesScrubDecode(t *testing.T) {
+	ws := newWorker(Config{
+		Code: code, Duplex: true, ScrubPeriod: 1, DetectionLatency: 1, Horizon: 4, Trials: 1,
+	})
+	for _, mo := range ws.mods {
+		mo.reset(ws.truth) // the zero codeword
+	}
+	mo := ws.mods[0]
+	mo.stick(2, 0, 1, 1)
+	mo.flip(9, 3)
+	ws.doScrub(0.5)
+	if !ws.settled || mo.stored[9] == 0 || ws.nextLocate != 1 {
+		t.Fatalf("first pass: settled %t, symbol 9 = %#x, nextLocate %v", ws.settled, mo.stored[9], ws.nextLocate)
+	}
+	ws.doScrub(1.5)
+	if mo.stored[9] != 0 || mo.stored[2] != 1 {
+		t.Errorf("after location: symbol 9 = %#x (want 0), symbol 2 = %#x (want the stuck 0x1)", mo.stored[9], mo.stored[2])
+	}
+}
+
 // BenchmarkTrialSimplex times one simplex trial on a warm worker: the
 // reseed, the fault and scrub events, the decodes and the counter
 // updates, without planning, worker construction or merging.
@@ -563,6 +688,17 @@ func BenchmarkTrialDuplex(b *testing.B) {
 	benchTrial(b, Config{
 		Code: code, Duplex: true, LambdaBit: 1e-4, LambdaSymbol: 1e-5,
 		ScrubPeriod: 12, Horizon: 48, Trials: 1, Seed: 14, Workers: 1,
+	})
+}
+
+// BenchmarkTrialMission is a duplex trial with ssmm-mission's
+// parameters: faults arrive often enough that most trials end with a
+// word beyond capability, and exponential scrubbing every 4 h meets
+// corrected, failed and miscorrected pairs.
+func BenchmarkTrialMission(b *testing.B) {
+	benchTrial(b, Config{
+		Code: code, Duplex: true, LambdaBit: 6e-4, LambdaSymbol: 2e-4,
+		ScrubPeriod: 4, ExponentialScrub: true, Horizon: 48, Trials: 1, Seed: 15, Workers: 1,
 	})
 }
 

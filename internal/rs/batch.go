@@ -14,7 +14,8 @@ import (
 // arena with a packed syndrome fold and touches the per-word
 // Berlekamp-Massey/Chien machinery only for words whose syndromes come
 // back nonzero (or that carry erasures, whose validation order the
-// per-word pipeline owns).
+// per-word pipeline owns). A code with n-k = 2 solves those words in
+// closed form instead (Decoder.solve2).
 //
 // The syndrome screen runs on a precomputed contribution table, the
 // CRC slicing-by-8 trick transplanted to GF(2^m): the contribution of
@@ -173,9 +174,11 @@ func (bd *BatchDecoder) Code() *Code { return bd.c }
 // cache of erasure-locator setups, so an arena sharing one
 // located-column set pays the polynomial construction once. The
 // returned BatchResult aliases the workspace; the steady state of
-// repeated same-shape calls performs no heap allocation (word-level
-// decode failures allocate their error values, built once per cached
-// erasure set).
+// repeated same-shape calls performs no heap allocation. The
+// exceptions are failed words: erasure-list errors are built once per
+// cached erasure set, and a word that Berlekamp-Massey or the Chien
+// sweep rejects allocates its error value. An n-k = 2 code's closed
+// form returns shared error values and allocates nothing.
 func (bd *BatchDecoder) DecodeAll(b Batch, erasures [][]int) (*BatchResult, error) {
 	c := bd.c
 	n := c.n

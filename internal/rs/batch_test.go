@@ -91,17 +91,24 @@ func corruptInPlace(rng *rand.Rand, word []gf.Elem, errs int) {
 // over randomized arenas mixing clean words, correctable errors,
 // correctable erasures and beyond-capability words, DecodeAll must
 // match a per-word Decoder.Decode loop result-for-result — the same
-// accept/reject decision, the same error classification, the same
-// corrected word and correction count, and failed words left exactly
-// as received.
+// accept/reject decision, the same error text, the same corrected word
+// and correction count, and failed words left exactly as received.
+// The n-k = 2 codes run the batch path's closed-form solve: RS(18,16)
+// at three first consecutive roots, and a shortened RS(10,8) whose
+// single-error locators mostly fall outside the word.
 func TestDecodeAllMatchesPerWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
-	for _, params := range [][2]int{{18, 16}, {36, 16}, {255, 223}} {
-		c := MustNew(f8, params[0], params[1])
+	for _, params := range []struct{ n, k, fcr int }{
+		{18, 16, 1}, {18, 16, 0}, {18, 16, 2}, {10, 8, 1}, {36, 16, 1}, {255, 223, 1},
+	} {
+		c, err := NewWithFCR(f8, params.n, params.k, params.fcr)
+		if err != nil {
+			t.Fatal(err)
+		}
 		bd := c.NewBatchDecoder()
 		dec := c.NewDecoder()
 		rounds := 40
-		if params[0] == 255 {
+		if params.n == 255 {
 			rounds = 8
 		}
 		for round := 0; round < rounds; round++ {
@@ -138,8 +145,8 @@ func TestDecodeAllMatchesPerWord(t *testing.T) {
 				}
 				if wantErr != nil {
 					failed++
-					if errors.Is(got.Err, ErrUncorrectable) != errors.Is(wantErr, ErrUncorrectable) {
-						t.Fatalf("word %d: error classification differs: batch %v, per-word %v", w, got.Err, wantErr)
+					if got.Err.Error() != wantErr.Error() || errors.Is(got.Err, ErrUncorrectable) != errors.Is(wantErr, ErrUncorrectable) {
+						t.Fatalf("%v word %d: error differs: batch %v, per-word %v", c, w, got.Err, wantErr)
 					}
 					if !equalElems(arenaWord, received[w]) {
 						t.Fatalf("word %d: failed word was modified in the arena", w)
@@ -266,20 +273,26 @@ func contains(s, sub string) bool {
 
 // TestBatchSteadyStateZeroAllocs: repeated DecodeAll calls over clean,
 // sparse-error and erasure-bearing arenas of a fixed shape must not
-// allocate — the scrub steady state.
+// allocate — the scrub steady state. Neither may an RS(18,16) arena
+// whose failed words reach each failure of the closed-form n-k = 2
+// solve: two errors with S0 = 0, with S1 = 0, with a locator outside
+// the word, and one error beside one erasure.
 func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(203))
-	c := MustNew(f8, 36, 16)
-	bd := c.NewBatchDecoder()
 	const count = 16
-	n := c.N()
-
-	clean := make([]gf.Elem, count*n)
-	for w := 0; w < count; w++ {
-		if err := c.EncodeTo(clean[w*n:(w+1)*n], randData(rng, c)); err != nil {
-			t.Fatal(err)
+	encodeArena := func(c *Code) []gf.Elem {
+		n := c.N()
+		arena := make([]gf.Elem, count*n)
+		for w := 0; w < count; w++ {
+			if err := c.EncodeTo(arena[w*n:(w+1)*n], randData(rng, c)); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return arena
 	}
+	c := MustNew(f8, 36, 16)
+	n := c.N()
+	clean := encodeArena(c)
 	sparse := append([]gf.Elem(nil), clean...)
 	corruptInPlace(rng, sparse[3*n:4*n], 2)
 	erased := append([]gf.Elem(nil), clean...)
@@ -287,24 +300,38 @@ func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 	erasures[5] = []int{1, 7}
 	erased[5*n+1] ^= 0x40
 
+	c18 := MustNew(f8, 18, 16)
+	failing := encodeArena(c18)
+	failingErs := make([][]int, count)
+	for w, mags := range [][2]gf.Elem{{1, 2}, {1, 4}, {1, 1}} {
+		failing[w*18] ^= mags[0]
+		failing[w*18+1] ^= mags[1]
+	}
+	failing[3*18+7] ^= 0x11
+	failingErs[3] = []int{5}
+
 	cases := []struct {
-		name  string
-		arena []gf.Elem
-		ers   [][]int
+		name   string
+		c      *Code
+		arena  []gf.Elem
+		ers    [][]int
+		failed int
 	}{
-		{"clean", clean, nil},
-		{"sparse", sparse, nil},
-		{"erasures", erased, erasures},
+		{"clean", c, clean, nil, 0},
+		{"sparse", c, sparse, nil, 0},
+		{"erasures", c, erased, erasures, 0},
+		{"rs1816-failed", c18, failing, failingErs, 4},
 	}
 	for _, tc := range cases {
-		batch := Batch{Words: tc.arena, Stride: n, Count: count}
+		bd := tc.c.NewBatchDecoder()
+		batch := Batch{Words: tc.arena, Stride: tc.c.N(), Count: count}
 		run := func() {
 			res, err := bd.DecodeAll(batch, tc.ers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Failed != 0 {
-				t.Fatalf("%s: %d failed words", tc.name, res.Failed)
+			if res.Failed != tc.failed {
+				t.Fatalf("%s: %d failed words, want %d", tc.name, res.Failed, tc.failed)
 			}
 		}
 		run() // warm the workspace (and re-corrupt nothing: corrections persist in the arena)

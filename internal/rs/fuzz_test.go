@@ -17,7 +17,10 @@ const maxFuzzWords = 8
 // erasures names a position in [-1, n] — out-of-range and duplicate
 // positions included. Decoder.Decode and BatchDecoder (one arena, one
 // shared erasure list) must agree on every word: the same corrected
-// codeword or the same error text. DecodeEuclidean must give the same
+// codeword or the same error text. On RS(18,16) this compares the
+// batch path's closed-form n-k = 2 solve with Berlekamp-Massey and the
+// Chien/Forney sweep; the committed corpus reaches each of its seven
+// branches. DecodeEuclidean must give the same
 // codeword or validation error, and fail exactly where Decode finds
 // the word uncorrectable. A word reported as corrected must be a
 // codeword within 2e+v <= n-k of the received word.

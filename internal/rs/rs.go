@@ -73,6 +73,17 @@
 // between words (see Batch); sharing one list arena-wide is the fast
 // path.
 //
+// A code with n-k = 2, such as the paper's RS(18,16), leaves that
+// pipeline out of the batch path altogether. With two syndromes S0 and
+// S1, one error sits at the locator S1/S0; one erasure either explains
+// the syndromes alone or leaves the word beyond capability; two
+// erasures solve a 2x2 Forney system. The closed form reaches the
+// codeword, or the error text, that Berlekamp-Massey and the
+// Chien/Forney sweep reach, and its failures are shared error values,
+// so a failed word allocates nothing. Decoder.Decode keeps
+// Berlekamp-Massey for every code: it serves the arbiter, and it is
+// the reference the batch path is fuzzed against.
+//
 // DecodeAll runs on the calling goroutine: the simulators parallelize
 // across trials, each worker holding its own BatchDecoder over an
 // arena of a few words.
@@ -164,6 +175,17 @@ func (e *uncorrectableError) Error() string {
 }
 
 func (e *uncorrectableError) Unwrap() error { return ErrUncorrectable }
+
+// The failures of an n-k = 2 word have constant detail, so the closed
+// form returns these shared values and a failed word allocates nothing.
+// Their texts are the ones Berlekamp-Massey and the Chien sweep report
+// for the same words.
+var (
+	errTwoErrors          = uncorrectable("%d errors with %d erasures exceed n-k=%d", 2, 0, 2)
+	errOneError           = uncorrectable("%d errors with %d erasures exceed n-k=%d", 1, 0, 2)
+	errOneErrorOneErasure = uncorrectable("%d errors with %d erasures exceed n-k=%d", 1, 1, 2)
+	errRootOutsideWord    = uncorrectable("errata locator has %d roots in word, degree %d", 0, 1)
+)
 
 // New returns the code RS(n,k) over the field f with the conventional
 // first consecutive root alpha^1.
@@ -658,16 +680,23 @@ func (dec *Decoder) buildResult(received []gf.Elem) *Result {
 // cached erasure-set setup, or is nil for an erasure-free word. The
 // outcome is identical to decode(received, ent.positions, false).
 //
-// When the erasure-set entry supports it and Berlekamp-Massey saw
-// every discrepancy vanish (Psi == Gamma: the syndromes are fully
-// explained by the erasures), the correction applies directly at the
-// entry's precomputed locator roots and the O(n*deg) Chien sweep is
-// skipped entirely.
+// A code with n-k = 2 solves in closed form (solve2). Otherwise, when
+// the erasure-set entry supports it and Berlekamp-Massey saw every
+// discrepancy vanish (Psi == Gamma: the syndromes are fully explained
+// by the erasures), the correction applies directly at the entry's
+// precomputed locator roots and the O(n*deg) Chien sweep is skipped
+// entirely.
 func (dec *Decoder) decodeWithSyndromes(received []gf.Elem, ent *erasureEntry) (*Result, error) {
 	c := dec.c
 	d := c.n - c.k
 	copy(dec.word, received)
 	if allZero(dec.syn) {
+		return dec.buildResult(received), nil
+	}
+	if d == 2 {
+		if err := dec.solve2(ent); err != nil {
+			return nil, err
+		}
 		return dec.buildResult(received), nil
 	}
 
@@ -710,6 +739,66 @@ func (dec *Decoder) decodeWithSyndromes(received []gf.Elem, ent *erasureEntry) (
 		return nil, uncorrectable("residual syndromes after correction")
 	}
 	return dec.buildResult(received), nil
+}
+
+// solve2 corrects dec.word in closed form for a code with n-k = 2 and
+// nonzero syndromes S0, S1. An errata of magnitude e at coefficient
+// power p (position n-1-p) has locator X = alpha^p and adds e*X^fcr to
+// S0 and e*X^(fcr+1) to S1, so:
+//
+//   - no erasures: the one error has X = S1/S0 and e = S0/X^fcr; a zero
+//     S0 or S1, or an X beyond the word, is uncorrectable;
+//   - one erasure with locator a: it explains the syndromes alone iff
+//     S1 = a*S0, and then e = S0/a^fcr; any other word needs one more
+//     error than n-k = 2 affords;
+//   - two erasures a1, a2: E_i = e_i*a_i^fcr solve S0 = E1 + E2 and
+//     S1 = a1*E1 + a2*E2, so E1 = (S1 + a2*S0)/(a1 + a2), E2 = S0 + E1.
+//
+// Each branch reaches the codeword, or the error text, that
+// Berlekamp-Massey plus the Chien/Forney sweep reach for the same word.
+// The corrected word's syndromes vanish by construction, so there is no
+// residual check.
+func (dec *Decoder) solve2(ent *erasureEntry) error {
+	c, f := dec.c, dec.c.f
+	s0, s1 := dec.syn[0], dec.syn[1]
+	var ers []int
+	if ent != nil {
+		ers = ent.positions
+	}
+	switch len(ers) {
+	case 0:
+		switch {
+		case s0 == 0:
+			return errTwoErrors
+		case s1 == 0:
+			return errOneError
+		}
+		p := f.Log(s1) - f.Log(s0)
+		if p < 0 {
+			p += f.N()
+		}
+		if p >= c.n {
+			return errRootOutsideWord
+		}
+		dec.word[c.n-1-p] ^= f.Exp(f.Log(s0) - c.fcr*p)
+	case 1:
+		p := c.n - 1 - ers[0]
+		if s1 != f.Mul(f.Exp(p), s0) {
+			return errOneErrorOneErasure
+		}
+		dec.word[ers[0]] ^= f.Exp(f.Log(s0) - c.fcr*p)
+	default:
+		p1, p2 := c.n-1-ers[0], c.n-1-ers[1]
+		a1, a2 := f.Exp(p1), f.Exp(p2)
+		e1 := f.Div(s1^f.Mul(a2, s0), a1^a2)
+		if e1 != 0 {
+			dec.word[ers[0]] ^= f.Exp(f.Log(e1) - c.fcr*p1)
+		}
+		if e2 := s0 ^ e1; e2 != 0 {
+			dec.word[ers[1]] ^= f.Exp(f.Log(e2) - c.fcr*p2)
+		}
+	}
+	return nil
 }
 
 // forneyAtRoots applies the Forney correction at the precomputed roots
