@@ -787,7 +787,7 @@ func (dec *Decoder) solve2(ent *erasureEntry) error {
 			return errOneErrorOneErasure
 		}
 		dec.word[ers[0]] ^= f.Exp(f.Log(s0) - c.fcr*p)
-	default:
+	default: // two erasures; the erasure-set cache rejects more
 		p1, p2 := c.n-1-ers[0], c.n-1-ers[1]
 		a1, a2 := f.Exp(p1), f.Exp(p2)
 		e1 := f.Div(s1^f.Mul(a2, s0), a1^a2)
