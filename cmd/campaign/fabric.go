@@ -15,6 +15,17 @@ import (
 	"repro/internal/fabric"
 )
 
+// Connection timeouts of -serve. ReadHeaderTimeout drops a client that
+// never finishes its request header (slowloris); IdleTimeout closes
+// keep-alive connections nobody reuses. ReadTimeout and WriteTimeout
+// stay unset: an upload streams a body of any length, and the registry
+// holds a lease request open for up to a second while it has no work,
+// so a deadline on the whole request would cut off legitimate traffic.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
 // serveOptions configures -serve, the multi-tenant job service.
 type serveOptions struct {
 	addr         string
@@ -78,15 +89,20 @@ func runService(opts serveOptions) int {
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: reg.Handler()}
+	srv := &http.Server{
+		Handler:           reg.Handler(),
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 	go srv.Serve(ln)
 	logger.Printf("campaign: fabric job service on http://%s (work dir %s)", ln.Addr(), reg.Dir())
 
 	<-reg.Done()
-	// Linger before closing the socket: executors poll at up to a 2s
-	// idle backoff and -watch at 300ms, and both should observe the
-	// terminal state (drained reply, done/failed job) rather than a
-	// connection refused from a vanished service.
+	// Linger before closing the socket: -watch polls every 300ms and
+	// should observe the job's terminal state rather than a connection
+	// refused from a vanished service. Idle executors need none: their
+	// held lease requests get the drained reply the moment the registry
+	// drains.
 	time.Sleep(5 * time.Second)
 	srv.Close()
 	code := 0

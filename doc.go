@@ -279,10 +279,13 @@
 // slices a tenant may hold concurrently; when the registry is
 // configured with tenants, every mutating request — submit, delete,
 // lease, renew, upload — must carry the tenant's bearer token, reads
-// stay open, and only a job's owner may delete it. Executors retry
-// with capped, jittered exponential backoff and honor context
-// cancellation, so a restarting service sees a gentle reconnect
-// rather than a stampede. Executors compute their
+// stay open, and only a job's owner may delete it. An executor never
+// sleeps for want of work: the registry holds its lease request until
+// a slice becomes grantable (or a second passes), so an idle fleet
+// picks up a new job at once. Only connection and lease errors are
+// retried under capped, jittered exponential backoff, which honors
+// context cancellation, so a restarting service sees a gentle
+// reconnect rather than a stampede. Executors compute their
 // slice in memory, renew their lease while working, and upload the
 // serialized partial artifact gzip-compressed (roughly 10:1 on JSONL;
 // the registry stores uploads verbatim and the artifact reader

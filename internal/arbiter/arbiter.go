@@ -85,15 +85,16 @@ type Result struct {
 
 // Arbiter decodes replicated word pairs for a fixed code. It owns a
 // decoding workspace per module (the repaired-word buffers, erasure
-// bitsets and rs.Decoder scratch), so steady-state reads allocate only
-// the Result they hand back. An Arbiter is therefore NOT safe for
-// concurrent use; create one per goroutine.
+// bitsets and rs.Decoder scratch) and the Result it hands back, so a
+// read whose words decode allocates nothing. An Arbiter is therefore
+// NOT safe for concurrent use; create one per goroutine.
 type Arbiter struct {
 	code       *rs.Code
 	dec1, dec2 *rs.Decoder
 	w1, w2     []gf.Elem
 	e1, e2     []bool
 	shared     []int
+	res        Result
 }
 
 // New returns an arbiter for the given code.
@@ -127,6 +128,10 @@ func New(code *rs.Code) (*Arbiter, error) {
 // correction sets that word's flag.
 //
 // Step 3 — flag-and-compare selection per the paper's four rules.
+//
+// The Result belongs to the Arbiter, and its Data aliases the winning
+// decoder's workspace: both stay valid until the next Read; copy what
+// must outlive it.
 func (a *Arbiter) Read(word1, word2 []gf.Elem, erasures1, erasures2 []int) (*Result, error) {
 	n := a.code.N()
 	if len(word1) != n || len(word2) != n {
@@ -139,7 +144,8 @@ func (a *Arbiter) Read(word1, word2 []gf.Elem, erasures1, erasures2 []int) (*Res
 		return nil, err
 	}
 
-	res := &Result{}
+	a.res = Result{}
+	res := &a.res
 	copy(a.w1, word1)
 	copy(a.w2, word2)
 	shared := a.shared[:0]
@@ -160,12 +166,9 @@ func (a *Arbiter) Read(word1, word2 []gf.Elem, erasures1, erasures2 []int) (*Res
 	r1, err1 := a.dec1.Decode(a.w1, shared)
 	r2, err2 := a.dec2.Decode(a.w2, shared)
 
-	// output hands a decoded dataword to the caller. The decoder
-	// results alias the arbiter's workspaces, so the retained Data is
-	// copied out.
 	output := func(r *rs.Result) {
 		res.OK = true
-		res.Data = append([]gf.Elem(nil), r.Data...)
+		res.Data = r.Data
 	}
 	switch {
 	case err1 != nil && err2 != nil:

@@ -361,6 +361,35 @@ func TestReadDoesNotMutateInputs(t *testing.T) {
 	}
 }
 
+// TestCorrectableReadAllocatesNothing: a duplex read whose words both
+// decode (here one corrected error and one masked erasure) hands back
+// the Arbiter's own Result and allocates nothing.
+func TestCorrectableReadAllocatesNothing(t *testing.T) {
+	a := mustArbiter(t, code)
+	data, cw := encode(t, code, 18)
+	w1, w2 := clone(cw), clone(cw)
+	w1[5] ^= 0x41
+	w2[9] = 0
+	var res *Result
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if res, err = a.Read(w1, w2, nil, []int{9}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !res.OK || res.Verdict != CorrectedAgree || res.MaskedErasures != 1 {
+		t.Fatalf("%+v, want a corrected-agree read with one masked erasure", res)
+	}
+	for i := range data {
+		if res.Data[i] != data[i] {
+			t.Fatal("data mismatch")
+		}
+	}
+	if allocs != 0 {
+		t.Errorf("correctable duplex read: %.1f allocs, want 0", allocs)
+	}
+}
+
 func BenchmarkArbiterReadClean(b *testing.B) {
 	a, _ := New(code)
 	rng := rand.New(rand.NewSource(16))

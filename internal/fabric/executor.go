@@ -52,8 +52,8 @@ var errUnauthorized = errors.New("fabric: executor: registry rejected the bearer
 // backoff produces capped, jittered exponential delays: each call
 // returns a duration uniformly drawn from [d/2, d] where d doubles
 // from base up to max. The jitter decorrelates a fleet of executors
-// that all lost the registry (or all found no work) at the same
-// moment, so their retries do not arrive as synchronized waves.
+// that all lost the registry at the same moment, so their retries do
+// not arrive as synchronized waves.
 type backoff struct {
 	d, base, max time.Duration
 	rng          *rand.Rand
@@ -108,12 +108,15 @@ type executor struct {
 // and cache that job's spec (verified against the lease's digest),
 // execute the slice in memory, upload the serialized partial, renew
 // the lease in the background while computing — and repeat across
-// jobs until the registry reports it has drained. It returns nil on a
-// clean drain — including the registry becoming unreachable after
-// having been reached, which is how a fleet winds down when the
-// registry exits — and an error on cancellation, a rejected token, or
-// a registry that never answered. Transient failures retry under
-// capped jittered exponential backoff and honor ctx cancellation.
+// jobs until the registry reports it has drained. An executor never
+// sleeps for want of work: the registry holds its lease request until
+// a slice is grantable, and after a 204 (a full hold found nothing)
+// it asks again at once. It returns nil on a clean drain — including
+// the registry becoming unreachable after having been reached, which
+// is how a fleet winds down when the registry exits — and an error on
+// cancellation, a rejected token, or a registry that never answered.
+// Connection and lease errors retry under capped jittered exponential
+// backoff and honor ctx cancellation.
 func RunExecutor(ctx context.Context, cfg ExecutorConfig) error {
 	logger := cfg.Log
 	if logger == nil {
@@ -131,7 +134,6 @@ func RunExecutor(ctx context.Context, cfg ExecutorConfig) error {
 	}
 	e := &executor{cfg: cfg, client: client, log: logger, specs: make(map[string]*builtJob)}
 
-	idle := newBackoff(100*time.Millisecond, 2*time.Second)  // registry has no work for us
 	retry := newBackoff(250*time.Millisecond, 5*time.Second) // connection or lease errors
 	startDeadline := time.Now().Add(30 * time.Second)
 	contacted := false
@@ -175,13 +177,8 @@ func RunExecutor(ctx context.Context, cfg ExecutorConfig) error {
 			return nil
 		}
 		if lease == nil {
-			// 204: everything is leased, quota-blocked or between jobs.
-			if !sleepCtx(ctx, idle.next()) {
-				return ctx.Err()
-			}
-			continue
+			continue // 204: a full hold found nothing grantable
 		}
-		idle.reset()
 		bj, err := e.builtFor(ctx, lease)
 		if err == nil {
 			err = e.runLease(ctx, bj, lease)
@@ -209,7 +206,7 @@ func (e *executor) post(ctx context.Context, url, contentType string, body io.Re
 }
 
 // requestLease asks the registry for work. A nil lease with done=false
-// means no grantable work right now (idle-backoff and retry).
+// means the registry held the request and no slice became grantable.
 func (e *executor) requestLease(ctx context.Context) (lease *Lease, done bool, err error) {
 	body, _ := json.Marshal(leaseRequest{Executor: e.cfg.Name})
 	resp, err := e.post(ctx, e.cfg.URL+pathLease, "application/json", bytes.NewReader(body))

@@ -35,13 +35,21 @@
 // cursor over its jobs so one tenant's giant campaign cannot starve
 // another's. Per-tenant quotas cap the number of concurrently leased
 // slices belonging to one tenant's jobs; a tenant at quota simply
-// stops being offered, and if no other tenant has runnable work the
-// executor gets 204 No Content and backs off. A lease that misses its
-// deadline (executor crashed, hung, or was SIGKILLed) is stolen: the
-// next executor asking for work receives the same slice under a fresh
-// lease. Because slices are pure functions of the global trial index,
-// duplicate executions are byte-identical and the registry simply
-// ignores a second upload of a completed slice.
+// stops being offered. When nothing is grantable the registry holds
+// the lease request instead of refusing it, and answers it the moment
+// work may have appeared: a job is submitted, a rejected upload's
+// slice is re-queued, an accepted upload frees its tenant's quota, a
+// job finishes, fails or is deleted (which also delivers the drained
+// reply), or a live lease reaches its deadline. Only a request that
+// found nothing grantable for a full second gets 204 No Content, and
+// the executor asks again at once, so an idle fleet sends one request
+// per executor per second and picks up a new job without delay. A
+// lease that misses its deadline (executor crashed, hung, or was
+// SIGKILLed) is stolen: the next executor asking for work, or one
+// already held, receives the same slice under a fresh lease. Because
+// slices are pure functions of the global trial index, duplicate
+// executions are byte-identical and the registry simply ignores a
+// second upload of a completed slice.
 //
 // Executors are job-agnostic: the lease names the job and the spec
 // digest, the executor fetches GET /jobs/{id}/spec (cached per job,
@@ -290,7 +298,8 @@ type Lease struct {
 
 // leaseReply is the 200 response to POST /lease: Done means the
 // registry is drained and the executor should exit; otherwise Lease is
-// set. "No grantable work right now" is 204 No Content, not a reply.
+// set. A request held for a full leaseWait without finding grantable
+// work is answered 204 No Content, not a reply.
 type leaseReply struct {
 	Done  bool   `json:"done,omitempty"`
 	Lease *Lease `json:"lease,omitempty"`

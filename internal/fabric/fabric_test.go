@@ -257,27 +257,8 @@ func TestFabricStealsFromDeadExecutor(t *testing.T) {
 
 	// A zombie upload under the stolen lease is ignored, not merged:
 	// the slice is already done under the thief's lease.
-	b := built[0]
-	for _, bb := range built {
-		if bb.Entry.Name == reply.Lease.Entry {
-			b = bb
-		}
-	}
-	plan, err := campaign.NewPlan(b.Scenario, reply.Lease.ShardSize,
-		campaign.Partition{Index: reply.Lease.Index, Count: reply.Lease.Count})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.ParamsDigest = b.EngineConfig(f).ParamsDigest
-	partial, err := campaign.Execute(b.Scenario, plan, campaign.ExecConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := partial.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(srv.URL+pathUpload+"?lease="+reply.Lease.ID, "application/jsonl", &buf)
+	body = slicePartial(t, twoKindDoc, reply.Lease)
+	resp, err = http.Post(srv.URL+pathUpload+"?lease="+reply.Lease.ID, "application/jsonl", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,12 @@ import (
 // the registry's memory.
 const maxSpecBytes = 8 << 20
 
+// leaseWait is how long POST /lease holds a request while no slice is
+// grantable. A held request is answered as soon as work may have
+// appeared, so an idle executor sends one request per hold and picks
+// up a new job the moment it is submitted.
+const leaseWait = time.Second
+
 // Handler returns the registry's HTTP API.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -147,14 +153,34 @@ func (r *Registry) handleLease(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "bad lease request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	reply := r.grantLease(lr.Executor)
-	if reply == nil {
-		// No grantable work right now (all leased, quota-blocked, or no
-		// runnable job): the executor backs off and asks again.
-		w.WriteHeader(http.StatusNoContent)
-		return
+	// With no grantable work (all leased, quota-blocked, or no runnable
+	// job), hold the request until work may have appeared or a live
+	// lease expires; answer 204 only after a full hold found nothing.
+	giveUp := time.Now().Add(leaseWait)
+	for {
+		reply, wake, next := r.grantLease(lr.Executor)
+		if reply != nil {
+			writeJSON(w, reply)
+			return
+		}
+		wait := time.Until(giveUp)
+		if wait <= 0 {
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		if !next.IsZero() {
+			wait = min(wait, time.Until(next))
+		}
+		timer := time.NewTimer(wait)
+		select {
+		case <-wake:
+		case <-timer.C:
+		case <-req.Context().Done():
+			timer.Stop()
+			return // the client is gone; nobody reads a reply
+		}
+		timer.Stop()
 	}
-	writeJSON(w, reply)
 }
 
 func (r *Registry) handleRenew(w http.ResponseWriter, req *http.Request) {
@@ -234,6 +260,7 @@ func (r *Registry) handleUpload(w http.ResponseWriter, req *http.Request) {
 		if s.state == sliceLeased && s.leaseID == id {
 			s.state = slicePending
 			delete(r.leases, id)
+			r.notifyLocked()
 		}
 		r.mu.Unlock()
 		r.log.Printf("fabric: job %s: rejected upload for %s slice %s: %v", j.id, t.built.Entry.Name, s.plan.Part, err)
@@ -266,6 +293,9 @@ func (r *Registry) handleUpload(w http.ResponseWriter, req *http.Request) {
 	t.doneTrials += s.plan.PartitionTrials()
 	r.uploads++
 	j.uploads++
+	if r.quotas[j.tenant] > 0 {
+		r.notifyLocked() // a lease of a capped tenant came free
+	}
 	r.log.Printf("fabric: job %s: accepted %s slice %s (%d trials) from %s",
 		j.id, t.built.Entry.Name, s.plan.Part, s.plan.PartitionTrials(), s.holder)
 	if err := r.advanceTask(j, t); err != nil {

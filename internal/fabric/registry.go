@@ -154,6 +154,9 @@ type Registry struct {
 	start     time.Time
 	finished  bool
 	doneCh    chan struct{}
+	// wake is closed and replaced whenever grantable work may have
+	// appeared, releasing every held lease request to look again.
+	wake chan struct{}
 
 	uploads, ignored, rejected, steals int
 }
@@ -202,6 +205,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		executors: make(map[string]time.Time),
 		start:     time.Now(),
 		doneCh:    make(chan struct{}),
+		wake:      make(chan struct{}),
 	}, nil
 }
 
@@ -264,6 +268,7 @@ func (r *Registry) Submit(specBytes []byte, opts SubmitOptions) (*JobStatus, err
 	}
 	r.log.Printf("fabric: job %s: submitted by tenant %q: %d entries, %d slices each (dir %s)",
 		j.id, j.tenant, len(j.tasks), r.cfg.Slices, j.dir)
+	r.notifyLocked()
 	r.maybeCompleteLocked(j) // fully adopted from a previous run?
 	r.checkFinishedLocked()
 	return r.jobStatusLocked(j, false), nil
@@ -461,12 +466,14 @@ func (r *Registry) mergeJob(j *job) {
 	r.finishJobLocked(j, JobDone, "")
 }
 
-// finishJobLocked moves a job into a terminal state. Must be called
-// with mu held.
+// finishJobLocked moves a job into a terminal state. A terminal job
+// frees its tenant's quota and may drain the registry, so held lease
+// requests are woken. Must be called with mu held.
 func (r *Registry) finishJobLocked(j *job, state, errMsg string) {
 	j.state = state
 	j.errMsg = errMsg
 	close(j.doneCh)
+	r.notifyLocked()
 	if errMsg != "" {
 		r.log.Printf("fabric: job %s: %s: %s", j.id, state, errMsg)
 	} else {
@@ -541,6 +548,13 @@ func (r *Registry) checkFinishedLocked() {
 		len(r.order), r.uploads, r.steals, time.Since(r.start).Round(time.Millisecond))
 }
 
+// notifyLocked wakes every held lease request: grantable work may have
+// appeared. Must be called with mu held.
+func (r *Registry) notifyLocked() {
+	close(r.wake)
+	r.wake = make(chan struct{})
+}
+
 // Done is closed once the registry is draining and every job reached a
 // terminal state — the moment a service process can exit.
 func (r *Registry) Done() <-chan struct{} { return r.doneCh }
@@ -574,8 +588,10 @@ func (r *Registry) JobDone(id string) (<-chan struct{}, bool) {
 // grantLease implements the scheduler: rotate the fair-share cursor
 // over the jobs, skip tenants at quota, and hand out the first pending
 // (or expired-and-stealable) slice. A nil reply means no grantable
-// work right now (HTTP 204).
-func (r *Registry) grantLease(executor string) *leaseReply {
+// work right now. Work can then appear only when wake closes or at
+// next, the earliest deadline among live leases (zero if none), when
+// that lease becomes stealable.
+func (r *Registry) grantLease(executor string) (reply *leaseReply, wake <-chan struct{}, next time.Time) {
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -583,7 +599,7 @@ func (r *Registry) grantLease(executor string) *leaseReply {
 		r.executors[executor] = now
 	}
 	if r.finished {
-		return &leaseReply{Done: true}
+		return &leaseReply{Done: true}, nil, time.Time{}
 	}
 	// Live leased slices per owning tenant. Expired leases are excluded:
 	// a dead executor's leases must never hold their own tenant at quota
@@ -593,6 +609,9 @@ func (r *Registry) grantLease(executor string) *leaseReply {
 		s := ref.task.slices[ref.slice]
 		if s.state == sliceLeased && !now.After(s.deadline) {
 			leased[ref.job.tenant]++
+			if next.IsZero() || s.deadline.Before(next) {
+				next = s.deadline
+			}
 		}
 	}
 	n := len(r.order)
@@ -615,11 +634,11 @@ func (r *Registry) grantLease(executor string) *leaseReply {
 				// Advance the cursor past this job so the next request
 				// starts at the next job — the fair share.
 				r.rr = (r.rr + k + 1) % n
-				return r.grantLocked(j, t, s, executor, now, s.state == sliceLeased)
+				return r.grantLocked(j, t, s, executor, now, s.state == sliceLeased), nil, time.Time{}
 			}
 		}
 	}
-	return nil
+	return nil, r.wake, next
 }
 
 // grantLocked assigns a slice to an executor under a fresh lease.

@@ -113,7 +113,7 @@ func TestRegistryMultiJobSharedPool(t *testing.T) {
 		ids[i] = st.ID
 	}
 	for i := 0; i < 8; i++ {
-		reply := sched.grantLease("exec-0")
+		reply, _, _ := sched.grantLease("exec-0")
 		if reply == nil || reply.Lease == nil || reply.Lease.Job != ids[i%2] {
 			t.Fatalf("grant %d to one executor: %+v, want a lease of job %s", i, reply, ids[i%2])
 		}
@@ -242,7 +242,7 @@ func TestRegistryQuota(t *testing.T) {
 
 	var grants []string // owning tenant per successive grant
 	for {
-		reply := reg.grantLease("probe")
+		reply, _, _ := reg.grantLease("probe")
 		if reply == nil {
 			break
 		}
@@ -263,7 +263,7 @@ func TestRegistryQuota(t *testing.T) {
 	}
 	// alice holds at most MaxLeases=1 concurrent slice; bob (unlimited)
 	// got every slice of his job. With work remaining only behind
-	// alice's quota, the loop ended on nil — the 204.
+	// alice's quota, the loop ended on nil: nothing grantable.
 	if aliceLeases != 1 {
 		t.Errorf("alice granted %d concurrent leases, want exactly 1 (quota)", aliceLeases)
 	}
@@ -275,12 +275,15 @@ func TestRegistryQuota(t *testing.T) {
 		t.Errorf("bob leased %d grants but holds %d slices", got, bobSlices)
 	}
 
-	// The HTTP layer surfaces the quota-blocked state as 204.
+	// The HTTP layer holds the quota-blocked request for a full
+	// leaseWait, then answers 204. This is the one test that waits out
+	// a hold.
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 	body, _ := json.Marshal(leaseRequest{Executor: "probe"})
 	req, _ := http.NewRequest(http.MethodPost, srv.URL+pathLease, bytes.NewReader(body))
 	req.Header.Set("Authorization", "Bearer tok-b")
+	start := time.Now()
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -288,6 +291,9 @@ func TestRegistryQuota(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent {
 		t.Errorf("quota-blocked lease: status %d, want 204", resp.StatusCode)
+	}
+	if held := time.Since(start); held < leaseWait {
+		t.Errorf("quota-blocked lease answered after %s, want a full hold of %s", held, leaseWait)
 	}
 }
 
@@ -310,7 +316,7 @@ func TestRegistryDeleteRunningJob(t *testing.T) {
 	other := postJobs(t, srv.URL, "", secondDoc)
 
 	// Lease one slice of the doomed job (fair-share starts there).
-	reply := reg.grantLease("zombie")
+	reply, _, _ := reg.grantLease("zombie")
 	if reply == nil || reply.Lease == nil || reply.Lease.Job != doomed.ID {
 		t.Fatalf("first grant %+v, want a %s lease", reply, doomed.ID)
 	}
@@ -330,7 +336,7 @@ func TestRegistryDeleteRunningJob(t *testing.T) {
 	// Nothing of the deleted job is re-queued: every further grant
 	// belongs to the surviving job.
 	for {
-		reply := reg.grantLease("prober")
+		reply, _, _ := reg.grantLease("prober")
 		if reply == nil {
 			break
 		}
@@ -343,28 +349,8 @@ func TestRegistryDeleteRunningJob(t *testing.T) {
 	}
 
 	// The zombie executor finishes its slice and uploads — refused.
-	f, built := buildSpec(t, twoKindDoc)
-	var b = built[0]
-	for _, bb := range built {
-		if bb.Entry.Name == zombieLease.Entry {
-			b = bb
-		}
-	}
-	plan, err := campaign.NewPlan(b.Scenario, zombieLease.ShardSize,
-		campaign.Partition{Index: zombieLease.Index, Count: zombieLease.Count})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.ParamsDigest = b.EngineConfig(f).ParamsDigest
-	partial, err := campaign.Execute(b.Scenario, plan, campaign.ExecConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := partial.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+pathUpload+"?lease="+zombieLease.ID, "application/jsonl", &buf)
+	body := slicePartial(t, twoKindDoc, zombieLease)
+	resp, err := http.Post(srv.URL+pathUpload+"?lease="+zombieLease.ID, "application/jsonl", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +414,7 @@ func TestRegistryStatusMultiJob(t *testing.T) {
 	}
 
 	// The failed job never blocks draining.
-	reply := reg.grantLease("e")
+	reply, _, _ := reg.grantLease("e")
 	if reply == nil || reply.Lease == nil || reply.Lease.Job != good.ID {
 		t.Fatalf("grant %+v, want the good job's lease", reply)
 	}
