@@ -4,7 +4,7 @@
 // 2005) as a production-quality Go library.
 //
 // The implementation lives under internal/: the Reed-Solomon codec
-// and its field/polynomial substrates (gf, gfpoly, rs), the CTMC
+// and its finite-field substrate (gf, rs), the CTMC
 // engine standing in for the paper's SURE solver (markov), the two
 // memory-system models (simplex, duplex), the top-level BER analysis
 // API (core), the duplex arbiter and Monte Carlo fault-injection

@@ -11,12 +11,10 @@
 // evaluation, with allocation-light implementations built on the gf
 // batch kernels.
 //
-// The Reed-Solomon hot path in internal/rs does not route through
-// this package — its encoder, syndrome, locator and Chien/Forney
-// kernels operate on fixed workspace buffers. The rs code builds its
-// generator polynomial here, and the Sugiyama audit decoder
-// (rs.DecodeEuclidean), which the tests compare the fast decoder
-// against, is written against this algebra.
+// No package imports gfpoly. internal/rs builds its generator and
+// locators with gf operations on fixed workspace buffers, and the
+// reference decoder in its tests carries its own polynomial helpers.
+// The package and its tests are due for deletion (see ROADMAP.md).
 package gfpoly
 
 import (

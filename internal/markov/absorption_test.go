@@ -1,7 +1,6 @@
 package markov
 
 import (
-	"fmt"
 	"math"
 	"testing"
 )
@@ -139,127 +138,5 @@ func TestMeanTimeMatchesTransientIntegral(t *testing.T) {
 	}
 	if math.Abs(integral-mtta[0])/mtta[0] > 0.01 {
 		t.Errorf("MTTA = %v but survival integral = %v", mtta[0], integral)
-	}
-}
-
-// AbsorptionProbability returns, for each state, the probability of
-// eventually being absorbed in one of the target states (which must
-// all be absorbing), rather than some other absorbing state. No model
-// needs it; it is a test fixture whose closed-form cases below
-// exercise solveDense, the solver MeanTimeToAbsorption runs on.
-func (c *Chain) AbsorptionProbability(targets []int) ([]float64, error) {
-	isTarget := make([]bool, c.n)
-	for _, s := range targets {
-		if s < 0 || s >= c.n {
-			return nil, fmt.Errorf("markov: target state %d out of range", s)
-		}
-		if !c.IsAbsorbing(s) {
-			return nil, fmt.Errorf("markov: target state %d is not absorbing", s)
-		}
-		isTarget[s] = true
-	}
-	absorbing := make([]bool, c.n)
-	for i := 0; i < c.n; i++ {
-		absorbing[i] = c.IsAbsorbing(i)
-	}
-
-	var transient []int
-	index := make([]int, c.n)
-	for i := range index {
-		index[i] = -1
-	}
-	for i := 0; i < c.n; i++ {
-		if !absorbing[i] {
-			index[i] = len(transient)
-			transient = append(transient, i)
-		}
-	}
-	out := make([]float64, c.n)
-	for i := 0; i < c.n; i++ {
-		if isTarget[i] {
-			out[i] = 1
-		}
-	}
-	m := len(transient)
-	if m == 0 {
-		return out, nil
-	}
-	// h_i = sum_j P(i->j) h_j; P(i->j) = rate/exit. As a linear system:
-	// exit_i h_i - sum_{j transient} rate_ij h_j = sum_{j target} rate_ij.
-	a := make([][]float64, m)
-	b := make([]float64, m)
-	for r, i := range transient {
-		a[r] = make([]float64, m)
-		if c.exit[i] == 0 {
-			// Structurally impossible (transient implies outgoing),
-			// but keep the system well posed.
-			a[r][r] = 1
-			continue
-		}
-		a[r][r] = c.exit[i]
-		for _, tr := range c.trans[i] {
-			if j := index[tr.To]; j >= 0 {
-				a[r][j] -= tr.Rate
-			} else if isTarget[tr.To] {
-				b[r] += tr.Rate
-			}
-		}
-	}
-	h, err := solveDense(a, b)
-	if err != nil {
-		return nil, err
-	}
-	for r, i := range transient {
-		out[i] = h[r]
-	}
-	return out, nil
-}
-
-func TestAbsorptionProbabilityCompeting(t *testing.T) {
-	// 0 -> 1 (rate a) and 0 -> 2 (rate b), both absorbing:
-	// P(absorb in 1) = a/(a+b).
-	a, b := 2.0, 3.0
-	c, _ := NewChain(3)
-	_ = c.AddTransition(0, 1, a)
-	_ = c.AddTransition(0, 2, b)
-	p, err := c.AbsorptionProbability([]int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relClose(p[0], a/(a+b), 1e-12) {
-		t.Errorf("P = %v, want %v", p[0], a/(a+b))
-	}
-	if p[1] != 1 || p[2] != 0 {
-		t.Errorf("absorbing-state probabilities wrong: %v", p)
-	}
-}
-
-func TestAbsorptionProbabilityWithLoop(t *testing.T) {
-	// 0 -> 1 -> {0 (repair), 2, 3}: gambler's-ruin style check.
-	c, _ := NewChain(4)
-	_ = c.AddTransition(0, 1, 1)
-	_ = c.AddTransition(1, 0, 1)
-	_ = c.AddTransition(1, 2, 1)
-	_ = c.AddTransition(1, 3, 2)
-	p, err := c.AbsorptionProbability([]int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// From 1: with prob 1/4 -> 0 (then back to 1), 1/4 -> 2, 1/2 -> 3.
-	// h1 = 1/4*h1' where h0 = h1: h1 = 1/4 + 1/4 h1 => h1 = 1/3.
-	if !relClose(p[1], 1.0/3, 1e-10) || !relClose(p[0], 1.0/3, 1e-10) {
-		t.Errorf("P = %v, want 1/3 from both transient states", p)
-	}
-}
-
-func TestAbsorptionProbabilityValidation(t *testing.T) {
-	c, _ := NewChain(3)
-	_ = c.AddTransition(0, 1, 1)
-	_ = c.AddTransition(0, 2, 1)
-	if _, err := c.AbsorptionProbability([]int{0}); err == nil {
-		t.Error("non-absorbing target accepted")
-	}
-	if _, err := c.AbsorptionProbability([]int{7}); err == nil {
-		t.Error("out-of-range target accepted")
 	}
 }

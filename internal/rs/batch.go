@@ -11,11 +11,11 @@ import (
 // word each pass. The overwhelmingly common case in a scrub pass is a
 // word with no errors at all, and for those the only work a decoder
 // truly owes is the syndrome check — so DecodeAll screens the whole
-// arena with a packed syndrome fold and touches the per-word
-// Berlekamp-Massey/Chien machinery only for words whose syndromes come
-// back nonzero (or that carry erasures, whose validation order the
-// per-word pipeline owns). A code with n-k = 2 solves those words in
-// closed form instead (Decoder.solve2).
+// arena with a packed syndrome fold and hands only the words whose
+// syndromes come back nonzero to the correction tail Decoder.Decode
+// ends in (Decoder.correct): the closed form for n-k = 2, otherwise
+// Berlekamp-Massey and Chien/Forney. The erasure lists resolve through
+// a cache of validated erasure-set setups (ecache.go).
 //
 // The syndrome screen runs on a precomputed contribution table, the
 // CRC slicing-by-8 trick transplanted to GF(2^m): the contribution of
@@ -259,7 +259,7 @@ func (l *batchLane) decodeWord(bt *batchTable, word []gf.Elem, ers []int) WordRe
 	for j := range syn {
 		syn[j] = gf.Elem(l.acc[j>>3] >> (8 * (j & 7)) & 0xff)
 	}
-	dres, err := l.dec.decodeWithSyndromes(word, ent)
+	dres, err := l.dec.correct(word, ers, ent)
 	if err != nil {
 		return WordResult{Err: err}
 	}
@@ -270,7 +270,7 @@ func (l *batchLane) decodeWord(bt *batchTable, word []gf.Elem, ers []int) WordRe
 // fullDecode runs the unabridged per-word pipeline (validation,
 // Horner syndromes and all) and applies the correction in place.
 func (l *batchLane) fullDecode(word []gf.Elem, ers []int) WordResult {
-	dres, err := l.dec.decode(word, ers, false)
+	dres, err := l.dec.Decode(word, ers)
 	if err != nil {
 		return WordResult{Err: err}
 	}

@@ -93,9 +93,11 @@ func corruptInPlace(rng *rand.Rand, word []gf.Elem, errs int) {
 // match a per-word Decoder.Decode loop result-for-result — the same
 // accept/reject decision, the same error text, the same corrected word
 // and correction count, and failed words left exactly as received.
-// The n-k = 2 codes run the batch path's closed-form solve: RS(18,16)
-// at three first consecutive roots, and a shortened RS(10,8) whose
-// single-error locators mostly fall outside the word.
+// Both sides end in the same correction tail, so each per-word outcome
+// is also checked against the oracle: its codeword on success, its
+// class of failure otherwise. The n-k = 2 codes run the closed-form
+// solve: RS(18,16) at three first consecutive roots, and a shortened
+// RS(10,8) whose single-error locators mostly fall outside the word.
 func TestDecodeAllMatchesPerWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	for _, params := range []struct{ n, k, fcr int }{
@@ -139,6 +141,13 @@ func TestDecodeAllMatchesPerWord(t *testing.T) {
 					ers = erasures[w]
 				}
 				want, wantErr := dec.Decode(received[w], ers)
+				var wantWord []gf.Elem
+				if wantErr == nil {
+					wantWord = want.Codeword
+				}
+				if m := oracleMismatch(c, received[w], ers, wantWord, wantErr); m != "" {
+					t.Fatalf("%v word %d: %s", c, w, m)
+				}
 				arenaWord := batch.Words[w*stride : w*stride+c.N()]
 				if (got.Err != nil) != (wantErr != nil) {
 					t.Fatalf("word %d: batch err=%v, per-word err=%v", w, got.Err, wantErr)

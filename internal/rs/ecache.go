@@ -1,10 +1,6 @@
 package rs
 
-import (
-	"fmt"
-
-	"repro/internal/gf"
-)
+import "repro/internal/gf"
 
 // This file implements the erasure-set locator cache behind the batch
 // decode layer. The erasure locator Gamma(x) and its Chien/Forney
@@ -144,63 +140,23 @@ func intsEqual(a, b []int) bool {
 	return true
 }
 
-// build fills the entry for the erasure list: validation replicating
-// Decoder.decode exactly (same order, same messages), then Gamma and
-// the per-root Forney setup.
+// build fills the entry for the erasure list: Decode's validation
+// (same order, same messages), then Gamma and the per-root Forney
+// setup.
 func (ec *erasureCache) build(e *erasureEntry, ers []int) {
 	c := ec.c
 	f := c.f
-	d := c.n - c.k
 	e.positions = append(e.positions[:0], ers...)
-	e.err = nil
-	e.gamma = e.gamma[:0]
 	e.roots = e.roots[:0]
 	e.fastOK = false
-
-	// Validation in list order, range before duplicate per position,
-	// exactly as decode reports it. The bitset is kept all-false
-	// between builds by clearing only the positions set here.
-	for i, p := range ers {
-		if p < 0 || p >= c.n {
-			e.err = fmt.Errorf("rs: erasure position %d out of range [0,%d)", p, c.n)
-		} else if ec.erased[p] {
-			e.err = fmt.Errorf("rs: duplicate erasure position %d", p)
-		} else {
-			ec.erased[p] = true
-			continue
-		}
-		for _, q := range ers[:i] {
-			ec.erased[q] = false
-		}
+	if e.err = c.checkErasures(ec.erased, ers); e.err != nil {
 		return
-	}
-	for _, p := range ers {
-		ec.erased[p] = false
 	}
 	rho := len(ers)
-	if rho > d {
-		e.err = uncorrectable("%d erasures exceed n-k=%d", rho, d)
-		return
+	if len(e.gamma) == 0 {
+		e.gamma = make([]gf.Elem, c.n-c.k+1)
 	}
-
-	// Gamma(x) = prod (1 - x*alpha^(n-1-p)), built exactly as decode
-	// builds it, zero-padded to d+1 coefficients. Each linear factor
-	// multiplies through one row view: the cache serves only the batch
-	// path's packed table, which exists just for fields with
-	// multiplication tables.
-	for len(e.gamma) <= d {
-		e.gamma = append(e.gamma, 0)
-	}
-	for i := range e.gamma {
-		e.gamma[i] = 0
-	}
-	e.gamma[0] = 1
-	for deg, p := range ers {
-		row := f.MulRow(f.Exp(c.n - 1 - p))
-		for j := deg + 1; j >= 1; j-- {
-			e.gamma[j] ^= row[e.gamma[j-1]]
-		}
-	}
+	c.erasureLocator(e.gamma, ers)
 
 	// oddTop is the highest odd index with rho coefficients in play.
 	oddTop := rho

@@ -35,28 +35,3 @@ func ExampleCode_Decode() {
 	// corrected symbols: 1 flag: true
 	// recovered from erasures: true
 }
-
-// ExampleCode_DecodeEuclidean shows the independent Sugiyama decoder
-// agreeing with the Berlekamp-Massey path.
-func ExampleCode_DecodeEuclidean() {
-	field := gf.MustField(8)
-	code := rs.MustNew(field, 36, 16)
-
-	data := make([]gf.Elem, 16)
-	word, _ := code.Encode(data)
-	for _, p := range []int{1, 5, 9, 20, 33} {
-		word[p] ^= 0x7F
-	}
-	bm, _ := code.Decode(word, nil)
-	eu, _ := code.DecodeEuclidean(word, nil)
-	same := true
-	for i := range bm.Codeword {
-		if bm.Codeword[i] != eu.Codeword[i] {
-			same = false
-		}
-	}
-	fmt.Println("decoders agree:", same, "corrections:", eu.Corrections)
-
-	// Output:
-	// decoders agree: true corrections: 5
-}

@@ -1,7 +1,6 @@
 package rs
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -17,13 +16,14 @@ const maxFuzzWords = 8
 // erasures names a position in [-1, n] — out-of-range and duplicate
 // positions included. Decoder.Decode and BatchDecoder (one arena, one
 // shared erasure list) must agree on every word: the same corrected
-// codeword or the same error text. On RS(18,16) this compares the
-// batch path's closed-form n-k = 2 solve with Berlekamp-Massey and the
-// Chien/Forney sweep; the committed corpus reaches each of its seven
-// branches. DecodeEuclidean must give the same
-// codeword or validation error, and fail exactly where Decode finds
-// the word uncorrectable. A word reported as corrected must be a
-// codeword within 2e+v <= n-k of the received word.
+// codeword or the same error text. Both end in the same correction
+// tail, so the independent check is the oracle (oracle_test.go): it
+// must give the same codeword, and fail where Decode fails with the
+// same class, uncorrectable or invalid input. On RS(18,16) that checks
+// the closed-form n-k = 2 solve, whose seven branches the committed
+// corpus reaches; on RS(36,16), Berlekamp-Massey and the Chien/Forney
+// sweep. A word reported as corrected must be a codeword within
+// 2e+v <= n-k of the received word.
 func FuzzDecode(f *testing.F) {
 	codes := map[bool]*Code{false: MustNew(f8, 18, 16), true: MustNew(f8, 36, 16)}
 	type workspace struct {
@@ -93,24 +93,11 @@ func FuzzDecode(f *testing.F) {
 				got = res.Codeword
 				checkBounded(t, c, received, got, ers)
 			}
-			want := outcome(got, err)
-			if batch[w] != want {
+			if want := outcome(got, err); batch[w] != want {
 				t.Fatalf("word %d: Decode %s, batch %s", w, want, batch[w])
 			}
-			// The two key-equation solvers can detect one failure at
-			// different steps, so on uncorrectable words only the
-			// class must match.
-			res, err2 := ws.dec.DecodeEuclidean(received, ers)
-			got = nil
-			if err2 == nil {
-				got = res.Codeword
-			}
-			e := outcome(got, err2)
-			if errors.Is(err, ErrUncorrectable) && errors.Is(err2, ErrUncorrectable) {
-				continue
-			}
-			if e != want {
-				t.Fatalf("word %d: Decode %s, DecodeEuclidean %s", w, want, e)
+			if m := oracleMismatch(c, received, ers, got, err); m != "" {
+				t.Fatalf("word %d: %s", w, m)
 			}
 		}
 	})

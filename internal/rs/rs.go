@@ -35,10 +35,10 @@
 // alias the workspace and stay valid only until the next call on that
 // Decoder. Prefer Decoder.Decode in hot loops (one Decoder per
 // goroutine; a Decoder is not safe for concurrent use). The
-// Code.Decode / Code.DecodeEuclidean wrappers keep the original
-// callers working: they borrow a pooled Decoder for the heavy scratch
-// and return an independent Result the caller may retain, at the cost
-// of the Result's own slices being freshly allocated.
+// Code.Decode wrapper keeps the original callers working: it borrows a
+// pooled Decoder for the heavy scratch and returns an independent
+// Result the caller may retain, at the cost of the Result's own slices
+// being freshly allocated.
 //
 // # Batch decode: arenas, strides and the clean-word fast path
 //
@@ -74,15 +74,20 @@
 // path.
 //
 // A code with n-k = 2, such as the paper's RS(18,16), leaves that
-// pipeline out of the batch path altogether. With two syndromes S0 and
-// S1, one error sits at the locator S1/S0; one erasure either explains
-// the syndromes alone or leaves the word beyond capability; two
-// erasures solve a 2x2 Forney system. The closed form reaches the
+// pipeline out altogether, on both decode paths. With two syndromes S0
+// and S1, one error sits at the locator S1/S0; one erasure either
+// explains the syndromes alone or leaves the word beyond capability;
+// two erasures solve a 2x2 Forney system. The closed form reaches the
 // codeword, or the error text, that Berlekamp-Massey and the
 // Chien/Forney sweep reach, and its failures are shared error values,
-// so a failed word allocates nothing. Decoder.Decode keeps
-// Berlekamp-Massey for every code: it serves the arbiter, and it is
-// the reference the batch path is fuzzed against.
+// so a failed word allocates nothing.
+//
+// Decoder.Decode and DecodeAll end in the same correction tail; they
+// differ only in how the syndromes and the erasure setup arrive. The
+// reference both are tested against is a separate decoder in the
+// package's tests (Sugiyama's algorithm over plain polynomials, an
+// exhaustive Chien search and a syndrome re-check) that shares no
+// stage with this pipeline.
 //
 // DecodeAll runs on the calling goroutine: the simulators parallelize
 // across trials, each worker holding its own BatchDecoder over an
@@ -102,20 +107,18 @@ import (
 	"sync"
 
 	"repro/internal/gf"
-	"repro/internal/gfpoly"
 )
 
 // Code is a Reed-Solomon code RS(n,k) over a fixed GF(2^m).
 // It is immutable after construction and safe for concurrent use.
 type Code struct {
-	f    *gf.Field
-	ring *gfpoly.Ring
-	n    int // codeword length in symbols
-	k    int // dataword length in symbols
-	fcr  int // power of alpha of the first consecutive generator root
-	gen  gfpoly.Poly
+	f   *gf.Field
+	n   int // codeword length in symbols
+	k   int // dataword length in symbols
+	fcr int // power of alpha of the first consecutive generator root
 
-	// genRev[j] = gen[d-1-j]: the LFSR feedback taps in shift-register
+	// genRev[j] is the coefficient of x^(d-1-j) in the monic generator
+	// g(x) of degree d = n-k: the LFSR feedback taps in shift-register
 	// order (tap 0 multiplies into the highest-degree parity slot).
 	genRev []gf.Elem
 	// synX[j] = alpha^(fcr+j): the syndrome evaluation points.
@@ -129,8 +132,8 @@ type Code struct {
 	// advance instead of a general multiply.
 	chienRow [][]gf.Elem
 
-	// decPool recycles Decoder workspaces for the allocating
-	// Decode/DecodeEuclidean wrappers.
+	// decPool recycles Decoder workspaces for the allocating Decode
+	// wrapper.
 	decPool sync.Pool
 
 	// batchOnce/batchTab lazily build and hold the packed
@@ -215,20 +218,21 @@ func NewWithFCR(f *gf.Field, n, k, fcr int) (*Code, error) {
 	case fcr < 0:
 		return nil, fmt.Errorf("rs: negative fcr=%d", fcr)
 	}
-	c := &Code{f: f, ring: gfpoly.NewRing(f), n: n, k: k, fcr: fcr}
-	g := gfpoly.One()
-	for j := 0; j < n-k; j++ {
-		g = c.ring.Mul(g, gfpoly.Poly{f.Exp(fcr + j), 1})
-	}
-	c.gen = g
-
+	c := &Code{f: f, n: n, k: k, fcr: fcr}
 	d := n - k
-	c.genRev = make([]gf.Elem, d)
+	// g(x) = prod (x + alpha^(fcr+j)), built in place with g[i] the
+	// coefficient of x^(d-i): in that order each linear factor
+	// multiplies in like one of the erasure locator's.
+	g := make([]gf.Elem, d+1)
+	g[0] = 1
 	c.synX = make([]gf.Elem, d)
 	for j := 0; j < d; j++ {
-		c.genRev[j] = g.Coeff(d - 1 - j)
 		c.synX[j] = f.Exp(fcr + j)
+		for i := j + 1; i >= 1; i-- {
+			g[i] ^= f.Mul(g[i-1], c.synX[j])
+		}
 	}
+	c.genRev = g[1:]
 	c.chienInit = make([]gf.Elem, d+1)
 	c.chienStep = make([]gf.Elem, d+1)
 	c.chienRow = make([][]gf.Elem, d+1)
@@ -388,20 +392,11 @@ func allZero(p []gf.Elem) bool {
 	return true
 }
 
-// Syndromes returns the n-k syndrome values of the word:
-// S_j = W(alpha^(fcr+j)), j = 0..n-k-1, where W is the word polynomial
-// with symbol i as the coefficient of x^(n-1-i). The word is a
-// codeword iff all syndromes vanish.
-func (c *Code) Syndromes(word []gf.Elem) (gfpoly.Poly, error) {
-	syn := make(gfpoly.Poly, c.n-c.k)
-	if err := c.SyndromesInto(syn, word); err != nil {
-		return nil, err
-	}
-	return syn, nil
-}
-
-// SyndromesInto computes the n-k syndromes of word into dst, which
-// must have length n-k. It performs no allocation.
+// SyndromesInto computes the n-k syndrome values of word into dst,
+// which must have length n-k: S_j = W(alpha^(fcr+j)), j = 0..n-k-1,
+// where W is the word polynomial with symbol i as the coefficient of
+// x^(n-1-i). The word is a codeword iff all syndromes vanish.
+// SyndromesInto performs no allocation.
 func (c *Code) SyndromesInto(dst []gf.Elem, word []gf.Elem) error {
 	if len(dst) != c.n-c.k {
 		return fmt.Errorf("rs: syndrome destination has %d symbols, want n-k=%d", len(dst), c.n-c.k)
@@ -418,11 +413,8 @@ func (c *Code) SyndromesInto(dst []gf.Elem, word []gf.Elem) error {
 
 // IsCodeword reports whether word is a valid codeword of c.
 func (c *Code) IsCodeword(word []gf.Elem) bool {
-	syn, err := c.Syndromes(word)
-	if err != nil {
-		return false
-	}
-	return syn.IsZero()
+	syn := make([]gf.Elem, c.n-c.k)
+	return c.SyndromesInto(syn, word) == nil && allZero(syn)
 }
 
 // Result reports the outcome of a successful Decode.
@@ -464,7 +456,7 @@ type Decoder struct {
 	cpsi   []gf.Elem // Chien term registers for Psi
 	psiDeg int       // degree of psi after the key-equation solve
 
-	erased []bool    // erasure bitset over codeword positions
+	erased []bool    // checkErasures bitset, all false between calls
 	word   []gf.Elem // corrected word
 	errPos []int     // ErrorPositions backing store
 	res    Result
@@ -497,23 +489,6 @@ func (c *Code) NewDecoder() *Decoder {
 // Code returns the code this workspace decodes.
 func (dec *Decoder) Code() *Code { return dec.c }
 
-// Decode corrects the received word into the workspace, treating the
-// listed positions (codeword indices, 0-based) as erasures, solving
-// the key equation with erasure-initialized Berlekamp-Massey. See
-// Code.Decode for the decoding semantics and the Decoder type for the
-// aliasing contract of the returned Result.
-func (dec *Decoder) Decode(received []gf.Elem, erasures []int) (*Result, error) {
-	return dec.decode(received, erasures, false)
-}
-
-// DecodeEuclidean is Decoder.Decode with the key equation solved by
-// the Sugiyama extended-Euclidean algorithm. Unlike the BM path it
-// allocates during the solve (it is the audit implementation, not the
-// hot one); the rest of the pipeline still runs in the workspace.
-func (dec *Decoder) DecodeEuclidean(received []gf.Elem, erasures []int) (*Result, error) {
-	return dec.decode(received, erasures, true)
-}
-
 // Decode corrects the received word in place of a copy, treating the
 // listed positions (codeword indices, 0-based) as erasures. It returns
 // a Result on success and a wrapped ErrUncorrectable on a *detected*
@@ -522,30 +497,12 @@ func (dec *Decoder) DecodeEuclidean(received []gf.Elem, erasures []int) (*Result
 // bounded-distance decoding; callers that know the ground truth (the
 // simulator, the tests) can compare Codeword against it.
 //
-// Decode solves the key equation with erasure-initialized
-// Berlekamp-Massey; DecodeEuclidean is the independent Sugiyama
-// implementation with identical input/output behavior. Both borrow a
-// pooled Decoder for scratch and return an independent Result; hot
-// loops should hold their own Decoder and call its methods instead.
+// Decode borrows a pooled Decoder for scratch and returns an
+// independent Result; hot loops should hold their own Decoder and call
+// its Decode instead.
 func (c *Code) Decode(received []gf.Elem, erasures []int) (*Result, error) {
-	return c.decodePooled(received, erasures, false)
-}
-
-// DecodeEuclidean is Decode with the key equation solved by the
-// Sugiyama extended-Euclidean algorithm instead of Berlekamp-Massey.
-// Both are bounded-distance decoders of the same code, so they accept
-// and reject exactly the same received words and produce identical
-// codewords — a property the tests enforce; production use can pick
-// either (BM allocates less, Euclid is easier to audit).
-func (c *Code) DecodeEuclidean(received []gf.Elem, erasures []int) (*Result, error) {
-	return c.decodePooled(received, erasures, true)
-}
-
-// decodePooled runs a workspace decode on a pooled Decoder and copies
-// the Result out so the caller may retain it.
-func (c *Code) decodePooled(received []gf.Elem, erasures []int, euclid bool) (*Result, error) {
 	dec := c.decPool.Get().(*Decoder)
-	res, err := dec.decode(received, erasures, euclid)
+	res, err := dec.Decode(received, erasures)
 	if err != nil {
 		c.decPool.Put(dec)
 		return nil, err
@@ -563,65 +520,107 @@ func (c *Code) decodePooled(received []gf.Elem, erasures []int, euclid bool) (*R
 	return out, nil
 }
 
-// decode runs the decoding pipeline in the workspace: validate once at
-// the public boundary, syndromes, erasure locator, key-equation solve,
-// evaluator, fused incremental Chien/Forney sweep, and the final
-// syndrome re-check on the (self-produced, hence unvalidated)
-// corrected word.
-func (dec *Decoder) decode(received []gf.Elem, erasures []int, euclid bool) (*Result, error) {
+// Decode corrects the received word into the workspace, treating the
+// listed positions (codeword indices, 0-based) as erasures. It
+// validates once at the public boundary (word length, symbols, the
+// erasure list), computes the syndromes and hands over to the
+// correction tail. See Code.Decode for the decoding semantics and the
+// Decoder type for the aliasing contract of the returned Result.
+func (dec *Decoder) Decode(received []gf.Elem, erasures []int) (*Result, error) {
 	c := dec.c
-	d := c.n - c.k
 	if len(received) != c.n {
 		return nil, fmt.Errorf("rs: word has %d symbols, want n=%d", len(received), c.n)
 	}
 	if err := c.checkSymbols(received); err != nil {
 		return nil, err
 	}
-	for i := range dec.erased {
-		dec.erased[i] = false
+	if err := c.checkErasures(dec.erased, erasures); err != nil {
+		return nil, err
 	}
-	for _, p := range erasures {
-		if p < 0 || p >= c.n {
-			return nil, fmt.Errorf("rs: erasure position %d out of range [0,%d)", p, c.n)
-		}
-		if dec.erased[p] {
-			return nil, fmt.Errorf("rs: duplicate erasure position %d", p)
-		}
-		dec.erased[p] = true
-	}
-	rho := len(erasures)
-	if rho > d {
-		return nil, uncorrectable("%d erasures exceed n-k=%d", rho, d)
-	}
-
 	c.syndromes(dec.syn, received)
-	copy(dec.word, received)
-	if allZero(dec.syn) {
-		// Already a codeword. Erased positions hold consistent values.
-		return dec.buildResult(received), nil
-	}
+	return dec.correct(received, erasures, nil)
+}
 
-	// Erasure locator Gamma(x) = prod (1 - x*alpha^(n-1-i)), built by
-	// in-place multiplication with one linear factor per erasure.
-	gamma := dec.gamma
+// checkErasures validates an erasure list in list order, range before
+// duplicate at each position, and then its length against n-k. seen is
+// an n-entry bitset that is all false on entry and again on return.
+func (c *Code) checkErasures(seen []bool, ers []int) error {
+	for i, p := range ers {
+		var err error
+		if p < 0 || p >= c.n {
+			err = fmt.Errorf("rs: erasure position %d out of range [0,%d)", p, c.n)
+		} else if seen[p] {
+			err = fmt.Errorf("rs: duplicate erasure position %d", p)
+		} else {
+			seen[p] = true
+			continue
+		}
+		for _, q := range ers[:i] {
+			seen[q] = false
+		}
+		return err
+	}
+	for _, p := range ers {
+		seen[p] = false
+	}
+	if d := c.n - c.k; len(ers) > d {
+		return uncorrectable("%d erasures exceed n-k=%d", len(ers), d)
+	}
+	return nil
+}
+
+// erasureLocator writes Gamma(x) = prod (1 - x*alpha^(n-1-p)) over the
+// erasure positions into gamma (ascending coefficients, zero-padded to
+// its length), multiplying in one linear factor per erasure.
+func (c *Code) erasureLocator(gamma []gf.Elem, ers []int) {
 	for i := range gamma {
 		gamma[i] = 0
 	}
 	gamma[0] = 1
-	for deg, p := range erasures {
+	for deg, p := range ers {
 		a := c.f.Exp(c.n - 1 - p)
 		for j := deg + 1; j >= 1; j-- {
 			gamma[j] ^= c.f.Mul(gamma[j-1], a)
 		}
 	}
+}
 
-	var err error
-	if euclid {
-		err = dec.euclidSolve(rho)
-	} else {
-		err = dec.berlekampMassey(rho)
+// correct is the correction tail of both decode paths. The word's n-k
+// syndromes sit in dec.syn, and ers has passed checkErasures. Decode
+// gets there by Horner syndromes; the batch path hands over the
+// screen's folded syndromes and the list's cached erasure-set entry
+// ent (nil for an erasure-free word), skipping validation and the
+// O(n*d) Horner pass.
+//
+// A code with n-k = 2 solves in closed form (solve2). Otherwise the
+// erasure locator seeds Berlekamp-Massey, the evaluator follows, and
+// the fused Chien/Forney sweep corrects the word. When the entry
+// supports it and Berlekamp-Massey saw every discrepancy vanish
+// (Psi == Gamma: the syndromes are fully explained by the erasures),
+// the correction applies directly at the entry's precomputed locator
+// roots and the O(n*deg) sweep is skipped. The final syndrome re-check
+// guards the (self-produced, hence unvalidated) corrected word.
+func (dec *Decoder) correct(received []gf.Elem, ers []int, ent *erasureEntry) (*Result, error) {
+	c := dec.c
+	d := c.n - c.k
+	copy(dec.word, received)
+	if allZero(dec.syn) {
+		// Already a codeword. Erased positions hold consistent values.
+		return dec.buildResult(received), nil
 	}
-	if err != nil {
+	if d == 2 {
+		if err := dec.solve2(ers); err != nil {
+			return nil, err
+		}
+		return dec.buildResult(received), nil
+	}
+
+	if ent != nil {
+		copy(dec.gamma, ent.gamma)
+	} else {
+		c.erasureLocator(dec.gamma, ers)
+	}
+	if err := dec.berlekampMassey(len(ers)); err != nil {
 		return nil, err
 	}
 
@@ -634,19 +633,23 @@ func (dec *Decoder) decode(received []gf.Elem, erasures []int, euclid bool) (*Re
 		c.f.AddMulSlice(omega[j:], dec.syn[:d-j], dec.psi[j])
 	}
 
-	nroots, err := dec.chienForney()
-	if err != nil {
-		return nil, err
-	}
-	if nroots != dec.psiDeg {
-		// Some locator roots fall outside the (possibly shortened)
-		// codeword: the error pattern exceeded the capability.
-		return nil, uncorrectable("errata locator has %d roots in word, degree %d", nroots, dec.psiDeg)
+	if ent != nil && ent.fastOK && dec.bmPure {
+		dec.forneyAtRoots(ent)
+	} else {
+		nroots, err := dec.chienForney()
+		if err != nil {
+			return nil, err
+		}
+		if nroots != dec.psiDeg {
+			// Some locator roots fall outside the (possibly shortened)
+			// codeword: the error pattern exceeded the capability.
+			return nil, uncorrectable("errata locator has %d roots in word, degree %d", nroots, dec.psiDeg)
+		}
 	}
 	// Re-check: a successful bounded-distance decode must land on a
-	// codeword; anything else is a detected failure. The sweep folded
-	// every correction into the syndrome register, so the register now
-	// holds the corrected word's syndromes without re-scanning it.
+	// codeword; anything else is a detected failure. The correction
+	// folded every change into the syndrome register, so the register
+	// now holds the corrected word's syndromes without re-scanning it.
 	if !allZero(dec.syn) {
 		return nil, uncorrectable("residual syndromes after correction")
 	}
@@ -671,80 +674,10 @@ func (dec *Decoder) buildResult(received []gf.Elem) *Result {
 	return res
 }
 
-// decodeWithSyndromes runs the decoding pipeline on a word whose n-k
-// syndromes already sit in dec.syn — the batch screen's handoff, which
-// folded them as packed byte lanes — skipping symbol validation (the
-// screen's OR check proved validity), erasure-list validation (the
-// caller resolved it through the erasure-set cache and ent.err was
-// nil) and the O(n*d) Horner syndrome pass. ent carries the word's
-// cached erasure-set setup, or is nil for an erasure-free word. The
-// outcome is identical to decode(received, ent.positions, false).
-//
-// A code with n-k = 2 solves in closed form (solve2). Otherwise, when
-// the erasure-set entry supports it and Berlekamp-Massey saw every
-// discrepancy vanish (Psi == Gamma: the syndromes are fully explained
-// by the erasures), the correction applies directly at the entry's
-// precomputed locator roots and the O(n*deg) Chien sweep is skipped
-// entirely.
-func (dec *Decoder) decodeWithSyndromes(received []gf.Elem, ent *erasureEntry) (*Result, error) {
-	c := dec.c
-	d := c.n - c.k
-	copy(dec.word, received)
-	if allZero(dec.syn) {
-		return dec.buildResult(received), nil
-	}
-	if d == 2 {
-		if err := dec.solve2(ent); err != nil {
-			return nil, err
-		}
-		return dec.buildResult(received), nil
-	}
-
-	rho := 0
-	gamma := dec.gamma
-	if ent != nil {
-		rho = len(ent.positions)
-		copy(gamma, ent.gamma)
-	} else {
-		for i := range gamma {
-			gamma[i] = 0
-		}
-		gamma[0] = 1
-	}
-
-	if err := dec.berlekampMassey(rho); err != nil {
-		return nil, err
-	}
-
-	omega := dec.omega
-	for i := range omega {
-		omega[i] = 0
-	}
-	for j := 0; j <= dec.psiDeg && j < d; j++ {
-		c.f.AddMulSlice(omega[j:], dec.syn[:d-j], dec.psi[j])
-	}
-
-	if ent != nil && rho > 0 && ent.fastOK && dec.bmPure {
-		dec.forneyAtRoots(ent)
-	} else {
-		nroots, err := dec.chienForney()
-		if err != nil {
-			return nil, err
-		}
-		if nroots != dec.psiDeg {
-			return nil, uncorrectable("errata locator has %d roots in word, degree %d", nroots, dec.psiDeg)
-		}
-	}
-	if !allZero(dec.syn) {
-		return nil, uncorrectable("residual syndromes after correction")
-	}
-	return dec.buildResult(received), nil
-}
-
-// solve2 corrects dec.word in closed form for a code with n-k = 2 and
-// nonzero syndromes S0, S1. An errata of magnitude e at coefficient
-// power p (position n-1-p) has locator X = alpha^p and adds e*X^fcr to
-// S0 and e*X^(fcr+1) to S1, so:
+// solve2 corrects dec.word in closed form for a code with n-k = 2,
+// nonzero syndromes S0, S1 and the validated erasure list ers. An
+// errata of magnitude e at coefficient power p (position n-1-p) has
+// locator X = alpha^p and adds e*X^fcr to S0 and e*X^(fcr+1) to S1, so:
 //
 //   - no erasures: the one error has X = S1/S0 and e = S0/X^fcr; a zero
 //     S0 or S1, or an X beyond the word, is uncorrectable;
@@ -758,13 +691,9 @@ func (dec *Decoder) decodeWithSyndromes(received []gf.Elem, ent *erasureEntry) (
 // Berlekamp-Massey plus the Chien/Forney sweep reach for the same word.
 // The corrected word's syndromes vanish by construction, so there is no
 // residual check.
-func (dec *Decoder) solve2(ent *erasureEntry) error {
+func (dec *Decoder) solve2(ers []int) error {
 	c, f := dec.c, dec.c.f
 	s0, s1 := dec.syn[0], dec.syn[1]
-	var ers []int
-	if ent != nil {
-		ers = ent.positions
-	}
 	switch len(ers) {
 	case 0:
 		switch {
@@ -787,7 +716,7 @@ func (dec *Decoder) solve2(ent *erasureEntry) error {
 			return errOneErrorOneErasure
 		}
 		dec.word[ers[0]] ^= f.Exp(f.Log(s0) - c.fcr*p)
-	default: // two erasures; the erasure-set cache rejects more
+	default: // two erasures; checkErasures rejects more
 		p1, p2 := c.n-1-ers[0], c.n-1-ers[1]
 		a1, a2 := f.Exp(p1), f.Exp(p2)
 		e1 := f.Div(s1^f.Mul(a2, s0), a1^a2)
@@ -1020,63 +949,6 @@ func (dec *Decoder) berlekampMassey(rho int) error {
 	errs := length - rho
 	if errs < 0 || 2*errs+rho > d || deg != length {
 		return uncorrectable("%d errors with %d erasures exceed n-k=%d", errs, rho, d)
-	}
-	dec.psiDeg = deg
-	return nil
-}
-
-// euclidSolve solves the key equation by the Sugiyama
-// extended-Euclidean algorithm: run Euclid on (x^d, Xi) where
-// Xi = S*Gamma mod x^d are the modified syndromes, stopping when the
-// remainder degree drops below (d+rho)/2; the accumulated multiplier
-// is the error locator Lambda, and Psi = Lambda * Gamma is left in
-// dec.psi. Unlike the BM path it allocates (gfpoly arithmetic): it is
-// the independently-auditable reference solver, not the hot one.
-func (dec *Decoder) euclidSolve(rho int) error {
-	c := dec.c
-	d := c.n - c.k
-	ring := c.ring
-	g := gfpoly.Poly(dec.gamma).Clone()
-	xi := ring.ModXPow(ring.Mul(gfpoly.Poly(dec.syn), g), d)
-	if xi.IsZero() {
-		// All errata sit in erased positions: Lambda = 1.
-		return dec.setPsi(g)
-	}
-	rPrev := gfpoly.Monomial(d, 1)
-	rCur := xi
-	tPrev := gfpoly.Zero()
-	tCur := gfpoly.One()
-	stop := (d + rho) / 2
-	for rCur.Degree() >= stop {
-		quo, rem := ring.DivMod(rPrev, rCur)
-		rPrev, rCur = rCur, rem
-		tPrev, tCur = tCur, ring.Add(tPrev, ring.Mul(quo, tCur))
-		if rCur.IsZero() {
-			break
-		}
-	}
-	lambda := tCur
-	l0 := lambda.Coeff(0)
-	if l0 == 0 {
-		return uncorrectable("euclid locator has zero constant term")
-	}
-	lambda = ring.Scale(lambda, c.f.Inv(l0))
-	errs := lambda.Degree()
-	if 2*errs+rho > d {
-		return uncorrectable("%d errors with %d erasures exceed n-k=%d", errs, rho, d)
-	}
-	return dec.setPsi(ring.Mul(lambda, g))
-}
-
-// setPsi copies a solver-produced errata locator into the workspace.
-func (dec *Decoder) setPsi(psi gfpoly.Poly) error {
-	d := dec.c.n - dec.c.k
-	deg := psi.Degree()
-	if deg > d {
-		return uncorrectable("errata locator degree %d exceeds n-k=%d", deg, d)
-	}
-	for i := range dec.psi {
-		dec.psi[i] = psi.Coeff(i)
 	}
 	dec.psiDeg = deg
 	return nil

@@ -92,7 +92,7 @@ func TestAccessors(t *testing.T) {
 	if c.Field() != f8 {
 		t.Error("Field() mismatch")
 	}
-	if got := c.gen.Degree(); got != 2 {
+	if got := len(c.genRev); got != 2 {
 		t.Errorf("generator degree = %d, want 2", got)
 	}
 	want := "RS(18,16) over GF(2^8, poly=0x11d)"
@@ -107,22 +107,20 @@ func TestGeneratorRoots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := c.gen
-		ringEval := func(x gf.Elem) gf.Elem {
-			var acc gf.Elem
-			for i := g.Degree(); i >= 0; i-- {
-				acc = f8.Mul(acc, x) ^ g.Coeff(i)
-			}
-			return acc
+		if len(c.genRev) != c.Redundancy() {
+			t.Fatalf("RS(%d,%d): %d generator taps, want n-k", params[0], params[1], len(c.genRev))
 		}
+		// genRev holds the monic generator's lower coefficients from
+		// x^(n-k-1) down, so Horner's rule starts from the leading 1.
 		for j := 0; j < c.Redundancy(); j++ {
 			root := f8.Exp(c.fcr + j)
-			if ringEval(root) != 0 {
+			acc := gf.Elem(1)
+			for _, g := range c.genRev {
+				acc = f8.Mul(acc, root) ^ g
+			}
+			if acc != 0 {
 				t.Errorf("RS(%d,%d,fcr=%d): alpha^%d is not a generator root", params[0], params[1], params[2], c.fcr+j)
 			}
-		}
-		if g.Coeff(g.Degree()) != 1 {
-			t.Errorf("generator not monic")
 		}
 	}
 }
@@ -171,16 +169,18 @@ func TestSyndromesZeroIffCodeword(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		data := randData(rng, c)
 		cw, _ := c.Encode(data)
-		syn, err := c.Syndromes(cw)
-		if err != nil {
+		syn := make([]gf.Elem, c.Redundancy())
+		if err := c.SyndromesInto(syn, cw); err != nil {
 			t.Fatal(err)
 		}
-		if !syn.IsZero() {
+		if !allZero(syn) {
 			t.Fatal("codeword has nonzero syndromes")
 		}
 		bad, _ := corrupt(rng, c, cw, 1+rng.Intn(3))
-		syn, _ = c.Syndromes(bad)
-		if syn.IsZero() {
+		if err := c.SyndromesInto(syn, bad); err != nil {
+			t.Fatal(err)
+		}
+		if allZero(syn) {
 			t.Fatal("corrupted word has zero syndromes (distance violation)")
 		}
 	}
@@ -398,12 +398,6 @@ func TestUncorrectableErrorText(t *testing.T) {
 		{uncorrectable("%d errors with %d erasures exceed n-k=%d", 2, 1, 20),
 			fmt.Errorf("%w: %d errors with %d erasures exceed n-k=%d", ErrUncorrectable, 2, 1, 20),
 			"rs: uncorrectable word: 2 errors with 1 erasures exceed n-k=20"},
-		{uncorrectable("euclid locator has zero constant term"),
-			fmt.Errorf("%w: euclid locator has zero constant term", ErrUncorrectable),
-			"rs: uncorrectable word: euclid locator has zero constant term"},
-		{uncorrectable("errata locator degree %d exceeds n-k=%d", -7, 2),
-			fmt.Errorf("%w: errata locator degree %d exceeds n-k=%d", ErrUncorrectable, -7, 2),
-			"rs: uncorrectable word: errata locator degree -7 exceeds n-k=2"},
 	}
 	for _, c := range cases {
 		if got := c.err.Error(); got != c.want || got != c.old.Error() {
@@ -424,8 +418,9 @@ func TestUncorrectableErrorText(t *testing.T) {
 }
 
 // TestUncorrectableDecodeAllocs gates the failure path of the
-// workspace decoder: an uncorrectable word costs at most the one
-// allocation of its error value.
+// workspace decoder on RS(18,16): a word the closed form rejects
+// allocates nothing, and three erasures cost at most the one
+// allocation of their formatted error value.
 func TestUncorrectableDecodeAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	c := MustNew(f8, 18, 16)
@@ -442,11 +437,12 @@ func TestUncorrectableDecodeAllocs(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name string
-		ers  []int
+		name      string
+		ers       []int
+		maxAllocs float64
 	}{
-		{"errors", nil},
-		{"erasures", []int{0, 1, 2}},
+		{"errors", nil, 0},
+		{"erasures", []int{0, 1, 2}, 1},
 	}
 	for _, cse := range cases {
 		allocs := testing.AllocsPerRun(100, func() {
@@ -454,8 +450,8 @@ func TestUncorrectableDecodeAllocs(t *testing.T) {
 				t.Fatal("uncorrectable word decoded")
 			}
 		})
-		if allocs > 1 {
-			t.Errorf("%s: %.1f allocs per uncorrectable decode, want at most 1", cse.name, allocs)
+		if allocs > cse.maxAllocs {
+			t.Errorf("%s: %.1f allocs per uncorrectable decode, want at most %.0f", cse.name, allocs, cse.maxAllocs)
 		}
 	}
 }
@@ -583,14 +579,11 @@ func TestGoldenVectorRS7_3(t *testing.T) {
 	// fcr=1: g(x) = (x-a)(x-a^2)(x-a^3)(x-a^4).
 	f3 := gf.MustField(3)
 	c := MustNew(f3, 7, 3)
-	g := c.gen
-	// alpha=2: a^1=2,a^2=4,a^3=3,a^4=6. g(x) = x^4 + 7x^3 + 3x^2 + 2x + 4
-	// computed independently: (x+2)(x+4) = x^2+6x+3 (2^4=8->xor 0xb=3, 2+4=6)
-	// (x+3)(x+6) = x^2 + 5x + 7 (3*6: 3=a^3,6=a^4 -> a^7=1? a^7=1 so 3*6=1*? wait)
-	// Instead of hand-expansion, assert the known degree/monic and
-	// spot-check parity of the all-zero and e_0 datawords.
-	if g.Degree() != 4 || g.Coeff(4) != 1 {
-		t.Fatalf("generator malformed: %v", g)
+	// alpha = 2: alpha^1..alpha^4 = 2, 4, 3, 6, so
+	// (x+2)(x+4) = x^2 + 6x + 3 and (x+3)(x+6) = x^2 + 5x + 1, whose
+	// product is g(x) = x^4 + 3x^3 + x^2 + 2x + 3.
+	if want := []gf.Elem{3, 1, 2, 3}; !equalElems(c.genRev, want) {
+		t.Fatalf("generator taps %v, want %v", c.genRev, want)
 	}
 	zero, _ := c.Encode([]gf.Elem{0, 0, 0})
 	for _, s := range zero {
@@ -697,73 +690,27 @@ func BenchmarkDecodeRS3616TenErrors(b *testing.B) {
 	}
 }
 
-// decodersAgree checks that BM and Euclid produce identical outcomes
-// on one received word: both succeed with the same codeword or both
-// report a detected failure.
+// decodersAgree checks Code.Decode against the oracle on one received
+// word: the same codeword, or the same class of failure.
 func decodersAgree(t *testing.T, c *Code, received []gf.Elem, erasures []int) bool {
 	t.Helper()
-	bm, bmErr := c.Decode(received, erasures)
-	eu, euErr := c.DecodeEuclidean(received, erasures)
-	if (bmErr != nil) != (euErr != nil) {
-		t.Logf("disagreement: BM err=%v, Euclid err=%v", bmErr, euErr)
-		return false
+	res, err := c.Decode(received, erasures)
+	var got []gf.Elem
+	if err == nil {
+		got = res.Codeword
 	}
-	if bmErr != nil {
-		return true
-	}
-	for i := range bm.Codeword {
-		if bm.Codeword[i] != eu.Codeword[i] {
-			t.Logf("codeword mismatch at %d", i)
-			return false
-		}
-	}
-	if bm.Corrections != eu.Corrections || bm.Flag != eu.Flag {
-		t.Logf("metadata mismatch: %d/%v vs %d/%v", bm.Corrections, bm.Flag, eu.Corrections, eu.Flag)
+	if m := oracleMismatch(c, received, erasures, got, err); m != "" {
+		t.Logf("disagreement: %s", m)
 		return false
 	}
 	return true
 }
 
-// TestEuclideanDecoderWithinCapability mirrors the central BM property
-// through the Sugiyama path.
-func TestEuclideanDecoderWithinCapability(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	for _, params := range [][2]int{{18, 16}, {36, 16}, {255, 223}} {
-		c := MustNew(f8, params[0], params[1])
-		d := c.Redundancy()
-		for trial := 0; trial < 200; trial++ {
-			er := rng.Intn(d + 1)
-			maxRe := (d - er) / 2
-			re := 0
-			if maxRe > 0 {
-				re = rng.Intn(maxRe + 1)
-			}
-			data := randData(rng, c)
-			cw, _ := c.Encode(data)
-			positions := rng.Perm(c.N())[: er+re : er+re]
-			bad := make([]gf.Elem, c.N())
-			copy(bad, cw)
-			for _, p := range positions {
-				bad[p] ^= gf.Elem(1 + rng.Intn(c.Field().Size()-1))
-			}
-			res, err := c.DecodeEuclidean(bad, positions[:er])
-			if err != nil {
-				t.Fatalf("RS(%d,%d) er=%d re=%d: euclid failed: %v", params[0], params[1], er, re, err)
-			}
-			for j := range cw {
-				if res.Codeword[j] != cw[j] {
-					t.Fatalf("RS(%d,%d) er=%d re=%d: wrong codeword", params[0], params[1], er, re)
-				}
-			}
-		}
-	}
-}
-
-// TestDecoderEquivalenceQuick is the decoder-diversity property: the
-// two independent key-equation solvers are bounded-distance decoders
-// of the same code, so they must agree on every input — including
-// beyond-capability patterns where both mis-correct identically or
-// both detect.
+// TestDecoderEquivalenceQuick is the decoder-diversity property:
+// Decode and the oracle are bounded-distance decoders of the same code
+// built from different solvers, so they must agree on every input —
+// including beyond-capability patterns where both mis-correct
+// identically or both detect.
 func TestDecoderEquivalenceQuick(t *testing.T) {
 	c := MustNew(f8, 18, 16)
 	rng := rand.New(rand.NewSource(41))
@@ -814,42 +761,6 @@ func TestDecoderEquivalenceWideCode(t *testing.T) {
 		}
 		if !decodersAgree(t, c, cw, erasures) {
 			t.Fatalf("decoders disagree (trial %d)", i)
-		}
-	}
-}
-
-func TestEuclideanErasuresOnly(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	c := MustNew(f8, 36, 16)
-	data := randData(rng, c)
-	cw, _ := c.Encode(data)
-	bad := make([]gf.Elem, len(cw))
-	copy(bad, cw)
-	positions := rng.Perm(36)[:20:20]
-	for _, p := range positions {
-		bad[p] ^= gf.Elem(1 + rng.Intn(255))
-	}
-	res, err := c.DecodeEuclidean(bad, positions)
-	if err != nil {
-		t.Fatalf("full erasure load failed: %v", err)
-	}
-	for i := range cw {
-		if res.Codeword[i] != cw[i] {
-			t.Fatal("wrong codeword")
-		}
-	}
-}
-
-func BenchmarkDecodeEuclideanRS3616TenErrors(b *testing.B) {
-	c := MustNew(f8, 36, 16)
-	rng := rand.New(rand.NewSource(44))
-	data := randData(rng, c)
-	cw, _ := c.Encode(data)
-	bad, _ := corrupt(rng, c, cw, 10)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.DecodeEuclidean(bad, nil); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
