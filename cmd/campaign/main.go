@@ -114,6 +114,12 @@
 // for exercising lease expiry), and -exec-name labels it in
 // coordinator logs.
 //
+// Each of these flags belongs to one mode and is refused outside it:
+// -tenants, -drain-after, -slices and -lease-timeout configure -serve;
+// -exec-name and -exec-delay configure -executor; -token authenticates
+// -submit and -executor; -json formats -status. Likewise -partials
+// belongs to -partition, -merge and -serve, and -stream to -merge.
+//
 // With -out, every scenario additionally writes <name>.json (the raw
 // engine result) and <name>.csv (counters and samples) into the
 // directory; matrix cells land in a subdirectory named after the
@@ -166,6 +172,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "campaign: unexpected arguments %q\n", flag.Args())
 		os.Exit(2)
 	}
+	// A mode's own flags are refused outside that mode, not ignored.
+	if (*tenants != "" || *drainAfter != 0 || *slices != 0 || *leaseTimeout != 0) && *serveAddr == "" {
+		fatal(fmt.Errorf("-tenants/-drain-after/-slices/-lease-timeout configure the -serve service"))
+	}
+	if (*execName != "" || *execDelay != 0) && *executorURL == "" {
+		fatal(fmt.Errorf("-exec-name/-exec-delay configure an -executor"))
+	}
+	if *token != "" && *submitURL == "" && *executorURL == "" {
+		fatal(fmt.Errorf("-token authenticates -submit/-executor; pass one of them"))
+	}
 	if *statusURL != "" {
 		os.Exit(printStatus(*statusURL, *statusJSON))
 	}
@@ -191,9 +207,6 @@ func main() {
 			fatal(fmt.Errorf("-submit posts a spec to a job service; pass -spec too"))
 		}
 		os.Exit(runSubmit(*submitURL, *specPath, *token))
-	}
-	if (*tenants != "" || *drainAfter != 0) && *serveAddr == "" {
-		fatal(fmt.Errorf("-tenants/-drain-after configure the -serve service"))
 	}
 	if *partials != "" && *serveAddr == "" && *partition == "" && !*merge {
 		// A forgotten -partition would otherwise run the whole

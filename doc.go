@@ -184,11 +184,11 @@
 // moments only when some trial actually recorded a non-unit weight,
 // so existing artifacts, goldens and renderings are byte-for-byte
 // unchanged. On top of the weighted counters sit the weighted
-// estimator (Result.WeightedFraction, StdErr, RelErr,
-// EffectiveSamples) and a relative-error early-stop rule
-// (StopRule.RelHalfWidth, weighted or not) that complements the
-// Wilson rule; every layer decides weighted stops through the same
-// PrefixFold as Wilson stops, preserving the determinism law.
+// estimator (Result.WeightedFraction, StdErr, EffectiveSamples) and a
+// relative-error early-stop rule (StopRule.RelHalfWidth, weighted or
+// not) that complements the Wilson rule; every layer decides weighted
+// stops through the same PrefixFold as Wilson stops, preserving the
+// determinism law.
 //
 // The first weighted scenario family is exponential tilting of the
 // fault processes in memsim and pagesim: all fault rates are jointly

@@ -365,16 +365,6 @@ func (r *Result) StdErr(name string) float64 {
 	return WeightedStdErr(Moments{WSum: c, WSum2: c}, r.Trials)
 }
 
-// RelErr returns the relative error of the weighted estimate at the
-// given z (z·stderr/estimate), or +Inf when the estimate is zero.
-func (r *Result) RelErr(name string, z float64) float64 {
-	p := r.WeightedFraction(name)
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return z * r.StdErr(name) / p
-}
-
 // EffectiveSamples returns the effective sample size of a weighted
 // counter (WSum²/WSum2); unit-weight counters report their raw count.
 func (r *Result) EffectiveSamples(name string) float64 {

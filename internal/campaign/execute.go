@@ -267,32 +267,13 @@ func preparePartial(plan *Plan, artifact string) (*Partial, *partialAppender, er
 		}
 		return p, appender, nil
 	}
-	if !existing.header.geometryMatches(header) || existing.header.partition() != header.partition() {
-		return nil, nil, fmt.Errorf("campaign: partial %s is for scenario %q (%d trials, shard %d, partition %s), want %q (%d trials, shard %d, partition %s)",
-			artifact, existing.header.Scenario, existing.header.Trials, existing.header.ShardSize, existing.header.partition(),
-			plan.Scenario, plan.Trials, plan.ShardSize, plan.Part)
-	}
-	if existing.header.Version != header.Version {
-		return nil, nil, fmt.Errorf("campaign: partial %s has artifact version %d, want %d",
-			artifact, existing.header.Version, header.Version)
+	// Resuming an artifact of another plan, or one computed under
+	// since-edited params, would mix two campaigns' shards.
+	if err := existing.MatchesPlan(plan); err != nil {
+		return nil, nil, err
 	}
 	if appendAt == appendGzip {
 		return nil, nil, fmt.Errorf("campaign: partial %s is gzip-compressed (read-only at rest): decompress it or choose a new checkpoint path", artifact)
-	}
-	if existing.header.digestConflicts(header) {
-		// Same scenario name and geometry but a different parameter
-		// set: the spec's params were edited since the artifact was
-		// written. Resuming would merge shards computed under the old
-		// parameters into the new campaign, so refuse loudly.
-		return nil, nil, fmt.Errorf("campaign: partial %s was computed under different scenario params (digest %s, want %s): delete the artifact or revert the spec edit",
-			artifact, existing.header.ParamsDigest, header.ParamsDigest)
-	}
-	// Restored shards must lie inside the plan's partition range.
-	for idx := range existing.counters {
-		if idx < plan.First || idx >= plan.End {
-			return nil, nil, fmt.Errorf("campaign: partial %s holds shard %d outside partition %s range [%d, %d)",
-				artifact, idx, plan.Part, plan.First, plan.End)
-		}
 	}
 	existing.resumed = existing.DoneTrials()
 	appender, err := openAppender(artifact, appendAt)

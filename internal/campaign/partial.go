@@ -208,14 +208,6 @@ type Partial struct {
 	file *os.File // lazily opened read handle for load
 }
 
-// Partition returns the slice of the campaign this partial holds.
-func (p *Partial) Partition() Partition { return p.header.partition() }
-
-// ParamsDigest returns the scenario-parameter digest recorded in the
-// artifact ("" for artifacts written before the digest existed, or by
-// engines run without a digest-supplying layer).
-func (p *Partial) ParamsDigest() string { return p.header.ParamsDigest }
-
 // Path returns the artifact file backing the partial ("" when it was
 // executed without one).
 func (p *Partial) Path() string { return p.path }

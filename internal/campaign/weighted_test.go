@@ -126,8 +126,11 @@ func TestWeightedEarlyStopRelativeError(t *testing.T) {
 			t.Fatalf("weighted early stop not worker-count deterministic:\n%+v\nvs\n%+v", first, results[i])
 		}
 	}
-	// The rule must actually hold at the stop point.
-	if re := first.RelErr("hits", 1.96); re > 0.1 {
+	// The rule must actually hold at the stop point: the relative
+	// error z·stderr/estimate, at z = 1.96.
+	if p := first.WeightedFraction("hits"); p <= 0 {
+		t.Errorf("weighted estimate %v at stop, want > 0", p)
+	} else if re := 1.96 * first.StdErr("hits") / p; re > 0.1 {
 		t.Errorf("relative error %v still above 0.1 at stop", re)
 	}
 	// And must not have fired absurdly early.

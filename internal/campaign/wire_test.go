@@ -48,8 +48,8 @@ func TestWriteToRoundTrip(t *testing.T) {
 		if !p.Complete(plan) {
 			t.Fatalf("round-tripped partial incomplete for its plan")
 		}
-		if p.ParamsDigest() != "digest-1" {
-			t.Fatalf("digest lost on the wire: %q", p.ParamsDigest())
+		if p.header.ParamsDigest != "digest-1" {
+			t.Fatalf("digest lost on the wire: %q", p.header.ParamsDigest)
 		}
 		partials = append(partials, p)
 	}

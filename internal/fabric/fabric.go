@@ -220,27 +220,6 @@ func GetJob(client *http.Client, jobURL string) (*JobStatus, error) {
 	return &job, nil
 }
 
-// DeleteJob cancels the job at its full URL. Deleting a running job
-// invalidates its leases and cancels its remaining slices.
-func DeleteJob(client *http.Client, jobURL, token string) error {
-	client = statusClient(client)
-	req, err := http.NewRequest(http.MethodDelete, jobURL, nil)
-	if err != nil {
-		return fmt.Errorf("fabric: delete: %w", err)
-	}
-	setBearer(req, token)
-	resp, err := client.Do(req)
-	if err != nil {
-		return fmt.Errorf("fabric: delete: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return fmt.Errorf("fabric: delete: %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	return nil
-}
-
 func statusClient(client *http.Client) *http.Client {
 	if client == nil {
 		return &http.Client{Timeout: 10 * time.Second}

@@ -25,6 +25,26 @@ const secondDoc = `{"seed": 7, "shard_size": 64, "scenarios": [
   {"name": "beta", "kind": "mbusim",
    "params": {"events_per_kilobit": 3, "burst_bits": 4, "trials": 300}}]}`
 
+// deleteJob cancels the job at its full URL through DELETE /jobs/{id},
+// the endpoint an operator calls by hand; no command wraps it.
+func deleteJob(jobURL, token string) error {
+	req, err := http.NewRequest(http.MethodDelete, jobURL, nil)
+	if err != nil {
+		return err
+	}
+	setBearer(req, token)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
+		return fmt.Errorf("delete: %s: %s", resp.Status, bytes.TrimSpace(msg))
+	}
+	return nil
+}
+
 // postJobs submits spec bytes over the HTTP API.
 func postJobs(t *testing.T, url, token string, doc string) *JobStatus {
 	t.Helper()
@@ -207,10 +227,10 @@ func TestRegistryAuth(t *testing.T) {
 	}
 
 	// Only the owner may delete.
-	if err := DeleteJob(nil, JobURL(srv.URL, st.ID), "tok-b"); err == nil {
+	if err := deleteJob(JobURL(srv.URL, st.ID), "tok-b"); err == nil {
 		t.Error("bob deleted alice's job")
 	}
-	if err := DeleteJob(nil, JobURL(srv.URL, st.ID), "tok-a"); err != nil {
+	if err := deleteJob(JobURL(srv.URL, st.ID), "tok-a"); err != nil {
 		t.Errorf("alice deleting her own job: %v", err)
 	}
 }
@@ -322,7 +342,7 @@ func TestRegistryDeleteRunningJob(t *testing.T) {
 	}
 	zombieLease := reply.Lease
 
-	if err := DeleteJob(nil, JobURL(srv.URL, doomed.ID), ""); err != nil {
+	if err := deleteJob(JobURL(srv.URL, doomed.ID), ""); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := reg.Job(doomed.ID)
@@ -364,7 +384,7 @@ func TestRegistryDeleteRunningJob(t *testing.T) {
 	}
 
 	// Deleting a terminal job is refused (409 via ErrJobTerminal).
-	if err := DeleteJob(nil, JobURL(srv.URL, doomed.ID), ""); err == nil {
+	if err := deleteJob(JobURL(srv.URL, doomed.ID), ""); err == nil {
 		t.Error("second delete of a terminal job succeeded")
 	}
 }

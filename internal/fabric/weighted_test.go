@@ -27,6 +27,8 @@ const weightedDoc = `{"seed": 11, "shard_size": 256, "scenarios": [{
 // weighted campaigns — a 3-executor fleet's merged result is
 // bit-identical to the single-process run, weighted early stop
 // re-decision included, and the uploads land gzip-compressed at rest.
+// The registry itself must decide the weighted stop and cancel the
+// slices past it.
 func TestFabricWeightedMatchesSingleProcess(t *testing.T) {
 	r, srv, f, built, dir := startRegistry(t, weightedDoc, 4, time.Minute, nil)
 	want := singleProcess(t, f, built)
@@ -41,24 +43,6 @@ func TestFabricWeightedMatchesSingleProcess(t *testing.T) {
 	got := mergeAll(t, dir, f, built)
 	if !reflect.DeepEqual(want["rare"], got["rare"]) {
 		t.Errorf("weighted fabric merge diverged:\nwant %+v\ngot  %+v", want["rare"], got["rare"])
-	}
-
-	// Early stop must have been decided by the registry, not just the
-	// merge: with the stop rule firing well before 30000 trials, some
-	// slices past the stopping shard must have been cancelled.
-	st := r.Status()
-	cancelled := 0
-	for _, jb := range st.Jobs {
-		for _, e := range jb.Entries {
-			for _, s := range e.Slices {
-				if s.State == sliceCancelled {
-					cancelled++
-				}
-			}
-		}
-	}
-	if cancelled == 0 {
-		t.Error("registry cancelled no slices despite a weighted early stop")
 	}
 
 	// Uploaded partials are stored compressed at rest.
@@ -79,5 +63,31 @@ func TestFabricWeightedMatchesSingleProcess(t *testing.T) {
 		if head[0] != 0x1f || head[1] != 0x8b {
 			t.Errorf("upload %s not gzip at rest (magic %x)", filepath.Base(p), head)
 		}
+	}
+
+	// Early stop must have been decided by the registry, not just the
+	// merge: with the stop rule firing well before 30000 trials, some
+	// slices past the stopping shard must have been cancelled. Three
+	// executors may lease, or even upload, those slices before the
+	// covering slice lands, so this runs on a second registry whose one
+	// executor leases the slices in order.
+	r1, srv1, _, _, dir1 := startRegistry(t, weightedDoc, 4, time.Minute, nil)
+	runExecutors(t, srv1.URL, 1)
+	waitDone(t, r1)
+	cancelled := 0
+	for _, jb := range r1.Status().Jobs {
+		for _, e := range jb.Entries {
+			for _, s := range e.Slices {
+				if s.State == sliceCancelled {
+					cancelled++
+				}
+			}
+		}
+	}
+	if cancelled == 0 {
+		t.Error("registry cancelled no slices despite a weighted early stop")
+	}
+	if got1 := mergeAll(t, dir1, f, built); !reflect.DeepEqual(want["rare"], got1["rare"]) {
+		t.Errorf("one-executor weighted fabric merge diverged:\nwant %+v\ngot  %+v", want["rare"], got1["rare"])
 	}
 }

@@ -160,16 +160,8 @@ func (f *Field) Size() int { return f.size }
 // code over the field.
 func (f *Field) N() int { return f.n }
 
-// Poly returns the primitive polynomial defining the field,
-// including the leading x^m term.
-func (f *Field) Poly() uint32 { return f.poly }
-
 // Valid reports whether e is a representable element of this field.
 func (f *Field) Valid(e Elem) bool { return int(e) < f.size }
-
-// Add returns a + b. In characteristic 2, addition and subtraction
-// coincide and are bitwise XOR.
-func (f *Field) Add(a, b Elem) Elem { return a ^ b }
 
 // Mul returns the product a*b.
 func (f *Field) Mul(a, b Elem) Elem {
@@ -305,29 +297,6 @@ func (f *Field) Pow(a Elem, k int) Elem {
 		e += f.n
 	}
 	return f.exp[e]
-}
-
-// MulCarryless computes a*b by schoolbook carry-less multiplication
-// followed by reduction modulo the field polynomial. It is the slow
-// reference implementation used to validate the table-driven Mul and
-// is exported so higher layers can cross-check in their own tests.
-func (f *Field) MulCarryless(a, b Elem) Elem {
-	var acc uint32
-	aa, bb := uint32(a), uint32(b)
-	for bb != 0 {
-		if bb&1 != 0 {
-			acc ^= aa
-		}
-		bb >>= 1
-		aa <<= 1
-	}
-	// Reduce acc (degree < 2m-1) modulo poly (degree m).
-	for d := 2*f.m - 2; d >= f.m; d-- {
-		if acc&(1<<uint(d)) != 0 {
-			acc ^= f.poly << uint(d-f.m)
-		}
-	}
-	return Elem(acc)
 }
 
 // String identifies the field, e.g. "GF(2^8, poly=0x11d)".

@@ -99,13 +99,35 @@ func TestExpNegativeAndWrap(t *testing.T) {
 	}
 }
 
+// mulCarryless computes a*b by schoolbook carry-less multiplication
+// followed by reduction modulo the field polynomial: the slow
+// reference that the table-driven Mul is checked against.
+func mulCarryless(f *Field, a, b Elem) Elem {
+	var acc uint32
+	aa, bb := uint32(a), uint32(b)
+	for bb != 0 {
+		if bb&1 != 0 {
+			acc ^= aa
+		}
+		bb >>= 1
+		aa <<= 1
+	}
+	// Reduce acc (degree < 2m-1) modulo poly (degree m).
+	for d := 2*f.m - 2; d >= f.m; d-- {
+		if acc&(1<<uint(d)) != 0 {
+			acc ^= f.poly << uint(d-f.m)
+		}
+	}
+	return Elem(acc)
+}
+
 func TestMulAgainstCarryless(t *testing.T) {
 	for _, m := range []int{2, 3, 4, 5, 8} {
 		f := MustField(m)
 		for a := 0; a < f.Size(); a++ {
 			for b := 0; b < f.Size(); b++ {
 				got := f.Mul(Elem(a), Elem(b))
-				want := f.MulCarryless(Elem(a), Elem(b))
+				want := mulCarryless(f, Elem(a), Elem(b))
 				if got != want {
 					t.Fatalf("m=%d: Mul(%d,%d) = %d, want %d", m, a, b, got, want)
 				}
@@ -121,7 +143,7 @@ func TestMulAgainstCarrylessLargeFieldsSampled(t *testing.T) {
 		for i := 0; i < 20000; i++ {
 			a := Elem(rng.Intn(f.Size()))
 			b := Elem(rng.Intn(f.Size()))
-			if got, want := f.Mul(a, b), f.MulCarryless(a, b); got != want {
+			if got, want := f.Mul(a, b), mulCarryless(f, a, b); got != want {
 				t.Fatalf("m=%d: Mul(%d,%d) = %d, want %d", m, a, b, got, want)
 			}
 		}
@@ -159,15 +181,10 @@ func TestFieldAxiomsQuick(t *testing.T) {
 		}
 
 		dist := func(a, b, c Elem) bool {
-			return f.Mul(a, f.Add(b, c)) == f.Add(f.Mul(a, b), f.Mul(a, c))
+			return f.Mul(a, b^c) == f.Mul(a, b)^f.Mul(a, c)
 		}
 		if err := quick.Check(dist, quickCfg(f, 13)); err != nil {
 			t.Errorf("m=%d: distributivity: %v", m, err)
-		}
-
-		addSelfInverse := func(a Elem) bool { return f.Add(a, a) == 0 }
-		if err := quick.Check(addSelfInverse, quickCfg(f, 14)); err != nil {
-			t.Errorf("m=%d: characteristic 2: %v", m, err)
 		}
 
 		mulIdentity := func(a Elem) bool { return f.Mul(a, 1) == a }
@@ -197,8 +214,8 @@ func TestFieldAxiomsQuick(t *testing.T) {
 
 		// Frobenius endomorphism: (a+b)^2 = a^2 + b^2.
 		frob := func(a, b Elem) bool {
-			lhs := f.Mul(f.Add(a, b), f.Add(a, b))
-			rhs := f.Add(f.Mul(a, a), f.Mul(b, b))
+			lhs := f.Mul(a^b, a^b)
+			rhs := f.Mul(a, a) ^ f.Mul(b, b)
 			return lhs == rhs
 		}
 		if err := quick.Check(frob, quickCfg(f, 18)); err != nil {
@@ -342,7 +359,7 @@ func BenchmarkMulCarryless(b *testing.B) {
 	x := Elem(57)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		x = f.MulCarryless(x, 113) | 1
+		x = mulCarryless(f, x, 113) | 1
 	}
 	_ = x
 }

@@ -140,9 +140,6 @@ func (p *Page) NewCodec() *Codec {
 	return c
 }
 
-// Page returns the layout the codec encodes and decodes.
-func (c *Codec) Page() *Page { return c.page }
-
 // EncodeTo encodes a page of depth*k data symbols into the
 // caller-provided stored slice of depth*n symbols, allocation-free.
 func (c *Codec) EncodeTo(stored, data []gf.Elem) error {

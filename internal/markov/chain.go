@@ -105,18 +105,3 @@ func (c *Chain) MaxExitRate() float64 {
 	}
 	return q
 }
-
-// Generator returns the dense generator (infinitesimal rate) matrix Q
-// with Q[i][j] = rate i->j and Q[i][i] = -exit(i). Intended for tests
-// and small chains; the solver itself stays sparse.
-func (c *Chain) Generator() [][]float64 {
-	q := make([][]float64, c.n)
-	for i := range q {
-		q[i] = make([]float64, c.n)
-		for _, tr := range c.trans[i] {
-			q[i][tr.To] += tr.Rate
-		}
-		q[i][i] = -c.exit[i]
-	}
-	return q
-}

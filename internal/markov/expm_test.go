@@ -2,12 +2,26 @@ package markov
 
 import "math"
 
-// DenseExpm computes exp(Q*t) for a dense square matrix Q by
-// scaling-and-squaring with a truncated Taylor series. It is O(n^3)
-// and intended for validating the sparse uniformization solver on
-// small chains in tests, and for users who want an independent
-// reference; production solving goes through Transient.
-func DenseExpm(q [][]float64, t float64) [][]float64 {
+// The dense reference that the sparse uniformization solver
+// (Transient) is checked against on small chains.
+
+// generator returns the dense generator (infinitesimal rate) matrix Q
+// of c, with Q[i][j] = rate i->j and Q[i][i] = -exit(i).
+func generator(c *Chain) [][]float64 {
+	q := make([][]float64, c.n)
+	for i := range q {
+		q[i] = make([]float64, c.n)
+		for _, tr := range c.trans[i] {
+			q[i][tr.To] += tr.Rate
+		}
+		q[i][i] = -c.exit[i]
+	}
+	return q
+}
+
+// denseExpm computes exp(Q*t) for a dense square matrix Q by
+// scaling-and-squaring with a truncated Taylor series. It is O(n^3).
+func denseExpm(q [][]float64, t float64) [][]float64 {
 	n := len(q)
 	a := make([][]float64, n)
 	norm := 0.0
@@ -82,8 +96,8 @@ func matMul(a, b [][]float64) [][]float64 {
 	return out
 }
 
-// VecMatMul returns v * m for a row vector v.
-func VecMatMul(v []float64, m [][]float64) []float64 {
+// vecMatMul returns v * m for a row vector v.
+func vecMatMul(v []float64, m [][]float64) []float64 {
 	out := make([]float64, len(m[0]))
 	for i, x := range v {
 		if x == 0 {

@@ -91,7 +91,7 @@ func TestGeneratorRowSumsZero(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q := c.Generator()
+	q := generator(c)
 	for i, row := range q {
 		var sum float64
 		for _, v := range row {
@@ -281,7 +281,7 @@ func TestUniformizationMatchesDenseExpm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := VecMatMul(p0, DenseExpm(c.Generator(), tt))
+		want := vecMatMul(p0, denseExpm(generator(c), tt))
 		for i := range got {
 			if !almostEqual(got[i], want[i], 1e-9) {
 				t.Errorf("trial %d state %d: uniformization %v vs expm %v", trial, i, got[i], want[i])
@@ -435,7 +435,7 @@ func TestBuildNegativeRate(t *testing.T) {
 
 func TestDenseExpmIdentityAtZero(t *testing.T) {
 	q := [][]float64{{-1, 1}, {2, -2}}
-	e := DenseExpm(q, 0)
+	e := denseExpm(q, 0)
 	if !almostEqual(e[0][0], 1, 1e-14) || !almostEqual(e[0][1], 0, 1e-14) ||
 		!almostEqual(e[1][0], 0, 1e-14) || !almostEqual(e[1][1], 1, 1e-14) {
 		t.Errorf("expm(0) != I: %v", e)
@@ -452,7 +452,7 @@ func TestDenseExpmStochasticRows(t *testing.T) {
 			_ = c.AddTransition(i, j, rng.Float64())
 		}
 	}
-	e := DenseExpm(c.Generator(), 3)
+	e := denseExpm(generator(c), 3)
 	for i := range e {
 		var sum float64
 		for _, v := range e[i] {

@@ -152,7 +152,6 @@ type Config struct {
 	Horizon float64 // storage time in hours; the page is read once at the end
 	Trials  int
 	Seed    int64
-	Workers int // 0 = GOMAXPROCS
 }
 
 // weighted reports whether trials carry importance-sampling weights.
@@ -810,19 +809,4 @@ func ResultFromCampaign(cfg Config, cres *campaign.Result) *Result {
 		StuckUnlocatedReads: cres.Counter(CounterStuckUnlocatedReads),
 		ScrubDecodeErrors:   cres.Counter(CounterScrubDecodeErrors),
 	}
-}
-
-// Run executes the campaign on the shared engine. The result is
-// deterministic for a fixed Config (including Seed), independent of
-// Workers.
-func Run(cfg Config) (*Result, error) {
-	scn, err := Scenario(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cres, err := campaign.Run(scn, campaign.Config{Workers: cfg.Workers})
-	if err != nil {
-		return nil, err
-	}
-	return ResultFromCampaign(cfg, cres), nil
 }

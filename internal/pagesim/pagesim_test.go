@@ -17,6 +17,21 @@ import (
 	"repro/internal/gf"
 )
 
+// simulate runs cfg on the shared engine, as a spec entry does, and
+// reassembles the simulator's Result. The result is deterministic for
+// a fixed Config (including Seed), whatever the worker count.
+func simulate(cfg Config) (*Result, error) {
+	scn, err := Scenario(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cres, err := campaign.Run(scn, campaign.Config{})
+	if err != nil {
+		return nil, err
+	}
+	return ResultFromCampaign(cfg, cres), nil
+}
+
 func TestValidation(t *testing.T) {
 	bad := []Config{
 		{Depth: 0, Horizon: 1, Trials: 1},
@@ -61,7 +76,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestNoFaultsNoLoss(t *testing.T) {
-	res, err := Run(Config{Depth: 2, Horizon: 48, Trials: 50, Seed: 1})
+	res, err := simulate(Config{Depth: 2, Horizon: 48, Trials: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +106,7 @@ func TestCorrectableBurstEmpirical(t *testing.T) {
 
 	within := base
 	within.BurstBits = 9
-	res, err := Run(within)
+	res, err := simulate(within)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +120,7 @@ func TestCorrectableBurstEmpirical(t *testing.T) {
 
 	beyond := base
 	beyond.BurstBits = 17
-	res, err = Run(beyond)
+	res, err = simulate(beyond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +217,7 @@ func mustScenario(t *testing.T, cfg Config) campaign.Scenario {
 // pays ~4x the event exposure for its footprint.
 func TestDeeperInterleavingAbsorbsBursts(t *testing.T) {
 	loss := func(depth int) float64 {
-		res, err := Run(Config{
+		res, err := simulate(Config{
 			N: 20, K: 16,
 			Depth:           depth,
 			BurstPerKilobit: 0.25,
@@ -233,7 +248,7 @@ func TestDeeperInterleavingAbsorbsBursts(t *testing.T) {
 // mechanism at page level).
 func TestScrubbingHelps(t *testing.T) {
 	run := func(scrub float64) *Result {
-		res, err := Run(Config{
+		res, err := simulate(Config{
 			Depth:       2,
 			LambdaBit:   2e-4,
 			ScrubPeriod: scrub,
@@ -262,7 +277,7 @@ func TestScrubbingHelps(t *testing.T) {
 // capability; enough of them must eventually produce losses, and the
 // counters must see the faults.
 func TestStuckColumnsAreErasures(t *testing.T) {
-	res, err := Run(Config{
+	res, err := simulate(Config{
 		Depth:        2,
 		LambdaColumn: 5e-3,
 		Horizon:      48,
@@ -422,7 +437,7 @@ func BenchmarkPageCampaign(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := Run(cfg); err != nil {
+		if _, err := simulate(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -563,7 +578,7 @@ func TestDetectionMonotonicity(t *testing.T) {
 	loss := func(detection string, latency float64) float64 {
 		cfg := detectionConfig(detection)
 		cfg.DetectionLatency = latency
-		res, err := Run(cfg)
+		res, err := simulate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -607,7 +622,7 @@ func TestScrubDetectionLocates(t *testing.T) {
 	if res.StuckUnlocatedReads == 0 {
 		t.Error("no decode ever saw an unlocated stuck column")
 	}
-	immediate, err := Run(detectionConfig(DetectImmediate))
+	immediate, err := simulate(detectionConfig(DetectImmediate))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +645,7 @@ func TestScrubDetectionLocates(t *testing.T) {
 	// Without scrubbing there is no observation channel at all.
 	unscrubbed := cfg
 	unscrubbed.ScrubPeriod = 0
-	noScrub, err := Run(unscrubbed)
+	noScrub, err := simulate(unscrubbed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ func TestTiltUnbiasedPageLoss(t *testing.T) {
 		ScrubPeriod:  4,
 		Horizon:      24,
 		Seed:         9,
-		Workers:      1,
 	}
 
 	run := func(cfg Config) *campaign.Result {
@@ -30,7 +29,7 @@ func TestTiltUnbiasedPageLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cres, err := campaign.Run(scn, campaign.Config{Workers: cfg.Workers})
+		cres, err := campaign.Run(scn, campaign.Config{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

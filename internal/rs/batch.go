@@ -154,9 +154,6 @@ func (c *Code) NewBatchDecoder() *BatchDecoder {
 	}
 }
 
-// Code returns the code this workspace decodes.
-func (bd *BatchDecoder) Code() *Code { return bd.c }
-
 // DecodeAll decodes every word of the arena, correcting successful
 // words in place (a failed word is left exactly as received, like a
 // scrub controller that has nothing better to write back). erasures is

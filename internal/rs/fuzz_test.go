@@ -117,7 +117,7 @@ func outcome(codeword []gf.Elem, err error) string {
 // the number of erasures.
 func checkBounded(t *testing.T, c *Code, received, codeword []gf.Elem, ers []int) {
 	t.Helper()
-	if !c.IsCodeword(codeword) {
+	if !isCodeword(c, codeword) {
 		t.Fatalf("corrected word %x has nonzero syndromes", codeword)
 	}
 	erased := make([]bool, c.N())

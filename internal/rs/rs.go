@@ -411,12 +411,6 @@ func (c *Code) SyndromesInto(dst []gf.Elem, word []gf.Elem) error {
 	return nil
 }
 
-// IsCodeword reports whether word is a valid codeword of c.
-func (c *Code) IsCodeword(word []gf.Elem) bool {
-	syn := make([]gf.Elem, c.n-c.k)
-	return c.SyndromesInto(syn, word) == nil && allZero(syn)
-}
-
 // Result reports the outcome of a successful Decode.
 type Result struct {
 	// Codeword is the corrected n-symbol codeword.
@@ -485,9 +479,6 @@ func (c *Code) NewDecoder() *Decoder {
 		errPos: make([]int, 0, c.n),
 	}
 }
-
-// Code returns the code this workspace decodes.
-func (dec *Decoder) Code() *Code { return dec.c }
 
 // Decode corrects the received word in place of a copy, treating the
 // listed positions (codeword indices, 0-based) as erasures. It returns
