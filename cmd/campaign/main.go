@@ -114,11 +114,22 @@
 // for exercising lease expiry), and -exec-name labels it in
 // coordinator logs.
 //
-// Each of these flags belongs to one mode and is refused outside it:
-// -tenants, -drain-after, -slices and -lease-timeout configure -serve;
-// -exec-name and -exec-delay configure -executor; -token authenticates
-// -submit and -executor; -json formats -status. Likewise -partials
-// belongs to -partition, -merge and -serve, and -stream to -merge.
+// # Modes and the flags they read
+//
+// -partition, -merge, -serve, -executor, -submit, -jobs, -watch and
+// -status each select a mode, and at most one may be given; without
+// one, the command runs the spec. A mode reads only the flags listed
+// here, and any other flag given with it is refused, not ignored:
+//
+//	(run)       -spec -out -workers -q -list
+//	-partition  -spec -partials -workers
+//	-merge      -spec -partials -out -q -stream
+//	-serve      -partials -slices -lease-timeout -tenants -drain-after
+//	-executor   -token -exec-name -exec-delay -workers
+//	-submit     -spec -token
+//	-jobs       (none)
+//	-watch      (none)
+//	-status     -json
 //
 // With -out, every scenario additionally writes <name>.json (the raw
 // engine result) and <name>.csv (counters and samples) into the
@@ -133,6 +144,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/campaign"
 	"repro/internal/campaign/spec"
@@ -172,58 +184,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "campaign: unexpected arguments %q\n", flag.Args())
 		os.Exit(2)
 	}
-	// A mode's own flags are refused outside that mode, not ignored.
-	if (*tenants != "" || *drainAfter != 0 || *slices != 0 || *leaseTimeout != 0) && *serveAddr == "" {
-		fatal(fmt.Errorf("-tenants/-drain-after/-slices/-lease-timeout configure the -serve service"))
+	mode, err := selectMode()
+	if err != nil {
+		fatal(err)
 	}
-	if (*execName != "" || *execDelay != 0) && *executorURL == "" {
-		fatal(fmt.Errorf("-exec-name/-exec-delay configure an -executor"))
-	}
-	if *token != "" && *submitURL == "" && *executorURL == "" {
-		fatal(fmt.Errorf("-token authenticates -submit/-executor; pass one of them"))
-	}
-	if *statusURL != "" {
+	switch mode {
+	case "status":
 		os.Exit(printStatus(*statusURL, *statusJSON))
-	}
-	if *statusJSON {
-		fatal(fmt.Errorf("-json is a -status output mode; pass -status too"))
-	}
-	if *jobsURL != "" {
+	case "jobs":
 		os.Exit(runJobList(*jobsURL))
-	}
-	if *watchURL != "" {
+	case "watch":
 		os.Exit(runWatch(*watchURL))
-	}
-	if *executorURL != "" {
-		// Executors are stateless: specs come from the service, so a
-		// -spec here would be a second, possibly divergent truth.
-		if *specPath != "" {
-			fatal(fmt.Errorf("-executor fetches specs from the coordinator; drop -spec"))
-		}
+	case "executor":
+		// Executors are stateless: specs come from the service.
 		os.Exit(runExecutorMode(*executorURL, *execName, *token, *execDelay, *workers))
-	}
-	if *submitURL != "" {
+	case "submit":
 		if *specPath == "" {
 			fatal(fmt.Errorf("-submit posts a spec to a job service; pass -spec too"))
 		}
 		os.Exit(runSubmit(*submitURL, *specPath, *token))
-	}
-	if *partials != "" && *serveAddr == "" && *partition == "" && !*merge {
-		// A forgotten -partition would otherwise run the whole
-		// campaign and leave the directory empty.
-		fatal(fmt.Errorf("-partials is the artifact directory of -partition, -merge and -serve; pass one of them"))
-	}
-	if *serveAddr != "" {
+	case "serve":
 		// Multi-tenant job service: no campaign of its own, jobs arrive
 		// over POST /jobs and merge server-side.
-		if *specPath != "" {
-			fatal(fmt.Errorf("-serve hosts the job service and takes no -spec; start it, then submit the spec with -submit <url> -spec %s", *specPath))
-		}
 		if *partials == "" {
 			fatal(fmt.Errorf("-serve needs -partials, the work directory job namespaces land in"))
-		}
-		if *partition != "" || *merge || *outDir != "" {
-			fatal(fmt.Errorf("the job service schedules and merges per job; drop -partition/-merge/-out"))
 		}
 		os.Exit(runService(serveOptions{
 			addr:         *serveAddr,
@@ -240,31 +224,22 @@ func main() {
 		os.Exit(2)
 	}
 	var part campaign.Partition
-	if *partition != "" {
-		if *merge {
-			fatal(fmt.Errorf("-partition and -merge are mutually exclusive (merge after every partition finished)"))
-		}
+	if mode == "partition" {
 		p, err := campaign.ParsePartition(*partition)
 		if err != nil {
 			fatal(err)
 		}
 		part = p
 	}
-	if (*partition != "" || *merge) && *partials == "" {
+	if (mode == "partition" || mode == "merge") && *partials == "" {
 		fatal(fmt.Errorf("-partition/-merge need -partials, the partial-artifact directory"))
 	}
-	if *partition != "" && *outDir != "" {
-		// Rendering, expectations and artifacts are all deferred to
-		// the merge; accepting -out here would exit 0 with an empty
-		// results directory.
-		fatal(fmt.Errorf("-out applies to the -merge step, not -partition runs"))
-	}
 	if *stream {
-		if !*merge || *outDir == "" {
+		if *outDir == "" {
 			// Without an output directory there is nowhere to stream
 			// to; silently falling back to an in-memory merge would be
 			// exactly the unbounded behavior -stream exists to avoid.
-			fatal(fmt.Errorf("-stream needs -merge and -out"))
+			fatal(fmt.Errorf("-stream needs -out"))
 		}
 		*quiet = true // sample-based renders cannot run without materialized samples
 	}
@@ -287,7 +262,7 @@ func main() {
 		return
 	}
 
-	if *partition != "" {
+	if mode == "partition" {
 		os.Exit(runPartition(f, built, part, *partials))
 	}
 	os.Exit(runCampaigns(f, built, runOptions{
@@ -297,6 +272,55 @@ func main() {
 		stream: *stream,
 		dir:    *partials,
 	}))
+}
+
+// modeFlags maps each mode flag to the other flags that mode reads;
+// "" is a run without a mode flag.
+var modeFlags = map[string][]string{
+	"":          {"spec", "out", "workers", "q", "list"},
+	"partition": {"spec", "partials", "workers"},
+	"merge":     {"spec", "partials", "out", "q", "stream"},
+	"serve":     {"partials", "slices", "lease-timeout", "tenants", "drain-after"},
+	"executor":  {"token", "exec-name", "exec-delay", "workers"},
+	"submit":    {"spec", "token"},
+	"jobs":      nil,
+	"watch":     nil,
+	"status":    {"json"},
+}
+
+// selectMode returns the mode the command line selects, refusing a
+// second mode flag and any flag the mode does not read. A flag counts
+// as given when its value differs from its default.
+func selectMode() (string, error) {
+	mode := ""
+	var given []string
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		_, isMode := modeFlags[f.Name]
+		switch {
+		case f.Value.String() == f.DefValue:
+		case !isMode:
+			given = append(given, f.Name)
+		case mode == "":
+			mode = f.Name
+		case err == nil:
+			err = fmt.Errorf("-%s and -%s are separate modes; pass one of them", mode, f.Name)
+		}
+	})
+	if err != nil {
+		return "", err
+	}
+	for _, name := range given {
+		if slices.Contains(modeFlags[mode], name) {
+			continue
+		}
+		what := "a run without a mode flag"
+		if mode != "" {
+			what = "-" + mode
+		}
+		return "", fmt.Errorf("%s does not read -%s", what, name)
+	}
+	return mode, nil
 }
 
 // runPartition executes one slice of every scenario, writing partial

@@ -103,7 +103,7 @@ func main() {
 		}
 	}
 
-	res, err := code.Decode(received, erasures)
+	res, err := code.NewDecoder().Decode(received, erasures)
 	if err != nil {
 		fmt.Printf("decode:    DETECTED FAILURE (%v)\n", err)
 		os.Exit(1)

@@ -33,54 +33,52 @@
 // kernels with a zero-allocation steady state: rs.Code.EncodeTo runs a
 // parity LFSR straight into the destination slice, rs.Code.SyndromesInto
 // fills a caller buffer, and an rs.Decoder workspace (one per
-// goroutine, from rs.Code.NewDecoder) decodes with zero allocs/op on
-// every successful path. The original Encode/Decode signatures remain
-// as thin wrappers over a pooled workspace for callers that want to
-// retain results. internal/memsim threads one workspace set through
-// each simulation worker and internal/arbiter owns a pair per arbiter,
-// so Monte Carlo campaigns no longer allocate per trial; the
-// per-kernel trajectory is tracked by the microbenchmarks in
-// internal/rs (go test ./internal/rs -bench . -benchmem) and gated by
-// its TestSteadyStateZeroAllocs.
+// goroutine, from rs.Code.NewDecoder) decodes one word (Decode) or a
+// word arena (DecodeAll) with zero allocs/op on every successful path,
+// its results aliasing the workspace until the next call.
+// internal/memsim threads one workspace set through each simulation
+// worker and internal/arbiter owns a pair per arbiter, so Monte Carlo
+// campaigns no longer allocate per trial; the per-kernel trajectory is
+// tracked by the microbenchmarks in internal/rs (go test ./internal/rs
+// -bench . -benchmem) and gated by its TestSteadyStateZeroAllocs.
 //
-// # Batch decode: the syndrome-first scrub path
+// # The syndrome-first decoder
 //
 // Scrub-scale workloads invert the decoder's cost profile: a scrub
 // pass decodes every stored word, and almost all of them are clean, so
-// the per-word pipeline wastes its Berlekamp-Massey/Chien machinery on
-// words whose syndromes would have said "nothing to do". The batch
-// layer (rs.Batch, rs.Code.NewBatchDecoder, rs.BatchDecoder.DecodeAll)
-// decodes a contiguous word arena by screening every word — erasures
-// included — with a packed syndrome-contribution table, a few wide
-// XORs per symbol instead of d dependent multiplies. Clean words never
-// leave the screen; a dirty word hands its already-folded syndromes
-// straight to the per-word pipeline instead of recomputing them, and
-// erasure-carrying words resolve their locator through a
-// content-keyed erasure-set cache (the locator polynomial and its
-// Chien/Forney setup depend only on the position set, which scrub
-// workloads repeat arena-wide), so an erasure-only word completes by
-// evaluating cached roots with no Berlekamp-Massey iteration and no
-// Chien sweep. Outcomes are guaranteed word-for-word identical to
-// rs.Decoder.Decode (the equivalence property tests in internal/rs
+// a decoder that always runs its Berlekamp-Massey/Chien machinery
+// wastes it on words whose syndromes would have said "nothing to do".
+// The front half that Decode and DecodeAll (over an rs.Batch word
+// arena) share screens every word — erasures included — with a packed
+// syndrome-contribution table, a few wide XORs per symbol instead of d
+// dependent multiplies. Clean words never leave the screen; a dirty
+// word hands its already-folded syndromes straight to the correction
+// tail instead of recomputing them, and erasure-carrying words resolve
+// their locator through a content-keyed erasure-set cache (the locator
+// polynomial and its Chien/Forney setup depend only on the position
+// set, which scrub workloads repeat arena-wide), so an erasure-only
+// word completes by evaluating cached roots with no Berlekamp-Massey
+// iteration and no Chien sweep. DecodeAll's outcomes are word-for-word
+// identical to Decode's (the equivalence property tests in internal/rs
 // enforce this, and fixed-seed golden tests in pagesim and memsim pin
-// the simulators' outputs across the switch), and the steady state
-// allocates nothing. DecodeAll runs on the calling goroutine; the
-// simulators parallelize across trials instead. On the 1-core reference
-// container the erasure-heavy RS(255,223) arena decodes ~6.6x faster
-// than the pre-cache batch path (5.7 -> ~38 MB/s) and the clean-arena
-// screen holds >300 MB/s. interleave.Codec.DecodeTo decodes each page
-// as one depth-word arena, which pagesim inherits, and the memsim
-// worker decodes its one- or two-word scrub arena with DecodeAll the
-// same way, so every Monte Carlo scrub loop rides the fast path.
-// A code with n-k = 2, the paper's RS(18,16), solves its dirty words
-// in closed form on the batch path: one error at the locator S1/S0, or
-// a one- or two-erasure Forney solve. rs.Decoder.Decode keeps
-// Berlekamp-Massey and the Chien sweep for every code; the arbiter
-// uses it, and FuzzDecode holds the batch path to it. Above the codec,
-// memsim skips a scrub pass that would repeat the last one exactly: a
-// pass that rewrote no symbol settles the word until the next fault
-// arrives or is located, and a skipped pass counts the settled pass's
-// miscorrections again.
+// the simulators' outputs), and the steady state allocates nothing.
+// DecodeAll runs on the calling goroutine; the simulators parallelize
+// across trials instead. On the 1-core reference container the
+// erasure-heavy RS(255,223) arena decodes ~6.6x faster than the
+// pre-cache batch path (5.7 -> ~38 MB/s) and the clean-arena screen
+// holds >300 MB/s. interleave.Codec.DecodeTo decodes each page as one
+// depth-word arena, which pagesim inherits, and the memsim worker
+// decodes its one- or two-word scrub arena with DecodeAll the same
+// way; the duplex arbiter and mbusim decode word by word with Decode
+// and get the same screen. A code with n-k = 2, the paper's RS(18,16),
+// solves its dirty words in closed form: one error at the locator
+// S1/S0, or a one- or two-erasure Forney solve; other codes run
+// Berlekamp-Massey and the Chien sweep. FuzzDecode holds both entry
+// points to each other and to an independent test oracle. Above the
+// codec, memsim skips a scrub pass that would repeat the last one
+// exactly: a pass that rewrote no symbol settles the word until the
+// next fault arrives or is located, and a skipped pass counts the
+// settled pass's miscorrections again.
 //
 // # The campaign engine: plan, execute, merge
 //

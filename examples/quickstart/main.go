@@ -32,9 +32,10 @@ func main() {
 	}
 	// RS(18,16) has 2 check symbols: it corrects one random error OR
 	// two located erasures (2*errors + erasures <= n-k).
+	dec := code.NewDecoder() // a reusable workspace; results alias it
 	seu := append([]gf.Elem(nil), word...)
 	seu[3] ^= 0x40 // an SEU flips a bit somewhere unknown
-	res, err := code.Decode(seu, nil)
+	res, err := dec.Decode(seu, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func main() {
 
 	erased := append([]gf.Elem(nil), word...)
 	erased[3], erased[9] = 0x00, 0xFF // two located permanent faults
-	res, err = code.Decode(erased, []int{3, 9})
+	res, err = dec.Decode(erased, []int{3, 9})
 	if err != nil {
 		log.Fatal(err)
 	}

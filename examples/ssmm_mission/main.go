@@ -24,7 +24,6 @@ import (
 func main() {
 	// A commercial 1-Mbit SRAM in orbit, modestly warm, COTS quality.
 	device := reliability.Device{
-		Class:        reliability.MOSSRAM,
 		Bits:         1 << 20,
 		Pins:         32,
 		JunctionTemp: 45,

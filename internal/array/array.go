@@ -10,8 +10,7 @@
 //
 // all computed in log space so the astronomically small word
 // probabilities of the paper's Figures 9-10 survive the
-// exponentiation. The package also estimates the memory's mean time
-// to data loss (MTTDL) by integrating the survival curve.
+// exponentiation.
 package array
 
 import (
@@ -19,7 +18,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/reliability"
 )
 
 // Memory describes a protected memory array: total data capacity and
@@ -117,31 +115,4 @@ func (m Memory) Evaluate(hours []float64) (*Curve, error) {
 		c.ExpectedWordsLost[i] = w * p
 	}
 	return c, nil
-}
-
-// MTTDL estimates the memory's mean time to data loss in hours by
-// integrating the survival curve R_memory(t) with the trapezoid rule
-// over [0, horizon] in the given number of steps. The estimate is a
-// lower bound whose truncation error is bounded by
-// horizon-tail * R(horizon); the returned residual reports
-// R_memory(horizon) so callers can check the horizon was long enough
-// (residual << 1).
-func (m Memory) MTTDL(horizon float64, steps int) (mttdl, residual float64, err error) {
-	if horizon <= 0 || steps < 2 {
-		return 0, 0, fmt.Errorf("array: invalid MTTDL grid (horizon %v, steps %d)", horizon, steps)
-	}
-	grid, err := reliability.HoursRange(0, horizon, steps)
-	if err != nil {
-		return 0, 0, err
-	}
-	curve, err := m.Evaluate(grid)
-	if err != nil {
-		return 0, 0, err
-	}
-	var integral float64
-	for i := 1; i < len(grid); i++ {
-		dt := grid[i] - grid[i-1]
-		integral += dt * (curve.Reliability[i] + curve.Reliability[i-1]) / 2
-	}
-	return integral, curve.Reliability[len(grid)-1], nil
 }

@@ -177,48 +177,6 @@ func TestBiggerMemoryLessReliable(t *testing.T) {
 	}
 }
 
-func TestMTTDL(t *testing.T) {
-	// High rates so the survival curve dies within the horizon.
-	m := Memory{
-		DataBytes: 1 << 10,
-		Word: core.Config{
-			Arrangement:  core.Simplex,
-			Code:         core.RS1816,
-			SEUPerBitDay: 1e-2,
-		},
-	}
-	mttdl, residual, err := m.MTTDL(2000, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if residual > 1e-3 {
-		t.Fatalf("horizon too short: residual %v", residual)
-	}
-	if mttdl <= 0 || mttdl > 2000 {
-		t.Fatalf("MTTDL = %v out of range", mttdl)
-	}
-	// Sanity: doubling capacity must shorten MTTDL.
-	m2 := m
-	m2.DataBytes = 2 << 10
-	mttdl2, _, err := m2.MTTDL(2000, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mttdl2 >= mttdl {
-		t.Errorf("doubling words should shorten MTTDL: %v vs %v", mttdl2, mttdl)
-	}
-}
-
-func TestMTTDLValidation(t *testing.T) {
-	m := baseMemory()
-	if _, _, err := m.MTTDL(0, 100); err == nil {
-		t.Error("zero horizon accepted")
-	}
-	if _, _, err := m.MTTDL(100, 1); err == nil {
-		t.Error("single step accepted")
-	}
-}
-
 func BenchmarkEvaluateMemory(b *testing.B) {
 	m := baseMemory()
 	hours := []float64{12, 24, 48}

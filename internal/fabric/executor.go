@@ -33,17 +33,21 @@ type ExecutorConfig struct {
 	// lease to expire and the slice to be stolen, which is what the
 	// chaos test in CI arranges deterministically.
 	UploadDelay time.Duration
-	// DrainTimeout is how long the registry may be unreachable — after
-	// having been reached at least once — before the executor drains
-	// and exits cleanly (0 = 15s). A registry that was never reachable
-	// is an error instead, after a 30s startup grace window.
-	DrainTimeout time.Duration
 	// Client issues the HTTP requests (nil = a client with sane
 	// timeouts for everything but the upload itself).
 	Client *http.Client
 	// Log receives progress (nil = standard logger).
 	Log *log.Logger
 }
+
+// A registry that has never answered gets startupGrace to come up
+// before the executor gives up with an error; a registry that was
+// reached at least once may then stay unreachable for drainTimeout
+// before the executor drains and exits cleanly.
+const (
+	startupGrace = 30 * time.Second
+	drainTimeout = 15 * time.Second
+)
 
 // errUnauthorized aborts the executor immediately: a rejected token
 // will not start working on retry.
@@ -129,13 +133,10 @@ func RunExecutor(ctx context.Context, cfg ExecutorConfig) error {
 	if cfg.Name == "" {
 		cfg.Name = "executor"
 	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 15 * time.Second
-	}
 	e := &executor{cfg: cfg, client: client, log: logger, specs: make(map[string]*builtJob)}
 
 	retry := newBackoff(250*time.Millisecond, 5*time.Second) // connection or lease errors
-	startDeadline := time.Now().Add(30 * time.Second)
+	startDeadline := time.Now().Add(startupGrace)
 	contacted := false
 	var unreachableSince time.Time
 	for {
@@ -158,9 +159,9 @@ func RunExecutor(ctx context.Context, cfg ExecutorConfig) error {
 				if unreachableSince.IsZero() {
 					unreachableSince = time.Now()
 				}
-				if time.Since(unreachableSince) > cfg.DrainTimeout {
+				if time.Since(unreachableSince) > drainTimeout {
 					logger.Printf("fabric: executor %s: registry unreachable for %s (%v); draining",
-						cfg.Name, cfg.DrainTimeout, err)
+						cfg.Name, drainTimeout, err)
 					return nil
 				}
 			}

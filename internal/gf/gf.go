@@ -188,34 +188,6 @@ func (f *Field) MulRow(c Elem) []Elem {
 	return f.mul[i : i+f.size : i+f.size]
 }
 
-// MulSlice sets dst[i] = c * src[i] for every i. dst and src must have
-// the same length (dst may alias src). It performs no allocation.
-func (f *Field) MulSlice(dst, src []Elem, c Elem) {
-	if len(dst) != len(src) {
-		panic("gf: MulSlice length mismatch")
-	}
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	if row := f.MulRow(c); row != nil {
-		for i, s := range src {
-			dst[i] = row[s]
-		}
-		return
-	}
-	lc := int(f.log[c])
-	for i, s := range src {
-		if s == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = f.exp[lc+int(f.log[s])]
-		}
-	}
-}
-
 // AddMulSlice sets dst[i] ^= c * src[i] for every i — the GF(2^m)
 // multiply-accumulate at the heart of polynomial long division and
 // Berlekamp-Massey updates. src must not be longer than dst; excess

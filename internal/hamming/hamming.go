@@ -75,15 +75,9 @@ func MustNew(dataBits int) *Code {
 	return c
 }
 
-// DataBits returns the payload width in bits.
-func (c *Code) DataBits() int { return c.dataBits }
-
 // CodewordBits returns the stored width in bits, including the
 // Hamming check bits and the overall (DED) parity bit.
 func (c *Code) CodewordBits() int { return c.total }
-
-// Overhead returns stored bits per data bit.
-func (c *Code) Overhead() float64 { return float64(c.total) / float64(c.dataBits) }
 
 // String identifies the code like "SEC-DED(72,64)".
 func (c *Code) String() string { return fmt.Sprintf("SEC-DED(%d,%d)", c.total, c.dataBits) }

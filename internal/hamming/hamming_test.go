@@ -1,6 +1,7 @@
 package hamming
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -33,8 +34,11 @@ func TestNewStandardSizes(t *testing.T) {
 		if c.CodewordBits() != cse.total {
 			t.Errorf("data=%d: codeword %d bits, want %d", cse.data, c.CodewordBits(), cse.total)
 		}
-		if c.DataBits() != cse.data {
-			t.Errorf("DataBits = %d", c.DataBits())
+		if c.dataBits != cse.data {
+			t.Errorf("data=%d: dataBits = %d", cse.data, c.dataBits)
+		}
+		if want := fmt.Sprintf("SEC-DED(%d,%d)", cse.total, cse.data); c.String() != want {
+			t.Errorf("String = %q, want %q", c.String(), want)
 		}
 	}
 }
@@ -54,16 +58,6 @@ func TestMustNewPanics(t *testing.T) {
 		}
 	}()
 	MustNew(0)
-}
-
-func TestOverhead(t *testing.T) {
-	c := MustNew(32)
-	if got := c.Overhead(); !relClose(got, 39.0/32, 1e-15) {
-		t.Errorf("Overhead = %v", got)
-	}
-	if c.String() != "SEC-DED(39,32)" {
-		t.Errorf("String = %q", c.String())
-	}
 }
 
 func TestEncodeDecodeClean(t *testing.T) {

@@ -105,15 +105,15 @@ func (p *Page) splitErasures(perStripe [][]int, erasures []int) error {
 
 // Codec is a reusable page encode/decode workspace: it owns the
 // stripe scratch, the per-stripe erasure lists, a deinterleaved word
-// arena and one rs.BatchDecoder, so steady-state page traffic (the
-// pagesim Monte Carlo, a controller model pushing millions of pages)
-// performs no per-page heap allocation, and pages whose stripes are
-// mostly clean decode at the batch syndrome-screen rate rather than
-// the full per-stripe decoder rate. A Codec is not safe for concurrent
-// use; campaigns hold one per worker goroutine.
+// arena and one rs.Decoder, so steady-state page traffic (the pagesim
+// Monte Carlo, a controller model pushing millions of pages) performs
+// no per-page heap allocation, and the page decodes as one arena
+// (rs.Decoder.DecodeAll), in which a clean stripe costs only the
+// syndrome screen. A Codec is not safe for concurrent use; campaigns
+// hold one per worker goroutine.
 type Codec struct {
 	page       *Page
-	bdec       *rs.BatchDecoder
+	dec        *rs.Decoder
 	arena      []gf.Elem // depth words of n symbols, stride n
 	stripeData []gf.Elem
 	stripeCW   []gf.Elem
@@ -128,7 +128,7 @@ type Codec struct {
 func (p *Page) NewCodec() *Codec {
 	c := &Codec{
 		page:       p,
-		bdec:       p.code.NewBatchDecoder(),
+		dec:        p.code.NewDecoder(),
 		arena:      make([]gf.Elem, p.depth*p.code.N()),
 		stripeData: make([]gf.Elem, p.code.K()),
 		stripeCW:   make([]gf.Elem, p.code.N()),
@@ -156,11 +156,11 @@ func (c *Codec) EncodeTo(stored, data []gf.Elem) error {
 // DecodeTo decodes a stored page into res, recycling res's buffers
 // (Data and FailedStripes are resized in place, so the steady state
 // allocates nothing). Erasure positions index the stored page
-// (0..depth*n-1). Every stripe gets the outcome Decoder.Decode would
-// have produced for it — rs.DecodeAll guarantees that — but the page
-// is decoded as one word arena, so healthy stripes cost only the batch
-// syndrome screen and the full decode pipeline runs just for the
-// stripes that need it.
+// (0..depth*n-1). Every stripe gets the outcome rs.Decoder.Decode
+// would have produced for it — DecodeAll guarantees that — but the
+// page is decoded as one word arena, so healthy stripes cost only the
+// syndrome screen and the correction tail runs just for the stripes
+// that need it.
 func (c *Codec) DecodeTo(res *DecodeResult, stored []gf.Elem, erasures []int) error {
 	p := c.page
 	c.last = nil
@@ -189,7 +189,7 @@ func (c *Codec) DecodeTo(res *DecodeResult, stored []gf.Elem, erasures []int) er
 	}
 	// The per-stripe lists are not mutated until the next DecodeTo,
 	// which satisfies the rs.Batch list-sharing contract for this call.
-	bres, err := c.bdec.DecodeAll(rs.Batch{Words: c.arena, Stride: n, Count: depth}, c.perStripe)
+	bres, err := c.dec.DecodeAll(rs.Batch{Words: c.arena, Stride: n, Count: depth}, c.perStripe)
 	if err != nil {
 		return err
 	}

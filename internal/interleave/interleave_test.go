@@ -361,6 +361,7 @@ func TestCorrectedStripeContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, cd := range []*rs.Code{code, rs.MustNew(f8, 20, 16)} {
 		n, k := cd.N(), cd.K()
+		refDec := cd.NewDecoder()
 		for _, depth := range []int{1, 3, 4} {
 			p, err := New(cd, depth)
 			if err != nil {
@@ -407,7 +408,7 @@ func TestCorrectedStripeContract(t *testing.T) {
 					for j := range word {
 						word[j] = stored[j*depth+s]
 					}
-					ref, refErr := cd.Decode(word, perStripe[s])
+					ref, refErr := refDec.Decode(word, perStripe[s])
 					got := c.CorrectedStripe(s)
 					switch {
 					case refErr != nil:

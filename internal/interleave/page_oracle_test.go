@@ -23,8 +23,8 @@ func (p *Page) Encode(data []gf.Elem) ([]gf.Elem, error) {
 	return stored, nil
 }
 
-// Decode recovers a stored page one stripe at a time with the pooled
-// Code.Decode. Erasure positions index the stored page
+// Decode recovers a stored page one stripe at a time with
+// rs.Decoder.Decode. Erasure positions index the stored page
 // (0..depth*n-1). Stripes that fail to decode are reported in
 // FailedStripes and contribute their received (uncorrected) data
 // symbols, mirroring a controller that flags but still returns the
@@ -44,11 +44,12 @@ func (p *Page) Decode(stored []gf.Elem, erasures []int) (*DecodeResult, error) {
 
 // decodeInto runs the stripe loop into res with caller-owned scratch.
 func (p *Page) decodeInto(res *DecodeResult, stored []gf.Elem, perStripe [][]int, stripeCW []gf.Elem) {
+	rd := p.code.NewDecoder()
 	for s := 0; s < p.depth; s++ {
 		for j := 0; j < p.code.N(); j++ {
 			stripeCW[j] = stored[j*p.depth+s]
 		}
-		dec, err := p.code.Decode(stripeCW, perStripe[s])
+		dec, err := rd.Decode(stripeCW, perStripe[s])
 		if err != nil {
 			res.FailedStripes = append(res.FailedStripes, s)
 			for j := 0; j < p.code.K(); j++ {

@@ -301,9 +301,6 @@ type Config struct {
 	BurstMeanBits float64
 	Trials        int
 	Seed          int64
-	// Workers is the goroutine count for the campaign engine; 0 means
-	// GOMAXPROCS.
-	Workers int
 }
 
 // dist assembles the burst-length distribution the config selects.
@@ -476,14 +473,15 @@ func ResultsFromCampaign(systems []System, cres *campaign.Result) []SystemResult
 }
 
 // Run executes the campaign over the systems newSystems builds (see
-// Scenario) on the shared engine. Statistics are deterministic for a
-// fixed Config.Seed, independent of Workers.
+// Scenario) on the shared engine with GOMAXPROCS workers. Statistics
+// are deterministic for a fixed Config.Seed, independent of the worker
+// count.
 func Run(cfg Config, newSystems func() ([]System, error)) ([]SystemResult, error) {
 	scn, err := newScenario(cfg, newSystems)
 	if err != nil {
 		return nil, err
 	}
-	cres, err := campaign.Run(scn, campaign.Config{Workers: cfg.Workers})
+	cres, err := campaign.Run(scn, campaign.Config{})
 	if err != nil {
 		return nil, err
 	}

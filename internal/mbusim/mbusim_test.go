@@ -248,19 +248,28 @@ func TestCampaignBurstOrdering(t *testing.T) {
 	}
 }
 
+// runWorkers runs the DefaultSystems campaign like Run, on the given
+// number of engine workers.
+func runWorkers(t *testing.T, cfg Config, workers int) []SystemResult {
+	t.Helper()
+	scn, err := newScenario(cfg, DefaultSystems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cres, err := campaign.Run(scn, campaign.Config{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ResultsFromCampaign(scn.systems, cres)
+}
+
 // TestDeterminismAcrossWorkerCounts: per-(system, trial) reseeding
 // makes the campaign statistics bit-identical for any worker count.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	base := Config{EventsPerKilobit: 4, BurstBits: 4, Trials: 1000, Seed: 99}
 	var results [][]SystemResult
 	for _, workers := range []int{1, 4, 8} {
-		cfg := base
-		cfg.Workers = workers
-		res, err := Run(cfg, DefaultSystems)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
+		results = append(results, runWorkers(t, base, workers))
 	}
 	for i := 1; i < len(results); i++ {
 		if !reflect.DeepEqual(results[0], results[i]) {
@@ -448,13 +457,7 @@ func TestGeometricCampaignDeterministic(t *testing.T) {
 	base := Config{EventsPerKilobit: 4, BurstDist: "geometric", BurstMeanBits: 4, Trials: 800, Seed: 17}
 	var results [][]SystemResult
 	for _, workers := range []int{1, 4} {
-		cfg := base
-		cfg.Workers = workers
-		res, err := Run(cfg, DefaultSystems)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
+		results = append(results, runWorkers(t, base, workers))
 	}
 	if !reflect.DeepEqual(results[0], results[1]) {
 		t.Errorf("worker count changed geometric results:\n%+v\nvs\n%+v", results[0], results[1])

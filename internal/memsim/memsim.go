@@ -92,7 +92,6 @@ type Config struct {
 	Horizon float64 // storage time in hours; the word is read once at the end
 	Trials  int
 	Seed    int64
-	Workers int // 0 = GOMAXPROCS
 }
 
 // weighted reports whether trials carry importance-sampling weights.
@@ -329,13 +328,12 @@ func (mo *module) erasuresInto(buf []int, t float64) []int {
 
 // worker owns the per-goroutine scratch of a campaign: the recycled
 // modules, the RNG (reseeded per trial for worker-count-independent
-// reproducibility), the batch decode workspace and arbiter, and every
+// reproducibility), the decode workspace and arbiter, and every
 // masking/erasure buffer — so the steady state of a campaign performs
 // no per-trial heap allocation. Scrub and simplex-read decodes run
-// through rs.DecodeAll over the pair arena: the simplex word (or the
-// two masked duplex words) decode as a one- or two-word batch, so a
-// healthy word costs only the batch syndrome screen while keeping
-// per-word outcomes identical to Decoder.Decode.
+// through rs.Decoder.DecodeAll over the pair arena: the simplex word
+// (or the two masked duplex words) decode as a one- or two-word batch,
+// corrected in place, so a healthy word costs only the syndrome screen.
 //
 // A scrub pass that would exactly repeat the last one is skipped (the
 // settled rule, see doScrub), and the per-event counters are tallied
@@ -345,8 +343,8 @@ type worker struct {
 	rng   *rand.Rand
 	clock *scrub.Clock // fault arrivals, scrub instants, likelihood ratio
 
-	batch *rs.BatchDecoder // scrub/read decode workspace
-	arb   *arbiter.Arbiter // duplex read path (owns its own decoders)
+	dec *rs.Decoder      // scrub/read decode workspace
+	arb *arbiter.Arbiter // duplex read path (owns its own decoders)
 
 	data   []gf.Elem // dataword scratch
 	truth  []gf.Elem // ground-truth codeword
@@ -387,7 +385,7 @@ func newWorker(cfg Config) *worker {
 	w := &worker{
 		cfg:    cfg,
 		rng:    campaign.NewTrialRand(cfg.Seed),
-		batch:  code.NewBatchDecoder(),
+		dec:    code.NewDecoder(),
 		data:   make([]gf.Elem, k),
 		truth:  make([]gf.Elem, n),
 		pair:   pair,
@@ -485,25 +483,22 @@ func ResultFromCampaign(cfg Config, cres *campaign.Result) *Result {
 	return r
 }
 
-// Run executes the campaign on the shared engine, distributing trials
-// over workers. The result is deterministic for a fixed Config
-// (including Seed), independent of Workers.
+// Run executes the campaign on the shared engine with GOMAXPROCS
+// workers. The result is deterministic for a fixed Config (including
+// Seed), independent of the worker count.
 func Run(cfg Config) (*Result, error) {
 	res, _, err := RunCampaign(cfg, campaign.Config{})
 	return res, err
 }
 
 // RunCampaign executes the campaign with explicit engine controls
-// (checkpoint path, early stopping); ecfg.Workers defaults
-// to cfg.Workers when zero. It returns both the simulator-level and
-// the raw engine result (for early-stop and resume bookkeeping).
+// (worker count, checkpoint path, early stopping). It returns both the
+// simulator-level and the raw engine result (for early-stop and resume
+// bookkeeping).
 func RunCampaign(cfg Config, ecfg campaign.Config) (*Result, *campaign.Result, error) {
 	scn, err := cfg.Scenario()
 	if err != nil {
 		return nil, nil, err
-	}
-	if ecfg.Workers == 0 {
-		ecfg.Workers = cfg.Workers
 	}
 	cres, err := campaign.Run(scn, ecfg)
 	if err != nil {
@@ -625,7 +620,7 @@ func (ws *worker) maskPair(t float64) (w1, w2 []gf.Elem, shared []int) {
 // result is valid until the next decode on the same workspace.
 func (ws *worker) decodeArena(count int) *rs.BatchResult {
 	n := ws.cfg.Code.N()
-	res, err := ws.batch.DecodeAll(rs.Batch{Words: ws.pair[:count*n], Stride: n, Count: count}, ws.elists[:count])
+	res, err := ws.dec.DecodeAll(rs.Batch{Words: ws.pair[:count*n], Stride: n, Count: count}, ws.elists[:count])
 	if err != nil {
 		panic(fmt.Sprintf("memsim: scrub-arena decode: %v", err)) // arena shape is fixed
 	}

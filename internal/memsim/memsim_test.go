@@ -81,13 +81,10 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 	var results []*Result
 	for _, workers := range []int{1, 4, 7, 8} {
-		cfg := base
-		cfg.Workers = workers
-		r, err := Run(cfg)
+		r, _, err := RunCampaign(base, campaign.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Config = Config{} // worker count must be the only difference
 		results = append(results, r)
 	}
 	for i := 1; i < len(results); i++ {
@@ -679,7 +676,7 @@ func TestLocationForcesScrubDecode(t *testing.T) {
 func BenchmarkTrialSimplex(b *testing.B) {
 	benchTrial(b, Config{
 		Code: code, LambdaBit: 1e-4, LambdaSymbol: 1e-5,
-		ScrubPeriod: 12, Horizon: 48, Trials: 1, Seed: 13, Workers: 1,
+		ScrubPeriod: 12, Horizon: 48, Trials: 1, Seed: 13,
 	})
 }
 
@@ -687,7 +684,7 @@ func BenchmarkTrialSimplex(b *testing.B) {
 func BenchmarkTrialDuplex(b *testing.B) {
 	benchTrial(b, Config{
 		Code: code, Duplex: true, LambdaBit: 1e-4, LambdaSymbol: 1e-5,
-		ScrubPeriod: 12, Horizon: 48, Trials: 1, Seed: 14, Workers: 1,
+		ScrubPeriod: 12, Horizon: 48, Trials: 1, Seed: 14,
 	})
 }
 
@@ -698,7 +695,7 @@ func BenchmarkTrialDuplex(b *testing.B) {
 func BenchmarkTrialMission(b *testing.B) {
 	benchTrial(b, Config{
 		Code: code, Duplex: true, LambdaBit: 6e-4, LambdaSymbol: 2e-4,
-		ScrubPeriod: 4, ExponentialScrub: true, Horizon: 48, Trials: 1, Seed: 15, Workers: 1,
+		ScrubPeriod: 4, ExponentialScrub: true, Horizon: 48, Trials: 1, Seed: 15,
 	})
 }
 
@@ -723,7 +720,7 @@ func benchTrial(b *testing.B, cfg Config) {
 
 // batchGoldenCases are fixed-seed configurations whose complete
 // campaign output is pinned across the batch-decode switch: routing
-// the scrub and final-read decodes through rs.BatchDecoder.DecodeAll
+// the scrub and final-read decodes through rs.Decoder.DecodeAll
 // must reproduce the per-word decode outcomes byte for byte (decoding
 // consumes no randomness, so any divergence is a decode-semantics
 // change, not noise).

@@ -78,17 +78,6 @@ var PaperPermanentRates = []float64{1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10}
 // PaperScrubPeriods are the scrubbing periods of Figure 7, in seconds.
 var PaperScrubPeriods = []float64{900, 1200, 1800, 3600}
 
-// DeviceClass selects the MIL-HDBK-217F part category of a memory
-// device for the simplified prediction model below.
-type DeviceClass int
-
-const (
-	// MOSSRAM covers static MOS RAMs.
-	MOSSRAM DeviceClass = iota
-	// MOSDRAM covers dynamic MOS RAMs.
-	MOSDRAM
-)
-
 // Environment selects the MIL-HDBK-217 application environment factor.
 type Environment int
 
@@ -117,9 +106,8 @@ func (e Environment) factor() (float64, error) {
 	}
 }
 
-// Device describes one memory chip for the prediction model.
+// Device describes one static MOS RAM chip for the prediction model.
 type Device struct {
-	Class        DeviceClass
 	Bits         int     // storage capacity in bits
 	Pins         int     // package pin count
 	JunctionTemp float64 // junction temperature in deg C
@@ -128,30 +116,25 @@ type Device struct {
 }
 
 // c1 returns the die-complexity factor by capacity bucket
-// (MIL-HDBK-217F notice 2, MOS memories, table values).
+// (MIL-HDBK-217F notice 2, MOS static RAMs, table values).
 func (d Device) c1() (float64, error) {
 	if d.Bits <= 0 {
 		return 0, fmt.Errorf("reliability: device capacity %d bits", d.Bits)
 	}
-	type bucket struct {
+	buckets := []struct {
 		maxBits int
-		sram    float64
-		dram    float64
-	}
-	buckets := []bucket{
-		{16 << 10, 0.0052, 0.0013},
-		{64 << 10, 0.011, 0.0025},
-		{256 << 10, 0.021, 0.005},
-		{1 << 20, 0.042, 0.01},
-		{1 << 24, 0.084, 0.02}, // extrapolated doubling per 4x capacity
-		{1 << 30, 0.168, 0.04},
+		c1      float64
+	}{
+		{16 << 10, 0.0052},
+		{64 << 10, 0.011},
+		{256 << 10, 0.021},
+		{1 << 20, 0.042},
+		{1 << 24, 0.084}, // extrapolated doubling per 4x capacity
+		{1 << 30, 0.168},
 	}
 	for _, b := range buckets {
 		if d.Bits <= b.maxBits {
-			if d.Class == MOSSRAM {
-				return b.sram, nil
-			}
-			return b.dram, nil
+			return b.c1, nil
 		}
 	}
 	return 0, fmt.Errorf("reliability: device capacity %d bits beyond model range", d.Bits)

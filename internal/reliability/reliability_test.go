@@ -88,7 +88,6 @@ func TestPaperConstants(t *testing.T) {
 
 func spaceDevice() Device {
 	return Device{
-		Class:        MOSSRAM,
 		Bits:         1 << 20, // 1 Mbit
 		Pins:         32,
 		JunctionTemp: 40,
@@ -181,20 +180,6 @@ func TestFailureRateValidation(t *testing.T) {
 	bad.Env = Environment(99)
 	if _, err := bad.FailureRatePerMillionHours(); err == nil {
 		t.Error("unknown environment accepted")
-	}
-}
-
-func TestDRAMCheaperThanSRAMInC1(t *testing.T) {
-	sram := spaceDevice()
-	dram := spaceDevice()
-	dram.Class = MOSDRAM
-	sr, _ := sram.FailureRatePerMillionHours()
-	dr, err := dram.FailureRatePerMillionHours()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dr >= sr {
-		t.Errorf("DRAM die factor should be below SRAM: %v vs %v", dr, sr)
 	}
 }
 

@@ -6,18 +6,15 @@ import (
 	"repro/internal/gf"
 )
 
-// This file implements the batch (arena) decode layer: a syndrome-first
-// throughput path for scrub-scale workloads that decode every stored
-// word each pass. The overwhelmingly common case in a scrub pass is a
-// word with no errors at all, and for those the only work a decoder
-// truly owes is the syndrome check — so DecodeAll screens the whole
-// arena with a packed syndrome fold and hands only the words whose
-// syndromes come back nonzero to the correction tail Decoder.Decode
-// ends in (Decoder.correct): the closed form for n-k = 2, otherwise
-// Berlekamp-Massey and Chien/Forney. The erasure lists resolve through
-// a cache of validated erasure-set setups (ecache.go).
+// This file holds the packed syndrome table and the screen that folds
+// a word's syndromes from it — the front half of both entry points for
+// every code that has the table — and the arena entry point DecodeAll.
+// The overwhelmingly common word in a scrub pass has no errors at all,
+// and for it the only work a decoder truly owes is the syndrome check;
+// only words whose syndromes come back nonzero reach the correction
+// tail (Decoder.correct).
 //
-// The syndrome screen runs on a precomputed contribution table, the
+// The screen runs on a precomputed contribution table, the
 // CRC slicing-by-8 trick transplanted to GF(2^m): the contribution of
 // symbol value s at codeword position i to syndrome j is
 // s * alpha^((fcr+j)*(n-1-i)), a pure function of (i, s, j), so the
@@ -35,26 +32,26 @@ import (
 // maxBatchTableBytes caps the packed syndrome-contribution table. The
 // table costs n * 2^m * ceil(d/8) * 8 bytes — 2.1 MiB for RS(255,223),
 // 36 KiB for RS(18,16) — and codes whose table would exceed the cap
-// (or whose field has no multiplication table) fall back to the
-// per-word pipeline for every arena word, keeping DecodeAll correct
-// for every code the package supports.
+// (or whose field has no multiplication table) validate and compute
+// Horner syndromes for every word instead.
 const maxBatchTableBytes = 8 << 20
 
 // batchTable lazily carries the packed syndrome-contribution rows of
-// one Code (shared by every BatchDecoder of that code).
+// one Code (shared by every Decoder of that code).
 type batchTable struct {
 	tab []uint64 // nil when the fast path is unavailable
 	pw  int      // packed uint64 words per row, ceil(d/8)
 }
 
-// batchSyndromeTable builds (once) and returns the packed table.
+// batchSyndromeTable builds (once, on the code's first decode) and
+// returns the packed table.
 func (c *Code) batchSyndromeTable() *batchTable {
 	c.batchOnce.Do(func() {
 		f := c.f
 		d := c.n - c.k
 		pw := (d + 7) / 8
 		if f.MulRow(1) == nil {
-			return // no multiplication table: stay on the per-word pipeline
+			return // no multiplication table: Horner syndromes instead
 		}
 		if bytes := c.n * f.Size() * pw * 8; bytes > maxBatchTableBytes {
 			return
@@ -109,8 +106,8 @@ type WordResult struct {
 }
 
 // BatchResult aggregates one DecodeAll call. Words and the counters
-// alias the BatchDecoder workspace and are valid only until the next
-// call on the same BatchDecoder.
+// alias the Decoder workspace and are valid only until the next call
+// on the same Decoder.
 type BatchResult struct {
 	// Words holds one entry per arena word, in arena order.
 	Words []WordResult
@@ -120,64 +117,23 @@ type BatchResult struct {
 	Clean, Corrected, Failed int
 }
 
-// batchLane is the BatchDecoder's decode workspace: a Decoder, the
-// packed-syndrome accumulator the screen writes and an erasure-set
-// cache.
-type batchLane struct {
-	dec   *Decoder
-	acc   []uint64 // generic-width syndrome accumulator
-	cache erasureCache
-}
-
-// BatchDecoder is a reusable workspace for decoding whole word arenas.
-// Like Decoder it is NOT safe for concurrent use (hold one per
-// goroutine) and its BatchResult is valid only until the next call.
-// The packed syndrome table it screens with lives on the Code and is
-// shared by every BatchDecoder of that code.
-type BatchDecoder struct {
-	c    *Code
-	lane batchLane
-	res  BatchResult
-}
-
-// NewBatchDecoder returns a fresh arena-decoding workspace for c,
-// building the code's packed syndrome table on first use.
-func (c *Code) NewBatchDecoder() *BatchDecoder {
-	bt := c.batchSyndromeTable()
-	return &BatchDecoder{
-		c: c,
-		lane: batchLane{
-			dec:   c.NewDecoder(),
-			acc:   make([]uint64, bt.pw),
-			cache: newErasureCache(c),
-		},
-	}
-}
-
 // DecodeAll decodes every word of the arena, correcting successful
 // words in place (a failed word is left exactly as received, like a
 // scrub controller that has nothing better to write back). erasures is
 // nil, or holds one erasure-position list per word (entries may be nil
 // or shared between words — see the list-sharing contract on Batch);
 // each word's outcome — corrected symbols, acceptance, error
-// classification — is identical to what Decoder.Decode would have
-// produced for that word and its list.
+// classification — is identical to what Decode would have produced for
+// that word and its list.
 //
-// DecodeAll screens every word with the packed syndrome fold; clean
-// words never leave the screen, and dirty words hand the folded
-// syndromes straight to the per-word pipeline instead of recomputing
-// them (the screen's byte lanes *are* the syndromes). Words with
-// erasures additionally resolve their position set through a small
-// cache of erasure-locator setups, so an arena sharing one
-// located-column set pays the polynomial construction once. The
-// returned BatchResult aliases the workspace; the steady state of
-// repeated same-shape calls performs no heap allocation. The
-// exceptions are failed words: erasure-list errors are built once per
-// cached erasure set, and a word that Berlekamp-Massey or the Chien
-// sweep rejects allocates its error value. An n-k = 2 code's closed
-// form returns shared error values and allocates nothing.
-func (bd *BatchDecoder) DecodeAll(b Batch, erasures [][]int) (*BatchResult, error) {
-	c := bd.c
+// Every word runs Decode's front half, so a clean word costs only the
+// syndrome screen and never pays for a Result; dirty words go through
+// the correction tail. An arena sharing one located-column set builds
+// its erasure-locator setup once. The returned BatchResult aliases the
+// workspace; the steady state of repeated same-shape calls performs no
+// heap allocation (failed words aside, see the package doc).
+func (dec *Decoder) DecodeAll(b Batch, erasures [][]int) (*BatchResult, error) {
+	c := dec.c
 	n := c.n
 	switch {
 	case b.Count < 0:
@@ -191,7 +147,7 @@ func (bd *BatchDecoder) DecodeAll(b Batch, erasures [][]int) (*BatchResult, erro
 		return nil, fmt.Errorf("rs: batch has %d erasure lists, want %d (or nil)", len(erasures), b.Count)
 	}
 
-	res := &bd.res
+	res := &dec.bres
 	if cap(res.Words) < b.Count {
 		res.Words = make([]WordResult, b.Count)
 	} else {
@@ -199,18 +155,26 @@ func (bd *BatchDecoder) DecodeAll(b Batch, erasures [][]int) (*BatchResult, erro
 	}
 	res.Clean, res.Corrected, res.Failed = 0, 0, 0
 	bt := c.batchSyndromeTable()
-	l := &bd.lane
-	l.cache.resetMemo()
+	dec.cache.resetMemo()
 	for w := 0; w < b.Count; w++ {
 		word := b.Words[w*b.Stride : w*b.Stride+n : w*b.Stride+n]
 		var ers []int
 		if erasures != nil {
 			ers = erasures[w]
 		}
-		r := l.decodeWord(bt, word, ers)
+		var r WordResult
+		dirty, ent, err := dec.front(bt, word, ers)
+		if err == nil && dirty {
+			var dres *Result
+			if dres, err = dec.correct(word, ers, ent); err == nil {
+				copy(word, dres.Codeword)
+				r.Corrections = dres.Corrections
+			}
+		}
+		r.Err = err
 		res.Words[w] = r
 		switch {
-		case r.Err != nil:
+		case err != nil:
 			res.Failed++
 		case r.Corrections > 0:
 			res.Corrected++
@@ -221,69 +185,15 @@ func (bd *BatchDecoder) DecodeAll(b Batch, erasures [][]int) (*BatchResult, erro
 	return res, nil
 }
 
-// decodeWord decodes one arena word, correcting it in place on
-// success. The routing preserves Decoder.Decode's classification
-// order exactly: invalid symbols (caught by the screen's OR check)
-// are reported before erasure-list errors, which precede any
-// syndrome-dependent outcome.
-func (l *batchLane) decodeWord(bt *batchTable, word []gf.Elem, ers []int) WordResult {
-	if bt.tab == nil {
-		// No packed table (m > 8 or the table outgrew its cap): the
-		// per-word pipeline owns everything.
-		return l.fullDecode(word, ers)
-	}
-	dirty, valid := l.screen(bt, word)
-	if !valid {
-		// Out-of-range symbol: route the whole word to the per-word
-		// pipeline, which rejects it with the exact Decoder.Decode
-		// error before looking at the erasure list.
-		return l.fullDecode(word, ers)
-	}
-	var ent *erasureEntry
-	if len(ers) > 0 {
-		ent = l.cache.get(ers)
-		if ent.err != nil {
-			return WordResult{Err: ent.err}
-		}
-	}
-	if !dirty {
-		return WordResult{}
-	}
-	// Syndrome handoff: the screen's byte lanes are the word's packed
-	// syndromes; unpack them into the decoder register so the pipeline
-	// never recomputes the O(n*d) Horner pass it just paid for.
-	syn := l.dec.syn
-	for j := range syn {
-		syn[j] = gf.Elem(l.acc[j>>3] >> (8 * (j & 7)) & 0xff)
-	}
-	dres, err := l.dec.correct(word, ers, ent)
-	if err != nil {
-		return WordResult{Err: err}
-	}
-	copy(word, dres.Codeword)
-	return WordResult{Corrections: dres.Corrections}
-}
-
-// fullDecode runs the unabridged per-word pipeline (validation,
-// Horner syndromes and all) and applies the correction in place.
-func (l *batchLane) fullDecode(word []gf.Elem, ers []int) WordResult {
-	dres, err := l.dec.Decode(word, ers)
-	if err != nil {
-		return WordResult{Err: err}
-	}
-	copy(word, dres.Codeword)
-	return WordResult{Corrections: dres.Corrections}
-}
-
-// screen folds the word's packed syndrome contributions into the lane
-// accumulator and OR-validates its symbols in one pass. dirty reports
-// nonzero syndromes (l.acc then holds the packed lanes, ready to
-// unpack); valid reports every symbol in field range. An invalid word
-// folds garbage through the masked table index — harmlessly, because
-// the caller routes !valid words to the per-word path, which rejects
-// them with the exact Decoder.Decode error.
-func (l *batchLane) screen(bt *batchTable, word []gf.Elem) (dirty, valid bool) {
-	size := l.dec.c.f.Size()
+// screen folds the word's packed syndrome contributions into dec.acc
+// and OR-validates its symbols in one pass. dirty reports nonzero
+// syndromes (dec.acc then holds the packed lanes, ready to unpack);
+// valid reports every symbol in field range. An invalid word folds
+// garbage through the masked table index — harmlessly, because front
+// rejects a !valid word with checkSymbols' error before anything reads
+// the lanes.
+func (dec *Decoder) screen(bt *batchTable, word []gf.Elem) (dirty, valid bool) {
+	size := dec.c.f.Size()
 	mask := gf.Elem(size - 1)
 	var or gf.Elem
 	switch bt.pw {
@@ -295,7 +205,7 @@ func (l *batchLane) screen(bt *batchTable, word []gf.Elem) (dirty, valid bool) {
 			a0 ^= tab[base+int(s&mask)]
 			base += size
 		}
-		l.acc[0] = a0
+		dec.acc[0] = a0
 		dirty = a0 != 0
 	case 4: // 25 <= d <= 32: RS(255,223)
 		var a0, a1, a2, a3 uint64
@@ -310,10 +220,10 @@ func (l *batchLane) screen(bt *batchTable, word []gf.Elem) (dirty, valid bool) {
 			a3 ^= row[3]
 			base += size * 4
 		}
-		l.acc[0], l.acc[1], l.acc[2], l.acc[3] = a0, a1, a2, a3
+		dec.acc[0], dec.acc[1], dec.acc[2], dec.acc[3] = a0, a1, a2, a3
 		dirty = a0|a1|a2|a3 != 0
 	default:
-		acc := l.acc[:bt.pw]
+		acc := dec.acc[:bt.pw]
 		for q := range acc {
 			acc[q] = 0
 		}

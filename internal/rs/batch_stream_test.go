@@ -21,7 +21,7 @@ type batchOutcome struct {
 	decodeOK bool
 }
 
-func runBatch(t *testing.T, bd *BatchDecoder, pristine []gf.Elem, stride, count int, erasures [][]int) batchOutcome {
+func runBatch(t *testing.T, bd *Decoder, pristine []gf.Elem, stride, count int, erasures [][]int) batchOutcome {
 	t.Helper()
 	arena := append([]gf.Elem(nil), pristine...)
 	res, err := bd.DecodeAll(Batch{Words: arena, Stride: stride, Count: count}, erasures)
@@ -42,7 +42,7 @@ func runBatch(t *testing.T, bd *BatchDecoder, pristine []gf.Elem, stride, count 
 // equivalence law: for randomized mixed arenas (clean, sparse errors,
 // erasures with shared and distinct lists, invalid symbols,
 // beyond-capability words), a repeated call on the same warm
-// BatchDecoder must reproduce the cold-cache outcome exactly —
+// Decoder must reproduce the cold-cache outcome exactly —
 // bit-identical arena, identical per-word results (including error
 // values) and identical tallies — and both must match a per-word
 // Decoder.Decode loop.
@@ -57,7 +57,7 @@ func TestDecodeAllWorkersDeterministic(t *testing.T) {
 			b, erasures, _ := buildArena(t, rng, c, count, stride)
 			pristine := append([]gf.Elem(nil), b.Words...)
 
-			bd := c.NewBatchDecoder()
+			bd := c.NewDecoder()
 			ref := runBatch(t, bd, pristine, stride, count, erasures)
 			warm := runBatch(t, bd, pristine, stride, count, erasures)
 			if !equalElems(warm.arena, ref.arena) {
@@ -113,7 +113,7 @@ func TestDecodeAllWorkersDeterministic(t *testing.T) {
 }
 
 // TestDecodeAllChunksMatchWholeArena checks that decoding an arena
-// chunk by chunk through one warm BatchDecoder — the way a simulator
+// chunk by chunk through one warm Decoder — the way a simulator
 // reuses its workspace for scrub passes of varying size, for chunk
 // sizes that do and do not divide the word count — produces exactly
 // the whole-arena DecodeAll outcome: same corrected bytes, same
@@ -128,11 +128,11 @@ func TestDecodeAllChunksMatchWholeArena(t *testing.T) {
 		b, erasures, _ := buildArena(t, rng, c, count, stride)
 		pristine := append([]gf.Elem(nil), b.Words...)
 
-		ref := runBatch(t, c.NewBatchDecoder(), pristine, stride, count, erasures)
+		ref := runBatch(t, c.NewDecoder(), pristine, stride, count, erasures)
 
 		for _, chunk := range []int{1, 5, 8, count} {
 			arena := append([]gf.Elem(nil), pristine...)
-			bd := c.NewBatchDecoder()
+			bd := c.NewDecoder()
 			var words []WordResult
 			clean, corr, failed := 0, 0, 0
 			for next := 0; next < count; next += chunk {
@@ -219,7 +219,7 @@ func TestBatchErasureSteadyStateZeroAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bd := c.NewBatchDecoder()
+			bd := c.NewDecoder()
 			if _, err := bd.DecodeAll(b, tc.ers); err != nil {
 				t.Fatal(err)
 			}

@@ -107,7 +107,7 @@ func TestDecodeAllMatchesPerWord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bd := c.NewBatchDecoder()
+		bd := c.NewDecoder()
 		dec := c.NewDecoder()
 		rounds := 40
 		if params.n == 255 {
@@ -194,30 +194,50 @@ func equalElems(a, b []gf.Elem) bool {
 	return true
 }
 
-// TestDecodeAllLargeField exercises the per-word fallback for a field
-// without a multiplication table (m > 8), where no packed syndrome
-// table exists.
+// TestDecodeAllLargeField checks both entry points on codes without
+// the packed syndrome table — the Horner front half — against the
+// oracle: RS(40,32) over GF(2^12), whose field has no multiplication
+// table, and RS(255,125) over GF(2^8), whose table would need
+// 255*256*17*8 bytes (about 8.9 MB), over maxBatchTableBytes. The
+// arenas mix clean words, errors, erasures, beyond-capability words
+// and out-of-field symbols, and three words carry an invalid list:
+// out of range, repeated, and longer than n-k.
 func TestDecodeAllLargeField(t *testing.T) {
-	f12 := gf.MustField(12)
-	c := MustNew(f12, 40, 32)
-	if bt := c.batchSyndromeTable(); bt.tab != nil {
-		t.Fatal("m=12 built a packed syndrome table; MulRow has no rows to build it from")
-	}
 	rng := rand.New(rand.NewSource(202))
-	bd := c.NewBatchDecoder()
-	dec := c.NewDecoder()
-	batch, erasures, received := buildArena(t, rng, c, 12, c.N())
-	bres, err := bd.DecodeAll(batch, erasures)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w, got := range bres.Words {
-		want, wantErr := dec.Decode(received[w], erasures[w])
-		if (got.Err != nil) != (wantErr != nil) {
-			t.Fatalf("word %d: batch err=%v, per-word err=%v", w, got.Err, wantErr)
+	for _, c := range []*Code{MustNew(gf.MustField(12), 40, 32), MustNew(f8, 255, 125)} {
+		n := c.N()
+		dec, bd := c.NewDecoder(), c.NewDecoder()
+		for round := 0; round < 4; round++ {
+			batch, erasures, received := buildArena(t, rng, c, 12, n)
+			erasures[0] = []int{1, n}
+			erasures[1] = []int{3, 7, 3}
+			erasures[2] = rng.Perm(n)[:c.Redundancy()+1]
+			bres, err := bd.DecodeAll(batch, erasures)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w, got := range bres.Words {
+				var arenaWord []gf.Elem
+				if got.Err == nil {
+					arenaWord = batch.Words[w*n : (w+1)*n]
+				} else if !equalElems(batch.Words[w*n:(w+1)*n], received[w]) {
+					t.Fatalf("%v word %d: failed word was modified in the arena", c, w)
+				}
+				if m := oracleMismatch(c, received[w], erasures[w], arenaWord, got.Err); m != "" {
+					t.Fatalf("%v DecodeAll word %d: %s", c, w, m)
+				}
+				res, err := dec.Decode(received[w], erasures[w])
+				var codeword []gf.Elem
+				if err == nil {
+					codeword = res.Codeword
+				}
+				if m := oracleMismatch(c, received[w], erasures[w], codeword, err); m != "" {
+					t.Fatalf("%v Decode word %d: %s", c, w, m)
+				}
+			}
 		}
-		if wantErr == nil && got.Corrections != want.Corrections {
-			t.Fatalf("word %d: %d corrections, per-word %d", w, got.Corrections, want.Corrections)
+		if bt := c.batchSyndromeTable(); bt.tab != nil {
+			t.Fatalf("%v built a packed syndrome table", c)
 		}
 	}
 }
@@ -227,7 +247,7 @@ func TestDecodeAllLargeField(t *testing.T) {
 // must classify exactly like Decoder.Decode.
 func TestDecodeAllValidation(t *testing.T) {
 	c := MustNew(f8, 18, 16)
-	bd := c.NewBatchDecoder()
+	bd := c.NewDecoder()
 	arena := make([]gf.Elem, 3*18)
 
 	if _, err := bd.DecodeAll(Batch{Words: arena, Stride: 17, Count: 1}, nil); err == nil {
@@ -332,7 +352,7 @@ func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 		{"rs1816-failed", c18, failing, failingErs, 4},
 	}
 	for _, tc := range cases {
-		bd := tc.c.NewBatchDecoder()
+		bd := tc.c.NewDecoder()
 		batch := Batch{Words: tc.arena, Stride: tc.c.N(), Count: count}
 		run := func() {
 			res, err := bd.DecodeAll(batch, tc.ers)
@@ -355,7 +375,7 @@ func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 func TestBatchStrideHeadroomUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(204))
 	c := MustNew(f8, 18, 16)
-	bd := c.NewBatchDecoder()
+	bd := c.NewDecoder()
 	n, stride, count := c.N(), c.N()+4, 5
 	arena := make([]gf.Elem, (count-1)*stride+n)
 	for i := range arena {

@@ -2,8 +2,8 @@ package rs
 
 import "repro/internal/gf"
 
-// This file implements the erasure-set locator cache behind the batch
-// decode layer. The erasure locator Gamma(x) and its Chien/Forney
+// This file implements the erasure-set locator cache behind the
+// screened front half. The erasure locator Gamma(x) and its Chien/Forney
 // setup depend only on the *set* of erased positions — not on the word
 // being decoded — and the scrub workloads this package serves repeat
 // position sets heavily: pagesim passes one located-column set for a
@@ -18,7 +18,7 @@ import "repro/internal/gf"
 // deliberately not trusted across calls: callers reuse backing arrays
 // (append into the same slice every trial), so the same pointer+length
 // can carry different positions on the next call. Within a single
-// DecodeAll call the lists are immutable by contract (see Batch), so a
+// call the lists are immutable by contract (see Batch), so a
 // one-entry pointer memo short-circuits the common
 // arena-wide-shared-list case to a single pointer compare per word.
 //
@@ -28,7 +28,7 @@ import "repro/internal/gf"
 // case (every word a distinct set, all colliding) degrades to the
 // build-per-word cost, never worse than uncached.
 
-// erasureCacheBuckets sizes the BatchDecoder's direct-mapped table
+// erasureCacheBuckets sizes the Decoder's direct-mapped table
 // (power of two). Scrub arenas carry from one shared set up to one set
 // per word; 512 buckets keeps an arena of 64 distinct sets essentially
 // collision-free (expected colliding pairs ~2) while bounding the
@@ -51,9 +51,9 @@ type erasureRoot struct {
 }
 
 // erasureEntry caches everything about one erasure position set that
-// Decoder.Decode would otherwise recompute per word: the validation
-// outcome (err non-nil reproduces the exact Decode error for every
-// word sharing an invalid list), the locator Gamma zero-padded to d+1
+// would otherwise be recomputed per word: the validation outcome (err
+// non-nil reproduces checkErasures' error for every word sharing an
+// invalid list), the locator Gamma zero-padded to d+1
 // coefficients, and the per-root Forney setup. fastOK guards the
 // no-Chien fast path; it is false in the degenerate case of a
 // vanishing Forney denominator, which the general sweep classifies.
@@ -66,23 +66,19 @@ type erasureEntry struct {
 	fastOK    bool
 }
 
-// erasureCache is the BatchDecoder's (hence single-goroutine)
+// erasureCache is the Decoder's (hence single-goroutine)
 // direct-mapped cache of erasure-set entries.
 type erasureCache struct {
 	c       *Code
 	buckets [erasureCacheBuckets]*erasureEntry
-	erased  []bool // validation bitset, kept all-false between builds
+	erased  []bool // the Decoder's validation bitset, all false between builds
 
-	// One-entry pointer memo, valid only within a single DecodeAll
-	// call (reset at its start): lists shared across an arena's words
-	// resolve with one pointer compare.
+	// One-entry pointer memo, valid only within a single Decode or
+	// DecodeAll call (reset at its start): lists shared across an
+	// arena's words resolve with one pointer compare.
 	memoSrc *int
 	memoLen int
 	memoEnt *erasureEntry
-}
-
-func newErasureCache(c *Code) erasureCache {
-	return erasureCache{c: c, erased: make([]bool, c.n)}
 }
 
 // resetMemo invalidates the intra-call pointer memo; the content-keyed
@@ -140,9 +136,8 @@ func intsEqual(a, b []int) bool {
 	return true
 }
 
-// build fills the entry for the erasure list: Decode's validation
-// (same order, same messages), then Gamma and the per-root Forney
-// setup.
+// build fills the entry for the erasure list: checkErasures'
+// validation, then Gamma and the per-root Forney setup.
 func (ec *erasureCache) build(e *erasureEntry, ers []int) {
 	c := ec.c
 	f := c.f

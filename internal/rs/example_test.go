@@ -7,11 +7,12 @@ import (
 	"repro/internal/rs"
 )
 
-// ExampleCode_Decode walks the full errors-and-erasures cycle on the
-// paper's RS(18,16) code.
-func ExampleCode_Decode() {
+// ExampleDecoder_Decode walks the full errors-and-erasures cycle on
+// the paper's RS(18,16) code.
+func ExampleDecoder_Decode() {
 	field := gf.MustField(8)
 	code := rs.MustNew(field, 18, 16)
+	dec := code.NewDecoder()
 
 	data := make([]gf.Elem, 16)
 	for i := range data {
@@ -21,14 +22,14 @@ func ExampleCode_Decode() {
 
 	// An SEU flips bits in one symbol (a random error)...
 	word[4] ^= 0x21
-	res, _ := code.Decode(word, nil)
+	res, _ := dec.Decode(word, nil)
 	fmt.Println("corrected symbols:", res.Corrections, "flag:", res.Flag)
 
 	// ...while located permanent faults are erasures: RS(18,16)
 	// handles two of them, twice its random-error capability.
 	word2, _ := code.Encode(data)
 	word2[0], word2[17] = 0xAA, 0xBB
-	res2, _ := code.Decode(word2, []int{0, 17})
+	res2, _ := dec.Decode(word2, []int{0, 17})
 	fmt.Println("recovered from erasures:", res2.Corrections == 2)
 
 	// Output:

@@ -14,25 +14,23 @@ const maxFuzzWords = 8
 // wide selects RS(36,16) over RS(18,16), words is split into n-symbol
 // received words (zero-padded, at most maxFuzzWords) and each byte of
 // erasures names a position in [-1, n] — out-of-range and duplicate
-// positions included. Decoder.Decode and BatchDecoder (one arena, one
-// shared erasure list) must agree on every word: the same corrected
-// codeword or the same error text. Both end in the same correction
-// tail, so the independent check is the oracle (oracle_test.go): it
-// must give the same codeword, and fail where Decode fails with the
-// same class, uncorrectable or invalid input. On RS(18,16) that checks
+// positions included. Decode and DecodeAll (one arena, one shared
+// erasure list, on a second Decoder) must agree on every word: the
+// same corrected codeword or the same error text. Both run the same
+// front half and correction tail, so the independent check is the
+// oracle (oracle_test.go): it must give the same codeword, and fail
+// where Decode fails with the same class, uncorrectable or invalid
+// input. On RS(18,16) that checks
 // the closed-form n-k = 2 solve, whose seven branches the committed
 // corpus reaches; on RS(36,16), Berlekamp-Massey and the Chien/Forney
 // sweep. A word reported as corrected must be a codeword within
 // 2e+v <= n-k of the received word.
 func FuzzDecode(f *testing.F) {
 	codes := map[bool]*Code{false: MustNew(f8, 18, 16), true: MustNew(f8, 36, 16)}
-	type workspace struct {
-		dec *Decoder
-		bd  *BatchDecoder
-	}
+	type workspace struct{ dec, bd *Decoder }
 	spaces := make(map[bool]workspace)
 	for wide, c := range codes {
-		spaces[wide] = workspace{c.NewDecoder(), c.NewBatchDecoder()}
+		spaces[wide] = workspace{c.NewDecoder(), c.NewDecoder()}
 	}
 	for _, wide := range []bool{false, true} {
 		c := codes[wide]

@@ -9,8 +9,8 @@ import (
 	"repro/internal/gf"
 )
 
-// This file holds the reference decoder that Decoder, Code.Decode and
-// BatchDecoder are checked against. It shares no stage with them: it
+// This file holds the reference decoder that Decoder.Decode and
+// Decoder.DecodeAll are checked against. It shares no stage with them: it
 // recomputes syndromes by Horner's rule, builds the erasure locator as
 // a product of polynomials, solves the key equation with Sugiyama's
 // extended Euclidean algorithm instead of Berlekamp-Massey, finds the

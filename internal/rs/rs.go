@@ -25,80 +25,71 @@
 // runs through a reusable Decoder workspace so the steady state of a
 // simulation campaign performs no heap allocation.
 //
+// # One Decoder for a word and an arena
+//
+// A Decoder from Code.NewDecoder owns every scratch buffer decoding
+// needs: syndromes, locator/evaluator registers, the erasure bitset
+// and cache, the corrected word. Decode decodes one word into the
+// workspace. DecodeAll decodes a Batch — a contiguous arena of words
+// at a fixed stride — in place, giving every word the outcome Decode
+// gives it and leaving a failed word as received. Both run one front
+// half, which validates the word and its erasure list and finds its
+// syndromes, and both hand only dirty words (some syndrome nonzero)
+// to one correction tail. A Decoder is not safe for concurrent use;
+// the simulators hold one per worker goroutine. The Result and
+// BatchResult its methods return alias the workspace and stay valid
+// only until the next call on that Decoder.
+//
 // # Zero-allocation contract
 //
-// EncodeTo and SyndromesInto never allocate. A Decoder obtained from
-// Code.NewDecoder owns every scratch buffer decoding needs (syndromes,
-// locator/evaluator registers, erasure bitset, corrected word) and its
-// Decode method is allocation-free on every successful path — clean
-// words, random errors, erasures — returning a Result whose slices
-// alias the workspace and stay valid only until the next call on that
-// Decoder. Prefer Decoder.Decode in hot loops (one Decoder per
-// goroutine; a Decoder is not safe for concurrent use). The
-// Code.Decode wrapper keeps the original callers working: it borrows a
-// pooled Decoder for the heavy scratch and returns an independent
-// Result the caller may retain, at the cost of the Result's own slices
-// being freshly allocated.
+// EncodeTo and SyndromesInto never allocate, and a warm Decoder
+// allocates nothing on every successful path — clean words, random
+// errors, erasures. Failed words are the exception: an erasure list's
+// validation error is built once per cached erasure set, and a word
+// that Berlekamp-Massey or the Chien sweep rejects allocates its error
+// value.
 //
-// # Batch decode: arenas, strides and the clean-word fast path
+// # The syndrome screen
 //
 // Scrub-scale workloads decode every resident word each pass, and
-// almost all of those words are still valid codewords. The batch
-// layer (Batch, BatchDecoder, DecodeAll) is built around that skew: a
-// Batch describes a contiguous arena of Count words laid out at a
-// fixed Stride (word w occupies Words[w*Stride : w*Stride+n]; Stride
-// >= n, with any per-word headroom between n and Stride left
-// untouched), and DecodeAll screens each erasure-free word with a
-// packed syndrome fold over a precomputed contribution table — CRC
-// slicing-by-8 transplanted to GF(2^m), four 16-bit syndrome symbols
-// per uint64 row — accepting clean words without ever entering the
-// Berlekamp-Massey/Chien pipeline. The screen folds syndromes for
-// every word, erasures included, and a dirty word's folded syndromes
-// are handed straight to the per-word pipeline (the byte lanes unpack
-// into the Decoder's syndrome registers), so no word ever recomputes
-// the O(n·d) Horner syndromes the screen already paid for. Dirty
-// words are corrected in place in the arena, and every word's outcome
-// (corrected symbols, acceptance, error classification) is identical
-// to a per-word Decoder.Decode loop — just much faster when the arena
-// is mostly clean.
+// almost all of those words are still valid codewords. The front half
+// is built around that skew: it folds a word's syndromes from a packed
+// contribution table — CRC slicing-by-8 transplanted to GF(2^m), eight
+// 8-bit syndrome lanes per uint64 — with ceil((n-k)/8) wide XORs per
+// symbol, and validates the symbols with an OR on the way. A clean
+// word is done at that point; a dirty word's lanes unpack into the
+// syndrome registers, so no word recomputes the O(n·(n-k)) Horner
+// syndromes the screen already paid for. The table lives on the Code,
+// built on the code's first decode and shared by every Decoder of that
+// code. A code whose field has no multiplication table (m > 8), or
+// whose table would exceed 8 MiB, validates the word and computes
+// Horner syndromes instead, with the same outcome.
 //
-// Erasure-carrying words lean on a per-BatchDecoder erasure-set
-// cache: the erasure locator Γ(x) and its Chien/Forney setup depend
-// only on the position set, which scrub workloads repeat heavily (one
-// located-column list for a whole page arena), so the cache keys on
-// the list's content and an erasure-only word — syndromes explained
-// by Γ alone — completes by evaluating the cached roots, with no
-// Berlekamp-Massey iteration and no Chien sweep. The lists passed to
-// DecodeAll must not be mutated during the call and may be shared
-// between words (see Batch); sharing one list arena-wide is the fast
-// path.
+// With the table, erasure lists resolve through a per-Decoder
+// erasure-set cache: the erasure locator Γ(x) and its Chien/Forney
+// setup depend only on the position set, which scrub workloads repeat
+// heavily (one located-column list for a whole page arena), so the
+// cache keys on the list's content and an erasure-only word —
+// syndromes explained by Γ alone — completes by evaluating the cached
+// roots, with no Berlekamp-Massey iteration and no Chien sweep. The
+// lists passed to DecodeAll may be shared between words (see Batch);
+// sharing one list arena-wide is the fast path.
 //
-// A code with n-k = 2, such as the paper's RS(18,16), leaves that
-// pipeline out altogether, on both decode paths. With two syndromes S0
-// and S1, one error sits at the locator S1/S0; one erasure either
+// # The correction tail
+//
+// A code with n-k = 2, such as the paper's RS(18,16), leaves the
+// Berlekamp-Massey/Chien pipeline out altogether. With two syndromes
+// S0 and S1, one error sits at the locator S1/S0; one erasure either
 // explains the syndromes alone or leaves the word beyond capability;
 // two erasures solve a 2x2 Forney system. The closed form reaches the
 // codeword, or the error text, that Berlekamp-Massey and the
 // Chien/Forney sweep reach, and its failures are shared error values,
 // so a failed word allocates nothing.
 //
-// Decoder.Decode and DecodeAll end in the same correction tail; they
-// differ only in how the syndromes and the erasure setup arrive. The
-// reference both are tested against is a separate decoder in the
-// package's tests (Sugiyama's algorithm over plain polynomials, an
-// exhaustive Chien search and a syndrome re-check) that shares no
+// The reference the decoder is tested against is a separate decoder
+// in the package's tests (Sugiyama's algorithm over plain polynomials,
+// an exhaustive Chien search and a syndrome re-check) that shares no
 // stage with this pipeline.
-//
-// DecodeAll runs on the calling goroutine: the simulators parallelize
-// across trials, each worker holding its own BatchDecoder over an
-// arena of a few words.
-//
-// A BatchDecoder from Code.NewBatchDecoder owns its scratch like a
-// Decoder does (one per goroutine, results valid until the next call)
-// and its steady state allocates nothing; the contribution table
-// itself lives on the Code, built once and shared. Codes whose table
-// would be too large (or whose field has no multiplication table)
-// transparently fall back to the per-word pipeline for every word.
 package rs
 
 import (
@@ -132,14 +123,9 @@ type Code struct {
 	// advance instead of a general multiply.
 	chienRow [][]gf.Elem
 
-	// decPool recycles Decoder workspaces for the allocating Decode
-	// wrapper.
-	decPool sync.Pool
-
-	// batchOnce/batchTab lazily build and hold the packed
-	// syndrome-contribution table behind the batch decode fast path
-	// (see batch.go); the table is shared by every BatchDecoder of
-	// this code.
+	// batchOnce/batchTab build, on the code's first decode, and hold the
+	// packed syndrome-contribution table behind the syndrome screen (see
+	// batch.go); the table is shared by every Decoder of this code.
 	batchOnce sync.Once
 	batchTab  batchTable
 }
@@ -241,7 +227,6 @@ func NewWithFCR(f *gf.Field, n, k, fcr int) (*Code, error) {
 		c.chienStep[j] = f.Exp(j)
 		c.chienRow[j] = f.MulRow(c.chienStep[j])
 	}
-	c.decPool.New = func() any { return c.NewDecoder() }
 	return c, nil
 }
 
@@ -429,15 +414,16 @@ type Result struct {
 	ErrorPositions []int
 }
 
-// Decoder is a reusable decoding workspace for one Code. It owns every
-// scratch buffer the decoding pipeline needs, so steady-state decoding
-// through it performs no heap allocation.
+// Decoder is a reusable decoding workspace for one Code, for single
+// words (Decode) and word arenas (DecodeAll). It owns every scratch
+// buffer the decoding pipeline needs, so steady-state decoding through
+// it performs no heap allocation.
 //
 // A Decoder is NOT safe for concurrent use; create one per goroutine
-// with Code.NewDecoder. The Result returned by its methods (and every
-// slice inside it) aliases the workspace and is valid only until the
-// next call on the same Decoder — callers that need to retain it must
-// copy, or use the allocating Code.Decode wrapper.
+// with Code.NewDecoder. The Result and BatchResult returned by its
+// methods (and every slice inside them) alias the workspace and are
+// valid only until the next call on the same Decoder — callers that
+// need to retain them must copy.
 type Decoder struct {
 	c *Code
 
@@ -455,16 +441,23 @@ type Decoder struct {
 	errPos []int     // ErrorPositions backing store
 	res    Result
 
+	acc   []uint64     // the screen's packed syndrome lanes
+	cache erasureCache // validated erasure-set setups (ecache.go)
+	bres  BatchResult  // DecodeAll's result
+
 	// bmPure records whether the last berlekampMassey run saw every
 	// discrepancy vanish — i.e. the syndromes are fully explained by
-	// the erasure locator and Psi == Gamma. The batch layer's
-	// erasure-only fast path keys on it.
+	// the erasure locator and Psi == Gamma. correct's erasure-only
+	// fast path keys on it.
 	bmPure bool
 }
 
-// NewDecoder returns a fresh decoding workspace for c.
+// NewDecoder returns a fresh decoding workspace for c. It builds no
+// table: the code's packed syndrome table is built on its first
+// decode.
 func (c *Code) NewDecoder() *Decoder {
 	d := c.n - c.k
+	erased := make([]bool, c.n)
 	return &Decoder{
 		c:      c,
 		syn:    make([]gf.Elem, d),
@@ -474,62 +467,83 @@ func (c *Code) NewDecoder() *Decoder {
 		tmp:    make([]gf.Elem, d+1),
 		omega:  make([]gf.Elem, d),
 		cpsi:   make([]gf.Elem, d+1),
-		erased: make([]bool, c.n),
+		erased: erased,
 		word:   make([]gf.Elem, c.n),
 		errPos: make([]int, 0, c.n),
+		acc:    make([]uint64, (d+7)/8),
+		cache:  erasureCache{c: c, erased: erased},
 	}
-}
-
-// Decode corrects the received word in place of a copy, treating the
-// listed positions (codeword indices, 0-based) as erasures. It returns
-// a Result on success and a wrapped ErrUncorrectable on a *detected*
-// decoding failure. An undetected failure — mis-correction to a valid
-// but wrong codeword — returns success by construction of
-// bounded-distance decoding; callers that know the ground truth (the
-// simulator, the tests) can compare Codeword against it.
-//
-// Decode borrows a pooled Decoder for scratch and returns an
-// independent Result; hot loops should hold their own Decoder and call
-// its Decode instead.
-func (c *Code) Decode(received []gf.Elem, erasures []int) (*Result, error) {
-	dec := c.decPool.Get().(*Decoder)
-	res, err := dec.Decode(received, erasures)
-	if err != nil {
-		c.decPool.Put(dec)
-		return nil, err
-	}
-	out := &Result{
-		Codeword:    append([]gf.Elem(nil), res.Codeword...),
-		Corrections: res.Corrections,
-		Flag:        res.Flag,
-	}
-	out.Data = out.Codeword[:c.k]
-	if len(res.ErrorPositions) > 0 {
-		out.ErrorPositions = append([]int(nil), res.ErrorPositions...)
-	}
-	c.decPool.Put(dec)
-	return out, nil
 }
 
 // Decode corrects the received word into the workspace, treating the
-// listed positions (codeword indices, 0-based) as erasures. It
-// validates once at the public boundary (word length, symbols, the
-// erasure list), computes the syndromes and hands over to the
-// correction tail. See Code.Decode for the decoding semantics and the
-// Decoder type for the aliasing contract of the returned Result.
+// listed positions (codeword indices, 0-based) as erasures. It returns
+// a Result on success and a wrapped ErrUncorrectable on a *detected*
+// decoding failure; a word of the wrong length, an out-of-range symbol
+// or a malformed erasure list is rejected with an error that does not
+// wrap it. An undetected failure — mis-correction to a valid but wrong
+// codeword — returns success by construction of bounded-distance
+// decoding; callers that know the ground truth (the simulator, the
+// tests) can compare Codeword against it. The received word is not
+// modified; see the Decoder type for the aliasing contract of the
+// returned Result.
 func (dec *Decoder) Decode(received []gf.Elem, erasures []int) (*Result, error) {
 	c := dec.c
 	if len(received) != c.n {
 		return nil, fmt.Errorf("rs: word has %d symbols, want n=%d", len(received), c.n)
 	}
-	if err := c.checkSymbols(received); err != nil {
+	// The cache's pointer memo holds only within one call: callers
+	// reuse list backing arrays between calls.
+	dec.cache.resetMemo()
+	dirty, ent, err := dec.front(c.batchSyndromeTable(), received, erasures)
+	if err != nil {
 		return nil, err
 	}
-	if err := c.checkErasures(dec.erased, erasures); err != nil {
-		return nil, err
+	if !dirty {
+		// Already a codeword. Erased positions hold consistent values.
+		copy(dec.word, received)
+		return dec.buildResult(received), nil
 	}
-	c.syndromes(dec.syn, received)
-	return dec.correct(received, erasures, nil)
+	return dec.correct(received, erasures, ent)
+}
+
+// front is the front half of both entry points. It validates a word of
+// length n — its symbols, then the erasure list — and reports whether
+// the word is dirty, leaving a dirty word's n-k syndromes in dec.syn;
+// ent is the list's cached erasure-set entry, nil for an empty list or
+// a code without the packed table. With the table, the screen folds the
+// syndromes and OR-checks the symbols in one pass (checkSymbols names
+// an out-of-range symbol), and the cache entry carries checkErasures'
+// outcome; without it (m > 8, or a table over maxBatchTableBytes), the
+// symbols and the list are checked directly and Horner's rule runs.
+func (dec *Decoder) front(bt *batchTable, word []gf.Elem, ers []int) (dirty bool, ent *erasureEntry, err error) {
+	c := dec.c
+	if bt.tab == nil {
+		if err := c.checkSymbols(word); err != nil {
+			return false, nil, err
+		}
+		if err := c.checkErasures(dec.erased, ers); err != nil {
+			return false, nil, err
+		}
+		c.syndromes(dec.syn, word)
+		return !allZero(dec.syn), nil, nil
+	}
+	dirty, valid := dec.screen(bt, word)
+	if !valid {
+		return false, nil, c.checkSymbols(word)
+	}
+	if len(ers) > 0 {
+		if ent = dec.cache.get(ers); ent.err != nil {
+			return false, nil, ent.err
+		}
+	}
+	if dirty {
+		// Syndrome handoff: the screen's byte lanes are the word's
+		// packed syndromes.
+		for j := range dec.syn {
+			dec.syn[j] = gf.Elem(dec.acc[j>>3] >> (8 * (j & 7)) & 0xff)
+		}
+	}
+	return dirty, ent, nil
 }
 
 // checkErasures validates an erasure list in list order, range before
@@ -576,12 +590,10 @@ func (c *Code) erasureLocator(gamma []gf.Elem, ers []int) {
 	}
 }
 
-// correct is the correction tail of both decode paths. The word's n-k
-// syndromes sit in dec.syn, and ers has passed checkErasures. Decode
-// gets there by Horner syndromes; the batch path hands over the
-// screen's folded syndromes and the list's cached erasure-set entry
-// ent (nil for an erasure-free word), skipping validation and the
-// O(n*d) Horner pass.
+// correct is the correction tail of both entry points. front has
+// validated the word and ers, left the word's n-k syndromes (not all
+// zero) in dec.syn and returned ent, the list's cached erasure-set
+// entry or nil.
 //
 // A code with n-k = 2 solves in closed form (solve2). Otherwise the
 // erasure locator seeds Berlekamp-Massey, the evaluator follows, and
@@ -595,10 +607,6 @@ func (dec *Decoder) correct(received []gf.Elem, ers []int, ent *erasureEntry) (*
 	c := dec.c
 	d := c.n - c.k
 	copy(dec.word, received)
-	if allZero(dec.syn) {
-		// Already a codeword. Erased positions hold consistent values.
-		return dec.buildResult(received), nil
-	}
 	if d == 2 {
 		if err := dec.solve2(ers); err != nil {
 			return nil, err
@@ -728,9 +736,9 @@ func (dec *Decoder) solve2(ers []int) error {
 // The arithmetic is the root-hit body of chienForney verbatim (same
 // magnitudes, same syndrome folding), minus the O(n*deg) sweep; the
 // caller's residual-syndrome check still stands guard behind it. Only
-// the batch path reaches it, and only with the packed syndrome table,
-// which exists just for fields with multiplication tables, so every
-// MulRow below is a table row.
+// codes with the packed syndrome table reach it (the cache entry comes
+// from there), and the table exists just for fields with
+// multiplication tables, so every MulRow below is a table row.
 func (dec *Decoder) forneyAtRoots(ent *erasureEntry) {
 	f := dec.c.f
 	omega := dec.omega
