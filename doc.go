@@ -272,43 +272,46 @@
 // URL) are stateless and job-agnostic: every lease names its job and
 // the spec's full digest, and the executor fetches, verifies and
 // caches each job's spec on first contact, so one fleet drains many
-// campaigns concurrently. The scheduler hands work round-robin across
-// runnable jobs (fair share), and per-tenant quotas cap how many
-// slices a tenant may hold concurrently; when the registry is
-// configured with tenants, every mutating request — submit, delete,
-// lease, renew, upload — must carry the tenant's bearer token, reads
-// stay open, and only a job's owner may delete it. An executor never
-// sleeps for want of work: the registry holds its lease request until
-// a slice becomes grantable (or a second passes), so an idle fleet
-// picks up a new job at once. Only connection and lease errors are
-// retried under capped, jittered exponential backoff, which honors
-// context cancellation, so a restarting service sees a gentle
-// reconnect rather than a stampede. Executors compute their
-// slice in memory, renew their lease while working, and upload the
-// serialized partial artifact gzip-compressed (roughly 10:1 on JSONL;
-// the registry stores uploads verbatim and the artifact reader
-// sniffs the gzip magic, so compressed and plain partials mix freely
-// in one merge); the registry validates every upload
-// against the slice's plan (geometry, partition, params digest,
-// completeness) before accepting it into the job's per-spec namespace
-// directory. A lease that expires — executor crashed, hung, or
-// SIGKILLed — is stolen by the next executor asking for work, and
+// campaigns concurrently. A spec longer than POST /jobs accepts is
+// refused. Once the cache outgrows a fixed number of jobs, the
+// executor asks the registry which of them have finished and drops
+// those; a job still runnable stays cached, so the fair-share
+// rotation never fetches a spec twice. The scheduler hands work
+// round-robin across runnable jobs (fair share), and per-tenant
+// quotas cap how many slices a tenant may hold concurrently; when the
+// registry is configured with tenants, every mutating request —
+// submit, delete, lease, renew, upload — must carry the tenant's
+// bearer token, reads stay open, and only a job's owner may delete
+// it. An executor never sleeps for want of work: the registry holds
+// its lease request until a slice becomes grantable (or a second
+// passes), so an idle fleet picks up a new job at once. Only
+// connection and lease errors are retried under capped, jittered
+// exponential backoff, which honors context cancellation, so a
+// restarting service sees a gentle reconnect rather than a stampede.
+// Executors compute their slice in memory, renew their lease while
+// working, and upload the serialized partial artifact gzip-compressed
+// (roughly 10:1 on JSONL; the registry stores uploads verbatim and
+// the artifact reader sniffs the gzip magic, so compressed and plain
+// partials mix freely in one merge); the registry validates every
+// upload against the slice's plan (geometry, partition, params
+// digest, completeness) before accepting it into the job's per-spec
+// namespace directory. A lease that expires — executor crashed, hung,
+// or SIGKILLed — is stolen by the next executor asking for work, and
 // because slices are pure functions of the global trial index, the
 // recomputed upload is byte-identical and any zombie duplicate is
 // simply ignored. Between arrivals the registry feeds the contiguous
 // shard prefix to each entry's PrefixFold, cancelling slices past the
 // stopping shard so a fleet never computes work a single process
 // would have skipped; a fold error fails the job and cancels its
-// remaining slices. When a job's last slice lands, the ordinary
-// merge runs server-side into the job's namespace and checks the
-// spec's expectation bands: the fabric's end-to-end law,
-// enforced by CI with two concurrent jobs on three shared executors
-// (and a chaos pass SIGKILLing one mid-run), is that every job's
-// merged artifacts are byte-identical to an unpartitioned run's. A
-// status endpoint (cmd/campaign -status) reports per-job state and
-// per-slice lease state, steal counts, trials/sec and merge progress,
-// as text or as a JSON snapshot (-status -json) for dashboards and
-// scripts.
+// remaining slices. When a job's last slice lands, the ordinary merge
+// runs server-side into the job's namespace and checks the spec's
+// expectation bands: the fabric's end-to-end law, enforced by CI with
+// two concurrent jobs on three shared executors (and a chaos pass
+// SIGKILLing one mid-run), is that every job's merged artifacts are
+// byte-identical to an unpartitioned run's. A status endpoint
+// (cmd/campaign -status) reports per-job state and per-slice lease
+// state, steal counts, trials/sec and merge progress, as text or as a
+// JSON snapshot (-status -json) for dashboards and scripts.
 //
 // Campaign identity is guarded end to end: partial artifacts and
 // checkpoints carry the scenario name, geometry and — when run

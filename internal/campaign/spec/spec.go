@@ -670,10 +670,6 @@ func buildScenario(e Entry, f *File) (*Built, error) {
 		if p.Seed != nil {
 			seed = *p.Seed
 		}
-		systems, err := mbusim.DefaultSystems()
-		if err != nil {
-			return nil, fmt.Errorf("spec: scenario %q: %w", e.Name, err)
-		}
 		cfg := mbusim.Config{
 			EventsPerKilobit: p.EventsPerKilobit,
 			BurstBits:        p.BurstBits,
@@ -682,7 +678,7 @@ func buildScenario(e Entry, f *File) (*Built, error) {
 			Trials:           p.Trials,
 			Seed:             seed,
 		}
-		scn, err := mbusim.Scenario(cfg, mbusim.DefaultSystems)
+		scn, systems, err := mbusim.Scenario(cfg, mbusim.DefaultSystems)
 		if err != nil {
 			return nil, fmt.Errorf("spec: scenario %q: %w", e.Name, err)
 		}

@@ -91,9 +91,18 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
+// sweepBuiltJobs is how many compiled specs the executor caches
+// before it first asks the registry which of their jobs have finished.
+// The registry leases round-robin over every runnable job, so however
+// many jobs are live, the cache must keep them all, or the rotation
+// refetches their specs. A sweep therefore drops only the jobs the
+// registry reports done, failed or unknown, and the next sweep waits
+// until the cache holds more than twice what this one kept.
+const sweepBuiltJobs = 16
+
 // builtJob is one job's spec, fetched from the registry, compiled and
-// cached for the executor's lifetime (job IDs are content-addressed,
-// so a cache entry can never go stale).
+// cached until a sweep finds the job finished (job IDs are
+// content-addressed, so a cache entry can never go stale).
 type builtJob struct {
 	file   *spec.File
 	byName map[string]*spec.Built
@@ -105,6 +114,7 @@ type executor struct {
 	client *http.Client
 	log    *log.Logger
 	specs  map[string]*builtJob // job ID -> compiled spec
+	kept   int                  // specs the last sweep left cached
 }
 
 // RunExecutor runs one job-agnostic executor against the registry at
@@ -236,7 +246,8 @@ func (e *executor) requestLease(ctx context.Context) (lease *Lease, done bool, e
 // registry on first encounter and verifying the bytes against the
 // lease's digest — a mismatch means the registry swapped specs under a
 // job ID, which content-addressed IDs make impossible short of a bug
-// or an imposter, so it is an error, not a retry.
+// or an imposter, so it is an error, not a retry. A spec longer than
+// POST /jobs accepts is refused; the read stops one byte past the cap.
 func (e *executor) builtFor(ctx context.Context, lease *Lease) (*builtJob, error) {
 	if bj, ok := e.specs[lease.Job]; ok {
 		return bj, nil
@@ -254,9 +265,12 @@ func (e *executor) builtFor(ctx context.Context, lease *Lease) (*builtJob, error
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
 		return nil, fmt.Errorf("GET spec for job %s: %s: %s", lease.Job, resp.Status, bytes.TrimSpace(msg))
 	}
-	specBytes, err := io.ReadAll(resp.Body)
+	specBytes, err := io.ReadAll(io.LimitReader(resp.Body, maxSpecBytes+1))
 	if err != nil {
 		return nil, err
+	}
+	if len(specBytes) > maxSpecBytes {
+		return nil, fmt.Errorf("job %s spec exceeds %d bytes", lease.Job, maxSpecBytes)
 	}
 	if got := SpecDigest(specBytes); got != lease.SpecDigest {
 		return nil, fmt.Errorf("job %s spec digest mismatch: lease says %s, bytes hash to %s", lease.Job, lease.SpecDigest, got)
@@ -275,7 +289,48 @@ func (e *executor) builtFor(ctx context.Context, lease *Lease) (*builtJob, error
 	}
 	e.specs[lease.Job] = bj
 	e.log.Printf("fabric: executor %s: built %d entries for job %s", e.cfg.Name, len(built), lease.Job)
+	if len(e.specs) > max(sweepBuiltJobs, 2*e.kept) {
+		e.sweep(ctx)
+	}
 	return bj, nil
+}
+
+// sweep drops the cached specs of the jobs the registry will lease no
+// more. Between two sweeps the cache grows to more than twice what the
+// first kept, so a sweep costs fewer than two status requests per job
+// built since the previous one.
+func (e *executor) sweep(ctx context.Context) {
+	for id := range e.specs {
+		if e.jobFinished(ctx, id) {
+			delete(e.specs, id)
+		}
+	}
+	e.kept = len(e.specs)
+}
+
+// jobFinished reports whether the registry says job id is done or
+// failed, or does not know it. A request that fails reports false, so
+// a registry that cannot answer never empties the cache.
+func (e *executor) jobFinished(ctx context.Context, id string) bool {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, e.cfg.URL+pathJobs+"/"+id, nil)
+	if err != nil {
+		return false
+	}
+	resp, err := e.client.Do(req)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		return true
+	}
+	var st struct {
+		State string `json:"state"`
+	}
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil {
+		return false
+	}
+	return st.State == JobDone || st.State == JobFailed
 }
 
 // runLease executes one leased slice and uploads the result.

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -511,5 +512,184 @@ func TestExecutorRejectedToken(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Error("bad-token executor retried instead of failing fast")
+	}
+}
+
+// fakeRegistry serves one spec body for every job and counts the
+// fetches per job ID. GET /jobs/{id} answers with the state set for
+// the job ("running" when none is set; "unknown" answers 404 and
+// "broken" 500) and is counted too.
+type fakeRegistry struct {
+	body []byte
+
+	mu         sync.Mutex
+	states     map[string]string
+	specGets   map[string]int
+	statusGets int
+}
+
+func newFakeRegistry(t *testing.T, body []byte) (*fakeRegistry, *httptest.Server) {
+	f := &fakeRegistry{body: body, states: map[string]string{}, specGets: map[string]int{}}
+	srv := httptest.NewServer(f)
+	t.Cleanup(srv.Close)
+	return f, srv
+}
+
+func (f *fakeRegistry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	job, isSpec := strings.CutSuffix(strings.TrimPrefix(req.URL.Path, pathJobs+"/"), "/spec")
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if isSpec {
+		f.specGets[job]++
+		w.Write(f.body)
+		return
+	}
+	f.statusGets++
+	switch state := f.states[job]; state {
+	case "unknown":
+		http.Error(w, "no such job", http.StatusNotFound)
+	case "broken":
+		http.Error(w, "status unavailable", http.StatusInternalServerError)
+	case "":
+		writeJSON(w, JobStatus{ID: job, State: JobRunning})
+	default:
+		writeJSON(w, JobStatus{ID: job, State: state})
+	}
+}
+
+func (f *fakeRegistry) setState(job, state string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.states[job] = state
+}
+
+func (f *fakeRegistry) fetches(job string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.specGets[job]
+}
+
+func (f *fakeRegistry) statuses() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.statusGets
+}
+
+// newTestExecutor returns an executor that talks to srv.
+func newTestExecutor(srv *httptest.Server) *executor {
+	return &executor{
+		cfg:    ExecutorConfig{URL: srv.URL, Name: "test"},
+		client: srv.Client(),
+		log:    log.New(io.Discard, "", 0),
+		specs:  make(map[string]*builtJob),
+	}
+}
+
+// TestExecutorRefusesOversizedSpec: a spec longer than POST /jobs
+// accepts fails the lease with a size error, even when its digest
+// matches the lease.
+func TestExecutorRefusesOversizedSpec(t *testing.T) {
+	body := bytes.Repeat([]byte{' '}, maxSpecBytes+1)
+	_, srv := newFakeRegistry(t, body)
+	_, err := newTestExecutor(srv).builtFor(context.Background(), &Lease{Job: "big", SpecDigest: SpecDigest(body)})
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("oversized spec: got %v, want a size error", err)
+	}
+}
+
+// TestExecutorSpecCacheSweep: the executor drops a cached spec only
+// when the registry reports its job finished. A rotation over more
+// live jobs than sweepBuiltJobs fetches each spec once; a sweep then
+// drops the jobs reported done, failed or unknown, and keeps a job
+// whose status request fails. A sweep that keeps every job waits for
+// the cache to double before it asks again.
+func TestExecutorSpecCacheSweep(t *testing.T) {
+	doc := []byte(secondDoc)
+	reg, srv := newFakeRegistry(t, doc)
+	e := newTestExecutor(srv)
+	lease := func(i int) {
+		t.Helper()
+		if _, err := e.builtFor(context.Background(), &Lease{Job: fmt.Sprint("job", i), SpecDigest: SpecDigest(doc)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const live = sweepBuiltJobs + 1
+	for round := 0; round < 3; round++ {
+		for i := 0; i < live; i++ {
+			lease(i)
+		}
+	}
+	for i := 0; i < live; i++ {
+		if got := reg.fetches(fmt.Sprint("job", i)); got != 1 {
+			t.Fatalf("job%d: spec fetched %d times in a rotation over %d live jobs, want 1", i, got, live)
+		}
+	}
+	if got := reg.statuses(); got != live {
+		t.Errorf("%d status requests, want one sweep's %d", got, live)
+	}
+
+	for i, state := range []string{JobDone, JobFailed, "unknown", "broken"} {
+		reg.setState(fmt.Sprint("job", i), state)
+	}
+	// The sweep over live jobs kept all of them, so the next one runs
+	// once the cache holds more than twice as many.
+	for i := live; i <= 2*live; i++ {
+		lease(i)
+	}
+	for i, want := range map[int]bool{0: false, 1: false, 2: false, 3: true, 4: true, 2 * live: true} {
+		if _, cached := e.specs[fmt.Sprint("job", i)]; cached != want {
+			t.Errorf("job%d cached = %v after the sweep, want %v", i, cached, want)
+		}
+	}
+	if e.kept != 2*live-2 {
+		t.Errorf("sweep kept %d specs, want %d", e.kept, 2*live-2)
+	}
+	if got := reg.statuses(); got != live+2*live+1 {
+		t.Errorf("%d status requests, want two sweeps' %d", got, live+2*live+1)
+	}
+}
+
+// TestExecutorRotationFetchesEachSpecOnce: the registry leases
+// round-robin over every runnable job, so one executor draining more
+// jobs than sweepBuiltJobs meets each job again only after all the
+// others; it must still fetch each job's spec once.
+func TestExecutorRotationFetchesEachSpecOnce(t *testing.T) {
+	const jobs = sweepBuiltJobs + 4
+	reg, err := NewRegistry(RegistryConfig{Dir: t.TempDir(), Slices: 2, DrainAfter: jobs, Log: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	fetches := map[string]int{}
+	h := reg.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if job, ok := strings.CutSuffix(strings.TrimPrefix(req.URL.Path, pathJobs+"/"), "/spec"); ok {
+			mu.Lock()
+			fetches[job]++
+			mu.Unlock()
+		}
+		h.ServeHTTP(w, req)
+	}))
+	defer srv.Close()
+	var ids []string
+	for i := 0; i < jobs; i++ {
+		doc := strings.Replace(secondDoc, `"seed": 7`, fmt.Sprintf(`"seed": %d`, 100+i), 1)
+		st, err := reg.Submit([]byte(doc), SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	runExecutors(t, srv.URL, 1)
+	waitDone(t, reg)
+	mu.Lock()
+	defer mu.Unlock()
+	for i, id := range ids {
+		if st, ok := reg.Job(id); !ok || st.State != JobDone || st.SlicesDone != 2 {
+			t.Fatalf("job %d: status %+v, want done with 2 slices", i, st)
+		}
+		if fetches[id] != 1 {
+			t.Errorf("job %d: spec fetched %d times, want 1", i, fetches[id])
+		}
 	}
 }

@@ -16,7 +16,10 @@
 // can be explored.
 package gf
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Elem is an element of a GF(2^m) field, valid in the range
 // 0 .. 2^m-1 for the field it belongs to. Elements are plain values;
@@ -80,17 +83,30 @@ type Field struct {
 // still cache-friendly; one step further would already be 8 MiB.
 const mulTableMaxM = 8
 
+// shared holds the field NewField returns for each m, built on the
+// first call for that m. A Field is immutable, so every code, simulator
+// and job in a process can read the same tables (128 KiB at m = 8).
+var shared [MaxM + 1]struct {
+	once sync.Once
+	f    *Field
+	err  error
+}
+
 // NewField returns the field GF(2^m) built from the package's default
-// primitive polynomial for that m.
+// primitive polynomial for that m. The field is shared: it is built
+// once per process, and every call with the same m returns the same
+// immutable *Field.
 func NewField(m int) (*Field, error) {
 	if m < MinM || m > MaxM {
 		return nil, fmt.Errorf("gf: unsupported extension degree m=%d (want %d..%d)", m, MinM, MaxM)
 	}
-	return NewFieldPoly(m, defaultPoly[m])
+	s := &shared[m]
+	s.once.Do(func() { s.f, s.err = NewFieldPoly(m, defaultPoly[m]) })
+	return s.f, s.err
 }
 
 // MustField is NewField for static configuration; it panics on error.
-// It is intended for package-level defaults with known-good m.
+// It returns the same process-shared field as NewField.
 func MustField(m int) *Field {
 	f, err := NewField(m)
 	if err != nil {
@@ -99,7 +115,7 @@ func MustField(m int) *Field {
 	return f
 }
 
-// NewFieldPoly returns the field GF(2^m) defined by the given
+// NewFieldPoly builds a fresh field GF(2^m) defined by the given
 // primitive polynomial (bit i of poly is the coefficient of x^i, and
 // bit m must be set). The polynomial is verified to be primitive by
 // checking that alpha = x generates the full multiplicative group; a

@@ -3,6 +3,7 @@ package gf
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +22,63 @@ func TestNewFieldAllSupportedM(t *testing.T) {
 		}
 		if f.N() != 1<<uint(m)-1 {
 			t.Errorf("m=%d: N() = %d, want %d", m, f.N(), 1<<uint(m)-1)
+		}
+	}
+}
+
+// TestNewFieldShared: NewField returns one field per m, also when
+// several goroutines make the first call for every m at once.
+func TestNewFieldShared(t *testing.T) {
+	clear(shared[:]) // make the calls below the process's first
+	const goroutines = 8
+	got := make([][MaxM + 1]*Field, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for m := MinM; m <= MaxM; m++ {
+				f, err := NewField(m)
+				if err != nil {
+					t.Errorf("NewField(%d): %v", m, err)
+					return
+				}
+				got[g][m] = f
+			}
+		}()
+	}
+	wg.Wait()
+	for m := MinM; m <= MaxM; m++ {
+		for g := range got {
+			if got[g][m] == nil || got[g][m] != got[0][m] {
+				t.Fatalf("m=%d: goroutine %d got field %p, goroutine 0 got %p", m, g, got[g][m], got[0][m])
+			}
+		}
+		if MustField(m) != got[0][m] {
+			t.Errorf("m=%d: MustField returned another field than NewField", m)
+		}
+	}
+}
+
+// TestNewFieldPolyFresh: NewFieldPoly builds a field of its own, which
+// multiplies exactly like the shared field of the same polynomial.
+func TestNewFieldPolyFresh(t *testing.T) {
+	f := MustField(8)
+	fresh, err := NewFieldPoly(8, 0x11d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == f {
+		t.Fatal("NewFieldPoly(8, 0x11d) returned the shared field")
+	}
+	for a := 0; a < f.Size(); a++ {
+		if !reflect.DeepEqual(fresh.MulRow(Elem(a)), f.MulRow(Elem(a))) {
+			t.Fatalf("row %#x of the fresh field's multiplication table differs", a)
+		}
+		for b := 0; b < f.Size(); b++ {
+			if fresh.Mul(Elem(a), Elem(b)) != f.Mul(Elem(a), Elem(b)) {
+				t.Fatalf("%#x*%#x differs between the fresh and the shared field", a, b)
+			}
 		}
 	}
 }

@@ -355,9 +355,14 @@ type scenario struct {
 // engine's Scenario interface. newSystems builds the set (such as
 // DefaultSystems); it is called once here and once per campaign
 // worker, so every worker trials its own systems and their codec
-// workspaces.
-func Scenario(cfg Config, newSystems func() ([]System, error)) (campaign.Scenario, error) {
-	return newScenario(cfg, newSystems)
+// workspaces. The set built here is returned too, for
+// ResultsFromCampaign's names and stored sizes.
+func Scenario(cfg Config, newSystems func() ([]System, error)) (campaign.Scenario, []System, error) {
+	s, err := newScenario(cfg, newSystems)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, s.systems, nil
 }
 
 func newScenario(cfg Config, newSystems func() ([]System, error)) (*scenario, error) {

@@ -174,7 +174,7 @@ func TestValidation(t *testing.T) {
 	// 2000 events per kilobit is a mean of 768 events on the 384-bit
 	// TMR image, past where the Poisson sampler saturates; the smaller
 	// images stay within range, so the error must name the TMR voter.
-	_, err := Scenario(Config{EventsPerKilobit: 2000, BurstBits: 1, Trials: 1}, DefaultSystems)
+	_, _, err := Scenario(Config{EventsPerKilobit: 2000, BurstBits: 1, Trials: 1}, DefaultSystems)
 	if err == nil || !strings.Contains(err.Error(), TMRBlock{}.Name()) {
 		t.Errorf("density beyond the sampler's range: err = %v, want one naming %q", err, TMRBlock{}.Name())
 	}
@@ -527,7 +527,7 @@ func TestDefaultSystemsGolden(t *testing.T) {
 			},
 		},
 	} {
-		scn, err := Scenario(tc.cfg, DefaultSystems)
+		scn, _, err := Scenario(tc.cfg, DefaultSystems)
 		if err != nil {
 			t.Fatal(err)
 		}

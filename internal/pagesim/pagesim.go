@@ -481,6 +481,10 @@ type worker struct {
 	unlocated    int // stuck columns the controller has not located yet
 	trialLocated int // columns located during this trial
 	unlocReads   int // decodes that saw >= 1 unlocated stuck column
+
+	// The trial's tallies of the per-pass scrub counters, added to the
+	// accumulator when the event loop ends.
+	scrubOps, scrubDecodeErrors int64
 }
 
 func newWorker(cfg Config, dist burstlen.Dist, policy detectPolicy, page *interleave.Page) *worker {
@@ -508,8 +512,7 @@ func newWorker(cfg Config, dist burstlen.Dist, policy detectPolicy, page *interl
 // Trial implements campaign.Worker: one stored page from write to
 // final read, reproducible from the trial index alone.
 func (w *worker) Trial(trial int, acc *campaign.Acc) error {
-	cfg := w.cfg
-	w.rng.Seed(campaign.TrialSeed(cfg.Seed, trial))
+	w.rng.Seed(campaign.TrialSeed(w.cfg.Seed, trial))
 	rng := w.rng
 	page := w.page
 	m := page.Code().Field().M()
@@ -531,12 +534,13 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 	w.ersDirty = false
 	w.settled = false
 	w.unlocated, w.trialLocated, w.unlocReads = 0, 0, 0
+	w.scrubOps, w.scrubDecodeErrors = 0, 0
 
 	// Per-page event rates (per hour). Importance sampling tilts only
 	// the arrival clock — all rates jointly — so the event-type split
 	// below keeps its untilted distribution; the clock's likelihood
 	// ratio corrects the estimator.
-	seuRate, burstRate, totalRate := cfg.rates(page)
+	seuRate, burstRate, totalRate := w.cfg.rates(page)
 	w.clock.Start(totalRate)
 
 	seus, bursts, cols := 0, 0, 0
@@ -581,6 +585,14 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 			cols++
 		}
 	}
+	// A scrub counter is added only when non-zero, so a shard carries
+	// exactly the keys that per-pass adds would have created.
+	if w.scrubOps != 0 {
+		acc.Add(CounterScrubOps, w.scrubOps)
+	}
+	if w.scrubDecodeErrors != 0 {
+		acc.Add(CounterScrubDecodeErrors, w.scrubDecodeErrors)
+	}
 
 	acc.Add(CounterSEUs, int64(seus))
 	acc.Add(CounterBursts, int64(bursts))
@@ -588,7 +600,7 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 
 	// classify records outcome counters weighted by the trial's
 	// likelihood ratio.
-	weighted := cfg.weighted()
+	weighted := w.cfg.weighted()
 	lr := w.clock.LikelihoodRatio()
 	classify := func(counter string) {
 		if weighted {
@@ -600,7 +612,7 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 
 	// Final read at the horizon.
 	if w.policy == detLatency {
-		w.locateByLatency(cfg.Horizon, trial, acc)
+		w.locateByLatency(w.cfg.Horizon, trial, acc)
 	}
 	w.noteUnlocatedRead()
 	if err := w.decode(); err != nil {
@@ -749,7 +761,7 @@ func (w *worker) doScrub(t float64, trial int, acc *campaign.Acc) {
 	}
 	w.noteUnlocatedRead()
 	if w.settled && !w.ersDirty {
-		acc.Add(CounterScrubOps, 1)
+		w.scrubOps++
 		return
 	}
 	if err := w.decode(); err != nil {
@@ -757,10 +769,10 @@ func (w *worker) doScrub(t float64, trial int, acc *campaign.Acc) {
 		// config; count them (the pass did not complete, so it is not a
 		// scrub_op) instead of silently swallowing the error — a
 		// nonzero counter is surfaced by cmd/campaign.
-		acc.Add(CounterScrubDecodeErrors, 1)
+		w.scrubDecodeErrors++
 		return
 	}
-	acc.Add(CounterScrubOps, 1)
+	w.scrubOps++
 	depth := w.page.Depth()
 	for s := 0; s < depth; s++ {
 		cw := w.codec.CorrectedStripe(s)

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/gf"
+	"repro/internal/interleave"
 )
 
 // simulate runs cfg on the shared engine, as a spec entry does, and
@@ -72,6 +73,26 @@ func TestValidation(t *testing.T) {
 	// So would 4.8e13 scrub instants per trial.
 	if _, err := Scenario(Config{Depth: 2, ScrubPeriod: 1e-12, ExponentialScrub: true, Horizon: 48, Trials: 1}); err == nil {
 		t.Error("scrub period 1e-12 accepted")
+	}
+}
+
+// TestNewPageSharesCode: pages of equal (n, k, m) share one rs.Code,
+// and so one packed syndrome table, whatever their depth; a different
+// n gets a code of its own.
+func TestNewPageSharesCode(t *testing.T) {
+	var pages []*interleave.Page
+	for _, cfg := range []Config{{Depth: 2}, {N: 18, K: 16, M: 8, Depth: 4}, {N: 20, Depth: 2}} {
+		page, err := cfg.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, page)
+	}
+	if pages[0].Code() != pages[1].Code() {
+		t.Error("two RS(18,16) pages built two codes")
+	}
+	if pages[0].Code() == pages[2].Code() {
+		t.Error("an RS(20,16) page shares the RS(18,16) code")
 	}
 }
 
@@ -711,7 +732,8 @@ func TestDetectionValidation(t *testing.T) {
 // TestScrubDecodeErrorCounted: a scrub pass whose decode fails
 // structurally must count scrub_decode_errors and must not count as a
 // completed scrub_op (the historical code swallowed the error after
-// counting the op).
+// counting the op). A pass tallies into the worker, and the trial adds
+// the tallies to the accumulator when its event loop ends.
 func TestScrubDecodeErrorCounted(t *testing.T) {
 	scn := mustScenario(t, Config{Depth: 2, ScrubPeriod: 1, Horizon: 2, Trials: 1, Seed: 1})
 	cw, err := scn.NewWorker()
@@ -725,11 +747,25 @@ func TestScrubDecodeErrorCounted(t *testing.T) {
 	// overflow lands in FailedStripes instead).
 	w.stored = w.stored[:len(w.stored)-1]
 	w.doScrub(1, 0, acc)
-	if got := acc.Counter(CounterScrubDecodeErrors); got != 1 {
+	if got := w.scrubDecodeErrors; got != 1 {
 		t.Errorf("scrub_decode_errors = %d, want 1", got)
 	}
-	if got := acc.Counter(CounterScrubOps); got != 0 {
+	if got := w.scrubOps; got != 0 {
 		t.Errorf("abandoned scrub pass counted as %d completed scrub_ops", got)
+	}
+
+	// A whole trial on the truncated page: its scrub passes fail, their
+	// tally reaches the accumulator before the final read, and that
+	// read's decode then fails the trial.
+	acc = campaign.NewAcc()
+	if err := w.Trial(0, acc); err == nil {
+		t.Error("trial on a truncated page decoded its final read")
+	}
+	if got := acc.Counter(CounterScrubDecodeErrors); got < 1 {
+		t.Errorf("trial recorded scrub_decode_errors = %d, want >= 1", got)
+	}
+	if got := acc.Counter(CounterScrubOps); got != 0 {
+		t.Errorf("trial recorded %d completed scrub_ops on a page no pass could decode", got)
 	}
 }
 
@@ -825,17 +861,16 @@ func TestCompletedScrubIsFixedPoint(t *testing.T) {
 						located++
 					}
 					snapshot := func() string {
-						return fmt.Sprintf("%v\n%v\nunlocated %d located %d\n%+v",
-							w.stored, w.located, w.unlocated, w.trialLocated, *acc)
+						return fmt.Sprintf("%v\n%v\nunlocated %d located %d decode errors %d\n%+v",
+							w.stored, w.located, w.unlocated, w.trialLocated, w.scrubDecodeErrors, *acc)
 					}
 					before := snapshot()
-					ops := acc.Counter(CounterScrubOps)
+					ops := w.scrubOps
 					w.settled = false
 					w.doScrub(now, 0, acc)
-					if got := acc.Counter(CounterScrubOps); got != ops+1 {
+					if got := w.scrubOps; got != ops+1 {
 						t.Fatalf("second pass counted %d scrub_ops, want 1", got-ops)
 					}
-					acc.Add(CounterScrubOps, -1)
 					if after := snapshot(); after != before {
 						t.Fatalf("RS(%d,16)x%d round %d: second pass changed the state\nbefore %s\nafter  %s",
 							shape.n, shape.depth, round, before, after)

@@ -61,9 +61,10 @@
 // syndrome registers, so no word recomputes the O(n·(n-k)) Horner
 // syndromes the screen already paid for. The table lives on the Code,
 // built on the code's first decode and shared by every Decoder of that
-// code. A code whose field has no multiplication table (m > 8), or
-// whose table would exceed 8 MiB, validates the word and computes
-// Horner syndromes instead, with the same outcome.
+// code; since codes are shared too, it is built once per process. A
+// code whose field has no multiplication table (m > 8), or whose table
+// would exceed 8 MiB, validates the word and computes Horner syndromes
+// instead, with the same outcome.
 //
 // With the table, erasure lists resolve through a per-Decoder
 // erasure-set cache: the erasure locator Γ(x) and its Chien/Forney
@@ -95,13 +96,17 @@ package rs
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"weak"
 
 	"repro/internal/gf"
 )
 
 // Code is a Reed-Solomon code RS(n,k) over a fixed GF(2^m).
-// It is immutable after construction and safe for concurrent use.
+// It is immutable after construction and safe for concurrent use, and
+// New and NewWithFCR share one Code per field and parameter set, so a
+// code's packed syndrome table is built once per process.
 type Code struct {
 	f   *gf.Field
 	n   int // codeword length in symbols
@@ -177,7 +182,8 @@ var (
 )
 
 // New returns the code RS(n,k) over the field f with the conventional
-// first consecutive root alpha^1.
+// first consecutive root alpha^1. Like NewWithFCR, it returns the
+// process-shared code for those parameters.
 func New(f *gf.Field, n, k int) (*Code, error) { return NewWithFCR(f, n, k, 1) }
 
 // MustNew is New for static configuration; it panics on error.
@@ -189,8 +195,27 @@ func MustNew(f *gf.Field, n, k int) *Code {
 	return c
 }
 
+// codeKey identifies a code in the process-wide memo.
+type codeKey struct {
+	f         *gf.Field
+	n, k, fcr int
+}
+
+// codes memoizes NewWithFCR, so each distinct code — its generator and
+// its packed syndrome table — exists once per process however many
+// spec entries, simulators and fabric jobs use it. The memo holds weak
+// pointers: the parameters come from submitted specs, and a
+// long-running service must not pin a code, up to 2.1 MiB of table for
+// RS(255,223), after the last job using it is gone.
+var codes = struct {
+	sync.Mutex
+	m map[codeKey]weak.Pointer[Code]
+}{m: make(map[codeKey]weak.Pointer[Code])}
+
 // NewWithFCR returns RS(n,k) over f with generator roots
-// alpha^fcr .. alpha^(fcr+n-k-1).
+// alpha^fcr .. alpha^(fcr+n-k-1). The code is shared: while any caller
+// holds it, every call with the same field and parameters returns the
+// same immutable *Code.
 func NewWithFCR(f *gf.Field, n, k, fcr int) (*Code, error) {
 	switch {
 	case f == nil:
@@ -203,6 +228,12 @@ func NewWithFCR(f *gf.Field, n, k, fcr int) (*Code, error) {
 		return nil, fmt.Errorf("rs: n=%d exceeds field limit 2^m-1=%d", n, f.N())
 	case fcr < 0:
 		return nil, fmt.Errorf("rs: negative fcr=%d", fcr)
+	}
+	key := codeKey{f: f, n: n, k: k, fcr: fcr}
+	codes.Lock()
+	defer codes.Unlock()
+	if c := codes.m[key].Value(); c != nil {
+		return c, nil
 	}
 	c := &Code{f: f, n: n, k: k, fcr: fcr}
 	d := n - k
@@ -227,7 +258,20 @@ func NewWithFCR(f *gf.Field, n, k, fcr int) (*Code, error) {
 		c.chienStep[j] = f.Exp(j)
 		c.chienRow[j] = f.MulRow(c.chienStep[j])
 	}
+	codes.m[key] = weak.Make(c)
+	runtime.AddCleanup(c, forgetCode, key)
 	return c, nil
+}
+
+// forgetCode drops key's memo entry once its code has been collected.
+// A later NewWithFCR may already have stored a live successor under
+// the key, which stays.
+func forgetCode(key codeKey) {
+	codes.Lock()
+	defer codes.Unlock()
+	if codes.m[key].Value() == nil {
+		delete(codes.m, key)
+	}
 }
 
 // Field returns the underlying finite field.

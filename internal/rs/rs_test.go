@@ -626,6 +626,62 @@ func TestGoldenVectorRS7_3(t *testing.T) {
 	}
 }
 
+// TestKnownAnswerHelloWorld pins a codeword computed outside this
+// repository: the worked example of the "Reed-Solomon codes for
+// coders" tutorial, "hello world" with 10 check symbols over GF(2^8)
+// with 0x11d and generator roots alpha^0 .. alpha^9. It ties the
+// generator's root offset and the parity order to an outside
+// convention, which the test oracle shares with the decoder and so
+// cannot check. The fcr-1 code of the same shape is built first, so a
+// code memo whose key left out fcr would return the wrong generator.
+func TestKnownAnswerHelloWorld(t *testing.T) {
+	if _, err := NewWithFCR(f8, 21, 11, 1); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewWithFCR(f8, 21, 11, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []gf.Elem{
+		0x68, 0x65, 0x6c, 0x6c, 0x6f, 0x20, 0x77, 0x6f, 0x72, 0x6c, 0x64,
+		0xed, 0x25, 0x54, 0xc4, 0xfd, 0xfd, 0x89, 0xf3, 0xa8, 0xaa,
+	}
+	data := make([]gf.Elem, c.K())
+	for i, b := range []byte("hello world") {
+		data[i] = gf.Elem(b)
+	}
+	cw, err := c.Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalElems(cw, want) {
+		t.Fatalf("encode(%q) = % x, want % x", "hello world", cw, want)
+	}
+	// Errors at even positions, erasures (with their symbols changed
+	// too) at odd ones, every mix with 2e+v = n-k.
+	dec := c.NewDecoder()
+	for _, tc := range []struct{ errs, ers int }{{5, 0}, {4, 2}, {3, 4}, {2, 6}, {1, 8}, {0, 10}} {
+		received := append([]gf.Elem(nil), want...)
+		var erasures []int
+		for i := 0; i < tc.errs; i++ {
+			received[2*i] ^= gf.Elem(0x5a + i)
+		}
+		for j := 0; j < tc.ers; j++ {
+			p := 2*j + 1
+			received[p] ^= 0xff
+			erasures = append(erasures, p)
+		}
+		res, err := dec.Decode(received, erasures)
+		if err != nil {
+			t.Fatalf("%d errors, %d erasures: %v", tc.errs, tc.ers, err)
+		}
+		if !equalElems(res.Codeword, want) || res.Corrections != tc.errs+tc.ers {
+			t.Errorf("%d errors, %d erasures: decoded % x with %d corrections, want % x with %d",
+				tc.errs, tc.ers, res.Codeword, res.Corrections, want, tc.errs+tc.ers)
+		}
+	}
+}
+
 func TestDecodeDoesNotMutateInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	c := MustNew(f8, 18, 16)
