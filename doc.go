@@ -66,10 +66,11 @@
 // across trials instead. On the 1-core reference container the
 // erasure-heavy RS(255,223) arena decodes ~6.6x faster than the
 // pre-cache batch path (5.7 -> ~38 MB/s) and the clean-arena screen
-// holds >300 MB/s. interleave.Codec.DecodeTo decodes each page as one
-// depth-word arena, which pagesim inherits, and the memsim worker
-// decodes its one- or two-word scrub arena with DecodeAll the same
-// way; the duplex arbiter and mbusim decode word by word with Decode
+// holds >300 MB/s. pagesim and mbusim store an interleaved page in the
+// decoder's layout, one depth-word arena, and send faults through
+// interleave.Page's address map, so a page encodes and decodes in
+// place without copying between layouts; the memsim worker decodes
+// its one- or two-word scrub arena with DecodeAll the same way; the duplex arbiter and mbusim decode word by word with Decode
 // and get the same screen. A code with n-k = 2, the paper's RS(18,16),
 // solves its dirty words in closed form: one error at the locator
 // S1/S0, or a one- or two-erasure Forney solve; other codes run
@@ -78,7 +79,10 @@
 // codec, memsim skips a scrub pass that would repeat the last one
 // exactly: a pass that rewrote no symbol settles the word until the
 // next fault arrives or is located, and a skipped pass counts the
-// settled pass's miscorrections again.
+// settled pass's miscorrections again. pagesim skips per stripe: a
+// scrub pass decodes only the stripes a flip, a strike or a location
+// touched since their last decode, which is exact because a stripe's
+// outcome depends only on its own word and erasure list.
 //
 // # The campaign engine: plan, execute, merge
 //
@@ -336,7 +340,7 @@
 // processes merged and diffed byte-identically against the
 // unpartitioned artifacts, plus a -stream merge reproducing the same
 // CSV bytes), and gates benchmark regressions: the codec
-// microbenchmarks, the interleaved-page codec benchmarks and root
+// microbenchmarks, the interleaved-page arena benchmarks and root
 // solver benchmarks run at -benchtime 100x -count=5 and cmd/benchdiff
 // compares them against the committed BENCH_baseline.json, failing on
 // any allocation increase or a >25% latency regression (min-of-5

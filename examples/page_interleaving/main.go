@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 
 	"repro/internal/gf"
 	"repro/internal/interleave"
@@ -44,65 +45,75 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	codec := page.NewCodec()
-	data := make([]gf.Elem, page.DataSymbols())
-	for i := range data {
-		data[i] = gf.Elem(rng.Intn(256))
-	}
-	stored := make([]gf.Elem, page.StoredSymbols())
-	if err := codec.EncodeTo(stored, data); err != nil {
-		log.Fatal(err)
-	}
+	arena, truth := writePage(rng, page)
+	// Physical stored symbol column*depth+s, for every stripe s: the
+	// address map puts it at position column of stripe s.
+	n := code.N()
 	column := 11
-	var erasures []int
+	erasures := make([][]int, page.Depth())
+	erased := 0
 	for s := 0; s < page.Depth(); s++ {
-		idx := column*page.Depth() + s
-		stored[idx] = 0xFF
-		erasures = append(erasures, idx)
+		stripe, pos := page.Addr(column*page.Depth() + s)
+		arena[stripe*n+pos] = 0xFF
+		erasures[stripe] = append(erasures[stripe], pos)
+		erased++
 	}
-	var res interleave.DecodeResult
-	if err := codec.DecodeTo(&res, stored, erasures); err != nil {
-		log.Fatal(err)
-	}
-	intact := len(res.FailedStripes) == 0
-	for i := range data {
-		if res.Data[i] != data[i] {
-			intact = false
-		}
-	}
+	intact := readPage(page, arena, truth, erasures)
 	fmt.Printf("  %d erased symbols (one per stripe), page recovered: %v\n",
-		len(erasures), intact)
+		erased, intact)
 	fmt.Println("  each stripe sees exactly 1 erasure <= n-k=2: the whole column is free")
 }
 
-// verifyBurst injects a maximal-length burst at a random offset and
-// checks full recovery.
-func verifyBurst(rng *rand.Rand, page *interleave.Page) bool {
-	codec := page.NewCodec()
-	data := make([]gf.Elem, page.DataSymbols())
-	for i := range data {
-		data[i] = gf.Elem(rng.Intn(256))
+// writePage draws a random payload in data-index order into a
+// stripe-major arena (stripe s at [s*n, (s+1)*n)) through the page's
+// address map and encodes each stripe in place. It returns the arena
+// and a copy of it as written.
+func writePage(rng *rand.Rand, page *interleave.Page) (arena, truth []gf.Elem) {
+	code := page.Code()
+	n, k := code.N(), code.K()
+	arena = make([]gf.Elem, page.StoredSymbols())
+	for i := 0; i < page.DataSymbols(); i++ {
+		s, j := page.Addr(i)
+		arena[s*n+j] = gf.Elem(rng.Intn(256))
 	}
-	stored := make([]gf.Elem, page.StoredSymbols())
-	if err := codec.EncodeTo(stored, data); err != nil {
+	for s := 0; s < page.Depth(); s++ {
+		word := arena[s*n : (s+1)*n]
+		if err := code.EncodeTo(word, word[:k]); err != nil {
+			log.Fatal(err)
+		}
+	}
+	return arena, slices.Clone(arena)
+}
+
+// readPage decodes every stripe of the arena in place and reports
+// whether the page's data came back exactly.
+func readPage(page *interleave.Page, arena, truth []gf.Elem, erasures [][]int) bool {
+	n, k := page.Code().N(), page.Code().K()
+	res, err := page.Code().NewDecoder().DecodeAll(rs.Batch{Words: arena, Stride: n, Count: page.Depth()}, erasures)
+	if err != nil || res.Failed > 0 {
 		return false
 	}
+	for s := 0; s < page.Depth(); s++ {
+		if !slices.Equal(arena[s*n:s*n+k], truth[s*n:s*n+k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// verifyBurst injects a maximal-length burst of physical stored
+// symbols at a random offset and checks full recovery.
+func verifyBurst(rng *rand.Rand, page *interleave.Page) bool {
+	arena, truth := writePage(rng, page)
 	burst := page.CorrectableBurst()
 	start := 0
 	if n := page.StoredSymbols() - burst; n > 0 {
 		start = rng.Intn(n)
 	}
+	n := page.Code().N()
 	for i := start; i < start+burst; i++ {
-		stored[i] ^= gf.Elem(1 + rng.Intn(255))
+		s, j := page.Addr(i)
+		arena[s*n+j] ^= gf.Elem(1 + rng.Intn(255))
 	}
-	var res interleave.DecodeResult
-	if err := codec.DecodeTo(&res, stored, nil); err != nil || len(res.FailedStripes) != 0 {
-		return false
-	}
-	for i := range data {
-		if res.Data[i] != data[i] {
-			return false
-		}
-	}
-	return true
+	return readPage(page, arena, truth, nil)
 }

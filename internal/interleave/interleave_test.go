@@ -1,7 +1,11 @@
 package interleave
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/gf"
@@ -41,6 +45,66 @@ func TestNewValidation(t *testing.T) {
 	}
 	if p.DataSymbols() != 64 || p.StoredSymbols() != 72 {
 		t.Errorf("sizes: data=%d stored=%d", p.DataSymbols(), p.StoredSymbols())
+	}
+}
+
+// TestNewBoundsStoredPage: New refuses a page above MaxStoredSymbols
+// stored symbols, naming the limit, without overflowing depth*n, and
+// admits the largest page under it, GF(2^16) RS(65535,k) at depth 16
+// included.
+func TestNewBoundsStoredPage(t *testing.T) {
+	for _, depth := range []int{MaxStoredSymbols/code.N() + 1, 1 << 30, 1 << 40, math.MaxInt} {
+		_, err := New(code, depth)
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxStoredSymbols)) {
+			t.Errorf("depth %d: err %v, want a refusal naming the %d-symbol limit", depth, err, MaxStoredSymbols)
+		}
+	}
+	if _, err := New(code, MaxStoredSymbols/code.N()); err != nil {
+		t.Errorf("largest RS(18,16) page refused: %v", err)
+	}
+	wide := rs.MustNew(gf.MustField(16), 65535, 65533)
+	p, err := New(wide, 16)
+	if err != nil {
+		t.Fatalf("GF(2^16) RS(65535,65533) at depth 16 refused: %v", err)
+	}
+	if p.StoredSymbols() > MaxStoredSymbols {
+		t.Errorf("admitted %d stored symbols", p.StoredSymbols())
+	}
+	if _, err := New(wide, 17); err == nil {
+		t.Error("GF(2^16) RS(65535,65533) at depth 17 accepted")
+	}
+}
+
+// TestAddrIsTheInterleave: Addr sends physical symbol j*depth+s to
+// position j of stripe s, so it is a bijection onto the stripe-major
+// arena and agrees with the physical layout the oracle Encode writes.
+func TestAddrIsTheInterleave(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for depth := 1; depth <= 8; depth++ {
+		p, err := New(code, depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := p.Code().N()
+		seen := make([]bool, p.StoredSymbols())
+		for i := 0; i < p.StoredSymbols(); i++ {
+			s, j := p.Addr(i)
+			if s != i%depth || j != i/depth || j >= n {
+				t.Fatalf("depth %d: Addr(%d) = (%d, %d)", depth, i, s, j)
+			}
+			if seen[s*n+j] {
+				t.Fatalf("depth %d: arena index %d reached twice", depth, s*n+j)
+			}
+			seen[s*n+j] = true
+		}
+		data := randPage(rng, p)
+		stored, err := p.Encode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := toPhysical(p, encodeArena(t, p, data)); !slices.Equal(got, stored) {
+			t.Fatalf("depth %d: arena encode differs from the physical encode", depth)
+		}
 	}
 }
 
@@ -262,236 +326,6 @@ func TestFailedStripeStillReturnsOtherStripes(t *testing.T) {
 	}
 }
 
-// TestCodecMatchesPage: the reusable workspace must reproduce
-// Page.Encode/Decode exactly — clean, bursty and erasure-bearing
-// pages, including failed-stripe fallback data.
-func TestCodecMatchesPage(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, depth := range []int{1, 2, 4, 8} {
-		p, err := New(code, depth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := p.NewCodec()
-		stored2 := make([]gf.Elem, p.StoredSymbols())
-		var res2 DecodeResult
-		for trial := 0; trial < 50; trial++ {
-			data := randPage(rng, p)
-			stored, err := p.Encode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.EncodeTo(stored2, data); err != nil {
-				t.Fatal(err)
-			}
-			for i := range stored {
-				if stored[i] != stored2[i] {
-					t.Fatalf("depth %d: EncodeTo differs at %d", depth, i)
-				}
-			}
-			// Corrupt: a burst plus a couple of random symbols, with one
-			// erased column symbol, so all decode paths are exercised.
-			var erasures []int
-			switch trial % 3 {
-			case 1:
-				start := rng.Intn(p.StoredSymbols() - 3)
-				for i := start; i < start+3; i++ {
-					stored[i] ^= gf.Elem(1 + rng.Intn(255))
-				}
-			case 2:
-				e := rng.Intn(p.StoredSymbols())
-				stored[e] = 0xAA
-				erasures = []int{e}
-				stored[rng.Intn(p.StoredSymbols())] ^= gf.Elem(1 + rng.Intn(255))
-			}
-			copy(stored2, stored)
-			want, err := p.Decode(stored, erasures)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.DecodeTo(&res2, stored2, erasures); err != nil {
-				t.Fatal(err)
-			}
-			if want.CorrectedSymbols != res2.CorrectedSymbols {
-				t.Fatalf("depth %d trial %d: corrected %d vs %d", depth, trial, want.CorrectedSymbols, res2.CorrectedSymbols)
-			}
-			if len(want.FailedStripes) != len(res2.FailedStripes) {
-				t.Fatalf("depth %d trial %d: failed stripes %v vs %v", depth, trial, want.FailedStripes, res2.FailedStripes)
-			}
-			for i := range want.FailedStripes {
-				if want.FailedStripes[i] != res2.FailedStripes[i] {
-					t.Fatalf("failed stripes %v vs %v", want.FailedStripes, res2.FailedStripes)
-				}
-			}
-			for i := range want.Data {
-				if want.Data[i] != res2.Data[i] {
-					t.Fatalf("depth %d trial %d: data differs at %d", depth, trial, i)
-				}
-			}
-		}
-	}
-}
-
-func TestCodecValidation(t *testing.T) {
-	p, _ := New(code, 4)
-	c := p.NewCodec()
-	var res DecodeResult
-	if err := c.EncodeTo(make([]gf.Elem, 72), make([]gf.Elem, 63)); err == nil {
-		t.Error("short data accepted")
-	}
-	if err := c.EncodeTo(make([]gf.Elem, 71), make([]gf.Elem, 64)); err == nil {
-		t.Error("short stored accepted")
-	}
-	if err := c.DecodeTo(&res, make([]gf.Elem, 71), nil); err == nil {
-		t.Error("short stored page accepted")
-	}
-	if err := c.DecodeTo(&res, make([]gf.Elem, 72), []int{-1}); err == nil {
-		t.Error("negative erasure accepted")
-	}
-}
-
-// TestCorrectedStripeContract: after DecodeTo, CorrectedStripe returns
-// a word for exactly the stripes whose decode succeeded with at least
-// one correction, and that word may stand in for a scrub re-encode: it
-// is a codeword, because it equals the encode of its own first k
-// symbols, and those are the data DecodeTo returned. Pages carry
-// random errors and erasures, dense enough to overload and miscorrect
-// some stripes.
-func TestCorrectedStripeContract(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, cd := range []*rs.Code{code, rs.MustNew(f8, 20, 16)} {
-		n, k := cd.N(), cd.K()
-		refDec := cd.NewDecoder()
-		for _, depth := range []int{1, 3, 4} {
-			p, err := New(cd, depth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := p.NewCodec()
-			for s := 0; s < depth; s++ {
-				if c.CorrectedStripe(s) != nil {
-					t.Fatal("a stripe is corrected before any decode")
-				}
-			}
-			var res DecodeResult
-			word := make([]gf.Elem, n)
-			reenc := make([]gf.Elem, n)
-			var clean, corrected, failed, miscorrected int
-			for trial := 0; trial < 200; trial++ {
-				stored, err := p.Encode(randPage(rng, p))
-				if err != nil {
-					t.Fatal(err)
-				}
-				truth := append([]gf.Elem(nil), stored...)
-				// Per stripe: up to n-k erasures (some keeping their
-				// value) and up to t+2 errors at other positions.
-				var erasures []int
-				perStripe := make([][]int, depth)
-				for s := 0; s < depth; s++ {
-					pos := rng.Perm(n)
-					ne, nerr := rng.Intn(cd.Redundancy()+1), rng.Intn(cd.T()+3)
-					for _, j := range pos[:ne] {
-						if rng.Intn(2) == 0 {
-							stored[j*depth+s] = gf.Elem(rng.Intn(256))
-						}
-						erasures = append(erasures, j*depth+s)
-						perStripe[s] = append(perStripe[s], j)
-					}
-					for _, j := range pos[ne : ne+nerr] {
-						stored[j*depth+s] ^= gf.Elem(1 + rng.Intn(255))
-					}
-				}
-				if err := c.DecodeTo(&res, stored, erasures); err != nil {
-					t.Fatal(err)
-				}
-				for s := 0; s < depth; s++ {
-					for j := range word {
-						word[j] = stored[j*depth+s]
-					}
-					ref, refErr := refDec.Decode(word, perStripe[s])
-					got := c.CorrectedStripe(s)
-					switch {
-					case refErr != nil:
-						failed++
-					case ref.Corrections == 0:
-						clean++
-					default:
-						corrected++
-					}
-					if want := refErr == nil && ref.Corrections > 0; (got != nil) != want {
-						t.Fatalf("RS(%d,%d)x%d trial %d stripe %d: word returned %t, want %t",
-							n, k, depth, trial, s, got != nil, want)
-					}
-					if got == nil {
-						continue
-					}
-					if len(got) != n {
-						t.Fatalf("stripe %d: returned word has %d symbols, want %d", s, len(got), n)
-					}
-					if err := cd.EncodeTo(reenc, got[:k]); err != nil {
-						t.Fatal(err)
-					}
-					for j := range got {
-						if got[j] != reenc[j] {
-							t.Fatalf("stripe %d: word differs from the encode of its data at %d", s, j)
-						}
-						if j < k && got[j] != res.Data[j*depth+s] {
-							t.Fatalf("stripe %d: word data differs from res.Data at %d", s, j)
-						}
-					}
-					for j := range got {
-						if got[j] != truth[j*depth+s] {
-							miscorrected++
-							break
-						}
-					}
-				}
-			}
-			if clean == 0 || corrected == 0 || failed == 0 || miscorrected == 0 {
-				t.Errorf("RS(%d,%d)x%d: %d clean, %d corrected, %d failed, %d miscorrected stripes",
-					n, k, depth, clean, corrected, failed, miscorrected)
-			}
-			// A decode that fails structurally leaves no stale words.
-			if err := c.DecodeTo(&res, word[:1], nil); err == nil {
-				t.Fatal("short page accepted")
-			}
-			for s := 0; s < depth; s++ {
-				if c.CorrectedStripe(s) != nil {
-					t.Fatal("a failed DecodeTo left a corrected stripe behind")
-				}
-			}
-		}
-	}
-}
-
-// TestCodecZeroAllocs pins the workspace contract: steady-state page
-// encode and decode (clean and with corrections) allocate nothing.
-func TestCodecZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	p, _ := New(code, 4)
-	c := p.NewCodec()
-	data := randPage(rng, p)
-	stored := make([]gf.Elem, p.StoredSymbols())
-	var res DecodeResult
-	if err := c.EncodeTo(stored, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DecodeTo(&res, stored, nil); err != nil {
-		t.Fatal(err) // warm res buffers before measuring
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := c.EncodeTo(stored, data); err != nil {
-			t.Fatal(err)
-		}
-		stored[11] ^= 0x3C
-		if err := c.DecodeTo(&res, stored, nil); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("steady-state encode+decode allocates %.1f times per page", allocs)
-	}
-}
-
 func BenchmarkEncodePageDepth8(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	p, _ := New(code, 8)
@@ -515,45 +349,6 @@ func BenchmarkDecodePageDepth8Burst(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Decode(stored, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCodecEncodePageDepth8 / BenchmarkCodecDecodePageDepth8Burst
-// track the allocation-free workspace the pagesim campaigns run on;
-// both are gated by BENCH_baseline.json in CI.
-func BenchmarkCodecEncodePageDepth8(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	p, _ := New(code, 8)
-	c := p.NewCodec()
-	data := randPage(rng, p)
-	stored := make([]gf.Elem, p.StoredSymbols())
-	b.ReportAllocs()
-	b.SetBytes(int64(p.StoredSymbols()))
-	for i := 0; i < b.N; i++ {
-		if err := c.EncodeTo(stored, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCodecDecodePageDepth8Burst(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	p, _ := New(code, 8)
-	c := p.NewCodec()
-	data := randPage(rng, p)
-	stored, _ := p.Encode(data)
-	for i := 30; i < 38; i++ {
-		stored[i] ^= 0x3C
-	}
-	work := make([]gf.Elem, len(stored))
-	var res DecodeResult
-	b.ReportAllocs()
-	b.SetBytes(int64(p.StoredSymbols()))
-	for i := 0; i < b.N; i++ {
-		copy(work, stored)
-		if err := c.DecodeTo(&res, work, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

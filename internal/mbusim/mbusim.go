@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/burstlen"
@@ -133,13 +134,14 @@ func (s *RSWord) Trial(rng *rand.Rand, bursts [][2]int) (bool, error) {
 // --- Interleaved Reed-Solomon page --------------------------------
 
 // RSInterleaved protects the payload as a depth-d interleaved page of
-// RS codewords (the ref [6] organization). It owns a page codec
-// workspace, so a trial allocates nothing.
+// RS codewords (the ref [6] organization). The page is kept in the
+// decoder's layout, one stripe-major arena (interleave.Page.Addr maps
+// each stored bit's symbol into it), and it owns a decoder, so a trial
+// allocates nothing.
 type RSInterleaved struct {
 	page         *interleave.Page
-	codec        *interleave.Codec
-	data, stored []gf.Elem
-	res          interleave.DecodeResult
+	dec          *rs.Decoder
+	truth, words []gf.Elem
 }
 
 // NewRSInterleaved wraps a page whose payload is 128 bits.
@@ -152,10 +154,10 @@ func NewRSInterleaved(page *interleave.Page) (*RSInterleaved, error) {
 			page.DataSymbols()*page.Code().Field().M(), PayloadBits)
 	}
 	return &RSInterleaved{
-		page:   page,
-		codec:  page.NewCodec(),
-		data:   make([]gf.Elem, page.DataSymbols()),
-		stored: make([]gf.Elem, page.StoredSymbols()),
+		page:  page,
+		dec:   page.Code().NewDecoder(),
+		truth: make([]gf.Elem, page.StoredSymbols()),
+		words: make([]gf.Elem, page.StoredSymbols()),
 	}, nil
 }
 
@@ -169,27 +171,38 @@ func (s *RSInterleaved) StoredBits() int {
 	return s.page.StoredSymbols() * s.page.Code().Field().M()
 }
 
-// Trial implements System.
+// Trial implements System. The payload is drawn in data-index order,
+// index j*depth+st being position j of stripe st, straight into the
+// arena, and each stripe is encoded and decoded in place.
 func (s *RSInterleaved) Trial(rng *rand.Rand, bursts [][2]int) (bool, error) {
-	data, stored, res := s.data, s.stored, &s.res
-	for i := range data {
-		data[i] = gf.Elem(rng.Intn(s.page.Code().Field().Size()))
+	page, code := s.page, s.page.Code()
+	n, k, depth, m := code.N(), code.K(), page.Depth(), code.Field().M()
+	truth, words := s.truth, s.words
+	for j := 0; j < k; j++ {
+		for st := 0; st < depth; st++ {
+			truth[st*n+j] = gf.Elem(rng.Intn(code.Field().Size()))
+		}
 	}
-	if err := s.codec.EncodeTo(stored, data); err != nil {
-		return false, err
+	for st := 0; st < depth; st++ {
+		word := truth[st*n : (st+1)*n]
+		if err := code.EncodeTo(word, word[:k]); err != nil {
+			return false, err
+		}
 	}
-	m := s.page.Code().Field().M()
+	copy(words, truth)
 	flipBits(s.StoredBits(), bursts, func(bit int) {
-		stored[bit/m] ^= 1 << uint(bit%m)
+		st, j := page.Addr(bit / m)
+		words[st*n+j] ^= 1 << uint(bit%m)
 	})
-	if err := s.codec.DecodeTo(res, stored, nil); err != nil {
+	res, err := s.dec.DecodeAll(rs.Batch{Words: words, Stride: n, Count: depth}, nil)
+	if err != nil {
 		return false, err
 	}
-	if len(res.FailedStripes) > 0 {
+	if res.Failed > 0 {
 		return false, nil
 	}
-	for i := range data {
-		if res.Data[i] != data[i] {
+	for st := 0; st < depth; st++ {
+		if !slices.Equal(words[st*n:st*n+k], truth[st*n:st*n+k]) {
 			return false, nil
 		}
 	}

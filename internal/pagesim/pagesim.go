@@ -19,10 +19,13 @@
 // between events. The page is read once at the mission horizon and
 // the outcome classified per stripe and per page.
 //
-// A scrub pass rewrites only the stripes its decode corrected, from the
-// page codec's arena, and skips the decode on a page no fault or
-// location event touched since the last completed pass. Both are exact
-// (see doScrub): outcomes equal a full decode and re-encode per pass.
+// The page is stored in the decoder's layout, stripe s at
+// [s*n, (s+1)*n) of one rs.Batch arena, and faults reach it through the
+// interleave.Page address map, so each stripe is encoded and decoded in
+// place. A scrub pass decodes only the stripes a flip, a strike or a
+// location touched since their last decode, and a corrected stripe is
+// rewritten in place by its own decode. Both are exact (see doScrub):
+// outcomes equal a full decode and re-encode of every stripe per pass.
 //
 // # Stuck-column detection and location
 //
@@ -80,6 +83,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/burstlen"
 	"repro/internal/campaign"
@@ -437,12 +441,16 @@ func (s *scenario) NewWorker() (campaign.Worker, error) {
 	return newWorker(s.cfg, s.dist, s.policy, s.page), nil
 }
 
-// worker owns the per-goroutine scratch of a page campaign: the
-// reusable page codec (whose DecodeTo runs each page through the rs
-// batch arena path, so healthy stripes cost only the syndrome
-// screen), the RNG (reseeded per trial), the stored-page state and
-// the erasure list, so the steady state performs no per-trial heap
-// allocation.
+// worker owns the per-goroutine state of a page campaign: the RNG
+// (reseeded per trial), one rs.Decoder, the stored page and its
+// per-symbol and per-stripe bookkeeping, so the steady state performs
+// no per-trial heap allocation.
+//
+// The page is held in the decoder's layout: stripe s occupies
+// [s*n, (s+1)*n) of words, the arena rs.Decoder.DecodeAll takes, and
+// every per-symbol slice below is indexed the same way. Faults address
+// physical stored symbols, the interleaved order a burst sees, and
+// reach the arena through interleave.Page.Addr.
 type worker struct {
 	cfg    Config
 	dist   burstlen.Dist
@@ -452,30 +460,31 @@ type worker struct {
 	// depth*t symbols.
 	guaranteeBits int
 	page          *interleave.Page
-	codec         *interleave.Codec
+	dec           *rs.Decoder
 	rng           *rand.Rand
 	clock         *scrub.Clock // fault arrivals, scrub instants, likelihood ratio
 
-	data   []gf.Elem // page payload scratch
-	truth  []gf.Elem // ground-truth stored page
-	stored []gf.Elem // current stored page
+	truth []gf.Elem // the page as written
+	words []gf.Elem // the page as stored now; decodes correct it in place
 
-	stuck   []bool    // whole-symbol stuck-at flags (physical)
-	located []bool    // stuck columns known to the controller
-	strikeT []float64 // strike instant per stuck column (hours)
-	// erasures is the located-column list handed to every decode of the
-	// trial. It is rebuilt (in column order) only when a location event
-	// dirties it, so between strikes each scrub pass hands the codec the
-	// same list and the rs erasure-set cache, keyed on list content,
-	// resolves every stripe without rebuilding locator state.
-	erasures []int
-	ersDirty bool // erasures no longer reflects located
-	res      interleave.DecodeResult
-	// settled reports that no fault has changed the stored page since
-	// the last completed scrub pass. Together with a clean erasure list
-	// it lets the next pass skip its decode (see doScrub); the zero
-	// value means "decode".
-	settled bool
+	stuck    []bool    // whole-symbol stuck-at flags (physical)
+	stuckVal []gf.Elem // the value each stuck symbol drives
+	located  []bool    // stuck columns known to the controller
+	strikeT  []float64 // strike instant per stuck column (hours)
+
+	// erasures[s] lists stripe s's located positions in ascending order,
+	// the list every decode of the stripe is handed. It is rebuilt only
+	// when a location sets ersDirty[s], so between locations the rs
+	// erasure-set cache, keyed on list content, resolves the stripe
+	// without rebuilding locator state.
+	erasures [][]int
+	ersDirty []bool
+	// settled[s] reports that neither stripe s's word nor its erasure
+	// list has changed since its last decode, or since Trial wrote the
+	// page; a scrub pass skips such a stripe (see doScrub). A new
+	// worker's stripes are unsettled.
+	settled []bool
+	fixed   []int // stripes the current scrub pass corrected, ascending
 
 	// Per-trial location bookkeeping (reset by Trial).
 	unlocated    int // stuck columns the controller has not located yet
@@ -488,22 +497,30 @@ type worker struct {
 }
 
 func newWorker(cfg Config, dist burstlen.Dist, policy detectPolicy, page *interleave.Page) *worker {
-	m := page.Code().Field().M()
+	code := page.Code()
+	n, depth, stored := code.N(), page.Depth(), page.StoredSymbols()
 	w := &worker{
 		cfg:           cfg,
 		dist:          dist,
 		policy:        policy,
-		guaranteeBits: (page.CorrectableBurst()-1)*m + 1,
+		guaranteeBits: (page.CorrectableBurst()-1)*code.Field().M() + 1,
 		page:          page,
-		codec:         page.NewCodec(),
+		dec:           code.NewDecoder(),
 		rng:           campaign.NewTrialRand(cfg.Seed),
-		data:          make([]gf.Elem, page.DataSymbols()),
-		truth:         make([]gf.Elem, page.StoredSymbols()),
-		stored:        make([]gf.Elem, page.StoredSymbols()),
-		stuck:         make([]bool, page.StoredSymbols()),
-		located:       make([]bool, page.StoredSymbols()),
-		strikeT:       make([]float64, page.StoredSymbols()),
-		erasures:      make([]int, 0, page.StoredSymbols()),
+		truth:         make([]gf.Elem, stored),
+		words:         make([]gf.Elem, stored),
+		stuck:         make([]bool, stored),
+		stuckVal:      make([]gf.Elem, stored),
+		located:       make([]bool, stored),
+		strikeT:       make([]float64, stored),
+		erasures:      make([][]int, depth),
+		ersDirty:      make([]bool, depth),
+		settled:       make([]bool, depth),
+		fixed:         make([]int, 0, depth),
+	}
+	lists := make([]int, stored)
+	for s := range w.erasures {
+		w.erasures[s] = lists[s*n : s*n : (s+1)*n]
 	}
 	w.clock = scrub.NewClock(w.rng, scrub.New(cfg.ScrubPeriod, cfg.ExponentialScrub, w.rng), cfg.TiltFactor, cfg.Horizon)
 	return w
@@ -515,24 +532,36 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 	w.rng.Seed(campaign.TrialSeed(w.cfg.Seed, trial))
 	rng := w.rng
 	page := w.page
-	m := page.Code().Field().M()
+	code := page.Code()
+	n, k, depth := code.N(), code.K(), page.Depth()
+	size := code.Field().Size()
 	storedSymbols := page.StoredSymbols()
-	storedBits := storedSymbols * m
+	storedBits := storedSymbols * code.Field().M()
 
-	for i := range w.data {
-		w.data[i] = gf.Elem(rng.Intn(page.Code().Field().Size()))
+	// The payload is drawn in data-index order, index j*depth+s being
+	// position j of stripe s, straight into the arena; then each stripe
+	// is encoded in place.
+	for j := 0; j < k; j++ {
+		for s := 0; s < depth; s++ {
+			w.truth[s*n+j] = gf.Elem(rng.Intn(size))
+		}
 	}
-	if err := w.codec.EncodeTo(w.truth, w.data); err != nil {
-		return fmt.Errorf("pagesim: encode: %w", err)
+	for s := 0; s < depth; s++ {
+		word := w.truth[s*n : (s+1)*n]
+		if err := code.EncodeTo(word, word[:k]); err != nil {
+			return fmt.Errorf("pagesim: encode: %w", err)
+		}
 	}
-	copy(w.stored, w.truth)
-	for i := range w.stuck {
-		w.stuck[i] = false
-		w.located[i] = false
+	copy(w.words, w.truth)
+	clear(w.stuck)
+	clear(w.located)
+	for s := range w.settled {
+		w.erasures[s] = w.erasures[s][:0]
+		w.ersDirty[s] = false
+		// A freshly written stripe is a codeword without erasures, which
+		// a decode leaves as it is.
+		w.settled[s] = true
 	}
-	w.erasures = w.erasures[:0]
-	w.ersDirty = false
-	w.settled = false
 	w.unlocated, w.trialLocated, w.unlocReads = 0, 0, 0
 	w.scrubOps, w.scrubDecodeErrors = 0, 0
 
@@ -556,32 +585,18 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 		}
 		switch u := rng.Float64() * totalRate; {
 		case u < seuRate:
-			w.flipBit(rng.Intn(storedBits))
+			w.flipBits(rng.Intn(storedBits), 1)
 			seus++
 		case u < seuRate+burstRate:
 			start, length := w.dist.Place(rng, storedBits)
-			for b := 0; b < length; b++ {
-				w.flipBit(start + b)
-			}
+			w.flipBits(start, length)
 			lastBurstLen = length
 			bursts++
 		default:
-			s := rng.Intn(storedSymbols)
+			p := rng.Intn(storedSymbols)
 			// The stuck value is drawn even on a re-strike of an
 			// already-dead column, preserving the historical RNG stream.
-			v := gf.Elem(rng.Intn(page.Code().Field().Size()))
-			if !w.stuck[s] {
-				w.stuck[s] = true
-				w.strikeT[s] = t
-				if w.policy == detImmediate {
-					w.located[s] = true
-					w.ersDirty = true
-				} else {
-					w.unlocated++
-				}
-			}
-			w.stored[s] = v
-			w.settled = false
+			w.strike(p, gf.Elem(rng.Intn(size)), t)
 			cols++
 		}
 	}
@@ -610,21 +625,30 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 		}
 	}
 
-	// Final read at the horizon.
+	// Final read at the horizon. It decodes every stripe, settled or
+	// not, because each stripe's corrections count again.
 	if w.policy == detLatency {
 		w.locateByLatency(w.cfg.Horizon, trial, acc)
 	}
 	w.noteUnlocatedRead()
-	if err := w.decode(); err != nil {
-		return err
+	for s := range w.erasures {
+		w.refreshErasures(s)
 	}
-	acc.Add(CounterCorrectedSymbols, int64(w.res.CorrectedSymbols))
-	acc.Add(CounterFailedStripes, int64(len(w.res.FailedStripes)))
-	lost := len(w.res.FailedStripes) > 0
+	res, err := w.dec.DecodeAll(rs.Batch{Words: w.words, Stride: n, Count: depth}, w.erasures)
+	if err != nil {
+		return fmt.Errorf("pagesim: decode: %w", err)
+	}
+	corrected := 0
+	for _, r := range res.Words {
+		corrected += r.Corrections
+	}
+	acc.Add(CounterCorrectedSymbols, int64(corrected))
+	acc.Add(CounterFailedStripes, int64(res.Failed))
+	lost := res.Failed > 0
 	silent := false
 	if !lost {
-		for i := range w.data {
-			if w.res.Data[i] != w.data[i] {
+		for s := 0; s < depth; s++ {
+			if !slices.Equal(w.words[s*n:s*n+k], w.truth[s*n:s*n+k]) {
 				lost, silent = true, true
 				break
 			}
@@ -661,30 +685,38 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 	return nil
 }
 
-// locate marks stuck column s as known to the controller after it
-// spent delay hours unlocated, and records the (strike, delay)
-// time-to-location sample. Taking the delay (not the location
-// instant) lets the latency policy report its exact configured value
-// instead of a strike+L-strike float roundoff.
-func (w *worker) locate(s int, delay float64, trial int, acc *campaign.Acc) {
-	w.located[s] = true
-	w.ersDirty = true
+// locate marks stuck column i (an arena index) as known to the
+// controller after it spent delay hours unlocated, unsettles its
+// stripe and records the (strike, delay) time-to-location sample.
+// Taking the delay (not the location instant) lets the latency policy
+// report its exact configured value instead of a strike+L-strike float
+// roundoff.
+func (w *worker) locate(i int, delay float64, trial int, acc *campaign.Acc) {
+	s := i / w.page.Code().N()
+	w.located[i] = true
+	w.ersDirty[s] = true
+	w.settled[s] = false
 	w.unlocated--
 	w.trialLocated++
-	acc.Sample(trial, SeriesTimeToLocation, w.strikeT[s], delay)
+	acc.Sample(trial, SeriesTimeToLocation, w.strikeT[i], delay)
 }
 
 // locateByLatency promotes every stuck column whose fixed detection
 // latency has elapsed by time t (DetectLatency policy). Location only
 // matters at decode instants, so promotion runs lazily before each
-// decode instead of as explicit events in the fault loop.
+// decode instead of as explicit events in the fault loop. Columns are
+// visited in ascending physical index, j*depth+s, which fixes the
+// order of the location samples.
 func (w *worker) locateByLatency(t float64, trial int, acc *campaign.Acc) {
 	if w.unlocated == 0 {
 		return
 	}
-	for s := range w.stuck {
-		if w.stuck[s] && !w.located[s] && w.strikeT[s]+w.cfg.DetectionLatency <= t {
-			w.locate(s, w.cfg.DetectionLatency, trial, acc)
+	n, lat := w.page.Code().N(), w.cfg.DetectionLatency
+	for j := 0; j < n; j++ {
+		for s := range w.settled {
+			if i := s*n + j; w.stuck[i] && !w.located[i] && w.strikeT[i]+lat <= t {
+				w.locate(i, lat, trial, acc)
+			}
 		}
 	}
 }
@@ -697,106 +729,150 @@ func (w *worker) noteUnlocatedRead() {
 	}
 }
 
-// flipBit applies an SEU to one stored bit; stuck symbols do not
-// respond (the column drives the line).
-func (w *worker) flipBit(bit int) {
-	m := w.page.Code().Field().M()
-	s := bit / m
-	if w.stuck[s] {
+// flipBits applies a run of length adjacent physical stored bits from
+// bit start (an SEU is a run of one), one stored symbol at a time;
+// stuck symbols do not respond (the column drives the line).
+func (w *worker) flipBits(start, length int) {
+	m, n := w.page.Code().Field().M(), w.page.Code().N()
+	for bit, end := start, start+length; bit < end; {
+		off := bit % m
+		run := min(m-off, end-bit)
+		s, j := w.page.Addr(bit / m)
+		if i := s*n + j; !w.stuck[i] {
+			w.words[i] ^= gf.Elem((1<<run - 1) << off)
+			w.settled[s] = false
+		}
+		bit += run
+	}
+}
+
+// strike makes physical stored symbol p a dead column that drives v
+// from time t on. A re-strike of a dead column only changes its value.
+func (w *worker) strike(p int, v gf.Elem, t float64) {
+	s, j := w.page.Addr(p)
+	i := s*w.page.Code().N() + j
+	if !w.stuck[i] {
+		w.stuck[i] = true
+		w.strikeT[i] = t
+		if w.policy == detImmediate {
+			w.located[i] = true
+			w.ersDirty[s] = true
+		} else {
+			w.unlocated++
+		}
+	}
+	w.stuckVal[i], w.words[i] = v, v
+	w.settled[s] = false
+}
+
+// refreshErasures rebuilds stripe s's erasure list, in position order,
+// if a location changed it since the last rebuild.
+func (w *worker) refreshErasures(s int) {
+	if !w.ersDirty[s] {
 		return
 	}
-	w.stored[s] ^= 1 << uint(bit%m)
-	w.settled = false
-}
-
-// decode runs the page decoder on the stored page (DecodeTo never
-// mutates its input) with the located stuck columns as erasures, into
-// w.res. Stuck columns the controller has not located yet are plain
-// errors: they consume twice the correction budget and can
-// miscorrect, which is exactly the located/unlocated asymmetry the
-// detection policies model. The erasure list is rebuilt (in column
-// order, so its contents are exactly what the per-decode rebuild
-// produced) only when a location event has dirtied it; the common
-// scrub pass between strikes reuses the previous list unchanged.
-func (w *worker) decode() error {
-	if w.ersDirty {
-		w.erasures = w.erasures[:0]
-		for s, loc := range w.located {
-			if loc {
-				w.erasures = append(w.erasures, s)
-			}
+	n := w.page.Code().N()
+	ers := w.erasures[s][:0]
+	for j, loc := range w.located[s*n : (s+1)*n] {
+		if loc {
+			ers = append(ers, j)
 		}
-		w.ersDirty = false
 	}
-	if err := w.codec.DecodeTo(&w.res, w.stored, w.erasures); err != nil {
-		return fmt.Errorf("pagesim: decode: %w", err)
-	}
-	return nil
+	w.erasures[s] = ers
+	w.ersDirty[s] = false
 }
 
-// doScrub decodes, corrects and rewrites the page at time t. Only the
-// stripes the decode changed are rewritten, straight from the codec's
-// arena: a clean stripe already holds its codeword, and a stripe that
-// fails to decode is left untouched (the controller has nothing better
-// to write back). Stuck columns reassert themselves through the
-// rewrite. Under the scrub detection policy, an unlocated stuck column
-// whose symbol the (successful) decode corrected has been observed
-// deviating and becomes located for every later decode.
+// decodeStripe decodes stripe s in place with its located columns as
+// erasures: a corrected stripe ends as its codeword, a failed one is
+// left as it was. Stuck columns the controller has not located yet are
+// plain errors: they consume twice the correction budget and can
+// miscorrect, which is exactly the located/unlocated asymmetry the
+// detection policies model.
+func (w *worker) decodeStripe(s int) (rs.WordResult, error) {
+	w.refreshErasures(s)
+	n := w.page.Code().N()
+	res, err := w.dec.DecodeAll(rs.Batch{Words: w.words[s*n:], Stride: n, Count: 1}, w.erasures[s:s+1])
+	if err != nil {
+		return rs.WordResult{}, err
+	}
+	return res.Words[0], nil
+}
+
+// doScrub decodes, corrects and rewrites the page at time t, stripe by
+// stripe. A corrected stripe is rewritten in place by its decode, and
+// then its stuck columns reassert their values; a clean stripe already
+// holds its codeword, and a stripe that fails to decode is left
+// untouched (the controller has nothing better to write back). Under
+// the scrub detection policy, an unlocated stuck column whose symbol
+// the (successful) decode corrected has been observed deviating and
+// becomes located for every later decode.
 //
-// A pass over a settled page skips the decode and the rewrite but
-// still counts as a scrub op and as an unlocated read. The page is
-// settled when no fault has touched it since the last completed pass
-// and no column was located since that pass's decode (a new erasure
-// can let a failed stripe correct). Skipping is then exact. Every
-// stripe that decoded differs from its codeword only at stuck symbols
-// the decode already corrected or erased, so decoding it again lands
-// on the same codeword within the same bounded distance, and the
-// rewrite changes no symbol. Nor does it locate anything: under the
-// scrub policy, the pass that left an unlocated stuck symbol differing
-// from its codeword located it, dirtying the erasure list. Failed
-// stripes are unchanged, so they fail the same way again.
+// The pass decodes only the stripes that are not settled: a flip, a
+// strike or a location touched them since their last decode. Skipping
+// a settled stripe is exact, because a stripe's decode depends only on
+// its own word and erasure list, and DecodeAll gives every word the
+// outcome Decode would give it. A settled stripe that decoded differs
+// from its codeword only at stuck symbols the decode already corrected
+// or erased. Decoding it again lands on the same codeword within the
+// same bounded distance, and the rewrite changes no symbol. Nor does
+// it locate anything: under the scrub policy, the pass that left an
+// unlocated stuck symbol differing from its codeword located it, which
+// unsettled the stripe. A stripe that failed is unchanged, so it fails
+// the same way again. A skipped stripe still leaves the pass a scrub
+// op and, with a column unlocated, an unlocated read.
 func (w *worker) doScrub(t float64, trial int, acc *campaign.Acc) {
 	if w.policy == detLatency {
 		w.locateByLatency(t, trial, acc)
 	}
 	w.noteUnlocatedRead()
-	if w.settled && !w.ersDirty {
+	w.fixed = w.fixed[:0]
+	completed := true
+	for s, settled := range w.settled {
+		if settled {
+			continue
+		}
+		r, err := w.decodeStripe(s)
+		if err != nil {
+			// Structural decode failures are impossible for a validated
+			// config; count them (the pass did not complete, so it is not
+			// a scrub_op) instead of silently swallowing the error — a
+			// nonzero counter is surfaced by cmd/campaign. The stripes
+			// already decoded are finished below; the rest stay
+			// unsettled for the next pass.
+			w.scrubDecodeErrors++
+			completed = false
+			break
+		}
+		w.settled[s] = true
+		if r.Err == nil && r.Corrections > 0 {
+			w.fixed = append(w.fixed, s)
+		}
+	}
+	if completed {
 		w.scrubOps++
-		return
 	}
-	if err := w.decode(); err != nil {
-		// Structural decode failures are impossible for a validated
-		// config; count them (the pass did not complete, so it is not a
-		// scrub_op) instead of silently swallowing the error — a
-		// nonzero counter is surfaced by cmd/campaign.
-		w.scrubDecodeErrors++
-		return
-	}
-	w.scrubOps++
-	depth := w.page.Depth()
-	for s := 0; s < depth; s++ {
-		cw := w.codec.CorrectedStripe(s)
-		for j, v := range cw {
-			// A dead column reasserts itself through the rewrite.
-			if idx := j*depth + s; !w.stuck[idx] {
-				w.stored[idx] = v
-			}
-		}
-	}
-	if w.policy == detScrub && w.unlocated > 0 {
+	n := w.page.Code().N()
+	if w.policy == detScrub && w.unlocated > 0 && len(w.fixed) > 0 {
 		// An unlocated dead column that disagrees with its corrected
-		// codeword has been observed deviating. Ascending stored index
+		// codeword has been observed deviating. This runs before the
+		// reassert below, in ascending physical index j*depth+s, which
 		// fixes the order of the location samples.
-		for idx, stuck := range w.stuck {
-			if !stuck || w.located[idx] {
-				continue
-			}
-			if cw := w.codec.CorrectedStripe(idx % depth); cw != nil && w.stored[idx] != cw[idx/depth] {
-				w.locate(idx, t-w.strikeT[idx], trial, acc)
+		for j := 0; j < n; j++ {
+			for _, s := range w.fixed {
+				if i := s*n + j; w.stuck[i] && !w.located[i] && w.words[i] != w.stuckVal[i] {
+					w.locate(i, t-w.strikeT[i], trial, acc)
+				}
 			}
 		}
 	}
-	w.settled = true
+	// A dead column reasserts itself through the rewrite.
+	for _, s := range w.fixed {
+		for i := s * n; i < (s+1)*n; i++ {
+			if w.stuck[i] {
+				w.words[i] = w.stuckVal[i]
+			}
+		}
+	}
 }
 
 // ResultFromCampaign reassembles the simulator's Result from the

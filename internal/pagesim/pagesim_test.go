@@ -10,12 +10,16 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/gf"
 	"repro/internal/interleave"
+	"repro/internal/rs"
 )
 
 // simulate runs cfg on the shared engine, as a spec entry does, and
@@ -73,6 +77,18 @@ func TestValidation(t *testing.T) {
 	// So would 4.8e13 scrub instants per trial.
 	if _, err := Scenario(Config{Depth: 2, ScrubPeriod: 1e-12, ExponentialScrub: true, Horizon: 48, Trials: 1}); err == nil {
 		t.Error("scrub period 1e-12 accepted")
+	}
+}
+
+// TestScenarioRefusesOversizedPage: a depth whose page exceeds
+// interleave.MaxStoredSymbols is refused with an error naming the
+// limit, before any worker could allocate a page-sized array.
+func TestScenarioRefusesOversizedPage(t *testing.T) {
+	for _, depth := range []int{1 << 40, 1 << 30, interleave.MaxStoredSymbols/18 + 1} {
+		_, err := Scenario(Config{Depth: depth, LambdaBit: 1e-9, Horizon: 1, Trials: 1})
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(interleave.MaxStoredSymbols)) {
+			t.Errorf("depth %d: err %v, want a refusal naming the %d-symbol limit", depth, err, interleave.MaxStoredSymbols)
+		}
 	}
 }
 
@@ -735,18 +751,18 @@ func TestDetectionValidation(t *testing.T) {
 // counting the op). A pass tallies into the worker, and the trial adds
 // the tallies to the accumulator when its event loop ends.
 func TestScrubDecodeErrorCounted(t *testing.T) {
-	scn := mustScenario(t, Config{Depth: 2, ScrubPeriod: 1, Horizon: 2, Trials: 1, Seed: 1})
+	scn := mustScenario(t, Config{Depth: 2, LambdaBit: 0.05, ScrubPeriod: 1, Horizon: 2, Trials: 1, Seed: 1})
 	cw, err := scn.NewWorker()
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := cw.(*worker)
+	// A decoder of a longer code makes every decode fail structurally —
+	// the only failure class DecodeAll reports as an error (capability
+	// overflow lands in a word's result instead).
+	w.dec = rs.MustNew(gf.MustField(8), 20, 16).NewDecoder()
 	acc := campaign.NewAcc()
-	// Truncating the stored page makes the decode fail structurally —
-	// the only failure class DecodeTo reports as an error (capability
-	// overflow lands in FailedStripes instead).
-	w.stored = w.stored[:len(w.stored)-1]
-	w.doScrub(1, 0, acc)
+	w.doScrub(1, 0, acc) // a new worker's stripes are all unsettled
 	if got := w.scrubDecodeErrors; got != 1 {
 		t.Errorf("scrub_decode_errors = %d, want 1", got)
 	}
@@ -754,12 +770,13 @@ func TestScrubDecodeErrorCounted(t *testing.T) {
 		t.Errorf("abandoned scrub pass counted as %d completed scrub_ops", got)
 	}
 
-	// A whole trial on the truncated page: its scrub passes fail, their
-	// tally reaches the accumulator before the final read, and that
-	// read's decode then fails the trial.
+	// A whole trial with that decoder: SEUs unsettle stripes before each
+	// pass, so the passes fail; their tally reaches the accumulator
+	// before the final read, and that read's decode then fails the
+	// trial.
 	acc = campaign.NewAcc()
 	if err := w.Trial(0, acc); err == nil {
-		t.Error("trial on a truncated page decoded its final read")
+		t.Error("trial decoded its final read with a decoder of another code")
 	}
 	if got := acc.Counter(CounterScrubDecodeErrors); got < 1 {
 		t.Errorf("trial recorded scrub_decode_errors = %d, want >= 1", got)
@@ -769,68 +786,80 @@ func TestScrubDecodeErrorCounted(t *testing.T) {
 	}
 }
 
+// writePage writes a random page onto a worker, as Trial does: the
+// payload into w.truth's stripes, each encoded in place, and w.words a
+// copy of it.
+func writePage(t *testing.T, w *worker, rng *rand.Rand) {
+	t.Helper()
+	code := w.page.Code()
+	n, k := code.N(), code.K()
+	for s := 0; s < w.page.Depth(); s++ {
+		word := w.truth[s*n : (s+1)*n]
+		for j := 0; j < k; j++ {
+			word[j] = gf.Elem(rng.Intn(code.Field().Size()))
+		}
+		if err := code.EncodeTo(word, word[:k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copy(w.words, w.truth)
+}
+
 // plantFaults writes a random page onto a fresh worker and corrupts
 // it the way a mission can: stuck columns (a random subset already
 // located, all of them under the immediate policy) struck at random
 // instants before now, SEUs, one burst, and now and then a stripe
-// pushed past the code's capability. It returns the page payload.
-func plantFaults(t *testing.T, w *worker, rng *rand.Rand, now float64) []gf.Elem {
+// pushed past the code's capability.
+func plantFaults(t *testing.T, w *worker, rng *rand.Rand, now float64) {
 	t.Helper()
+	writePage(t, w, rng)
 	code := w.page.Code()
 	n, depth, m := code.N(), w.page.Depth(), code.Field().M()
-	data := make([]gf.Elem, w.page.DataSymbols())
-	for i := range data {
-		data[i] = gf.Elem(rng.Intn(code.Field().Size()))
-	}
-	if err := w.codec.EncodeTo(w.stored, data); err != nil {
-		t.Fatal(err)
-	}
 	for i := rng.Intn(depth*code.Redundancy()/2 + 1); i > 0; i-- {
-		s := rng.Intn(len(w.stored))
-		if w.stuck[s] {
+		p := rng.Intn(len(w.words))
+		s, j := w.page.Addr(p)
+		if w.stuck[s*n+j] {
 			continue
 		}
-		w.stuck[s] = true
-		w.strikeT[s] = now * rng.Float64()
-		w.stored[s] = gf.Elem(rng.Intn(code.Field().Size()))
-		if w.policy == detImmediate || rng.Intn(2) == 0 {
-			w.located[s] = true
-			w.ersDirty = true
-		} else {
-			w.unlocated++
+		w.strike(p, gf.Elem(rng.Intn(code.Field().Size())), now*rng.Float64())
+		if w.policy != detImmediate && rng.Intn(2) == 0 {
+			// Located before now, by an earlier pass.
+			w.located[s*n+j], w.ersDirty[s] = true, true
+			w.unlocated--
 		}
 	}
-	storedBits := len(w.stored) * m
+	storedBits := len(w.words) * m
 	for i := rng.Intn(6); i > 0; i-- {
-		w.flipBit(rng.Intn(storedBits))
+		w.flipBits(rng.Intn(storedBits), 1)
 	}
 	length := 1 + rng.Intn(3*m)
-	start := rng.Intn(storedBits - length + 1)
-	for b := 0; b < length; b++ {
-		w.flipBit(start + b)
-	}
+	w.flipBits(rng.Intn(storedBits-length+1), length)
 	if rng.Intn(3) == 0 {
 		s := rng.Intn(depth)
 		for i := 0; i <= code.Redundancy(); i++ {
-			if idx := rng.Intn(n)*depth + s; !w.stuck[idx] {
-				w.stored[idx] ^= gf.Elem(1 + rng.Intn(code.Field().Size()-1))
+			if idx := s*n + rng.Intn(n); !w.stuck[idx] {
+				w.words[idx] ^= gf.Elem(1 + rng.Intn(code.Field().Size()-1))
+				w.settled[s] = false
 			}
 		}
 	}
-	return data
 }
 
-// TestCompletedScrubIsFixedPoint pins the invariant behind skipping
-// the decode on a settled page: once a scrub pass has completed, a
-// second pass at the same instant — forced to decode — changes nothing
-// but the scrub_ops count. Not the stored page, not the located
-// columns, not a counter or a time_to_location sample.
+// TestCompletedScrubIsFixedPoint pins the invariant behind skipping a
+// settled stripe: once a scrub pass has completed, a second pass at the
+// same instant — forced to decode every stripe — changes nothing but
+// the scrub_ops count. Not the stored page, not the located columns,
+// not a counter or a time_to_location sample.
 func TestCompletedScrubIsFixedPoint(t *testing.T) {
 	const now = 30.0
 	for _, detection := range []string{DetectImmediate, DetectScrub, DetectLatency} {
 		t.Run(detection, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
 			var corrected, failed, miscorrected, located int
+			ref := map[int]*rs.Decoder{
+				18: rs.MustNew(gf.MustField(8), 18, 16).NewDecoder(),
+				20: rs.MustNew(gf.MustField(8), 20, 16).NewDecoder(),
+			}
 			for _, shape := range []struct{ n, depth int }{{18, 4}, {20, 3}} {
 				scn := mustScenario(t, Config{
 					N: shape.n, Depth: shape.depth, ScrubPeriod: 1, Detection: detection,
@@ -842,31 +871,61 @@ func TestCompletedScrubIsFixedPoint(t *testing.T) {
 						t.Fatal(err)
 					}
 					w := cw.(*worker)
-					data := plantFaults(t, w, rng, now)
+					plantFaults(t, w, rng, now)
 					acc := campaign.NewAcc()
+					if w.policy == detLatency {
+						w.locateByLatency(now, 0, acc) // as the pass starts
+					}
+					// What a full decode and rewrite of every stripe leaves,
+					// from an independent per-word decode.
+					n, k := w.page.Code().N(), w.page.Code().K()
+					want := slices.Clone(w.words)
+					for s := range w.settled {
+						var ers []int
+						for j, loc := range w.located[s*n : (s+1)*n] {
+							if loc {
+								ers = append(ers, j)
+							}
+						}
+						res, err := ref[shape.n].Decode(w.words[s*n:(s+1)*n], ers)
+						if err != nil {
+							failed++
+							continue
+						}
+						if res.Corrections > 0 {
+							corrected++
+						}
+						if !slices.Equal(res.Data, w.truth[s*n:s*n+k]) {
+							miscorrected++
+						}
+						for j, v := range res.Codeword {
+							if i := s*n + j; !w.stuck[i] {
+								want[i] = v
+							}
+						}
+					}
 					w.doScrub(now, 0, acc)
-					if !w.settled {
-						t.Fatal("a completed scrub pass left the page unsettled")
+					if !slices.Equal(w.words, want) {
+						t.Fatalf("RS(%d,16)x%d round %d: the pass left\n%v\nwant\n%v",
+							shape.n, shape.depth, round, w.words, want)
 					}
-					if w.res.CorrectedSymbols > 0 {
-						corrected++
-					}
-					if len(w.res.FailedStripes) > 0 {
-						failed++
-					}
-					if hasMiscorrection(w, data) {
-						miscorrected++
+					for s, settled := range w.settled {
+						if !settled && !w.ersDirty[s] {
+							t.Fatalf("a completed scrub pass left stripe %d unsettled without a location", s)
+						}
 					}
 					if w.trialLocated > 0 {
 						located++
 					}
 					snapshot := func() string {
 						return fmt.Sprintf("%v\n%v\nunlocated %d located %d decode errors %d\n%+v",
-							w.stored, w.located, w.unlocated, w.trialLocated, w.scrubDecodeErrors, *acc)
+							w.words, w.located, w.unlocated, w.trialLocated, w.scrubDecodeErrors, *acc)
 					}
 					before := snapshot()
 					ops := w.scrubOps
-					w.settled = false
+					for s := range w.settled {
+						w.settled[s] = false
+					}
 					w.doScrub(now, 0, acc)
 					if got := w.scrubOps; got != ops+1 {
 						t.Fatalf("second pass counted %d scrub_ops, want 1", got-ops)
@@ -878,7 +937,7 @@ func TestCompletedScrubIsFixedPoint(t *testing.T) {
 				}
 			}
 			if corrected == 0 || failed == 0 || miscorrected == 0 {
-				t.Errorf("fault mix too mild: %d rounds corrected, %d failed, %d miscorrected",
+				t.Errorf("fault mix too mild: %d stripes corrected, %d failed, %d miscorrected",
 					corrected, failed, miscorrected)
 			}
 			if detection != DetectImmediate && located == 0 {
@@ -888,7 +947,7 @@ func TestCompletedScrubIsFixedPoint(t *testing.T) {
 	}
 }
 
-// TestLocationForcesDecode: a location event unsettles the page even
+// TestLocationForcesDecode: a location event unsettles its stripe even
 // when no fault arrived. Two unlocated stuck columns plus one flipped
 // symbol overload an RS(20,16) stripe; once the latency policy locates
 // both columns, the next pass must decode again, and the stripe now
@@ -903,41 +962,145 @@ func TestLocationForcesDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := cw.(*worker)
-	if err := w.codec.EncodeTo(w.stored, make([]gf.Elem, w.page.DataSymbols())); err != nil {
-		t.Fatal(err)
+	// A new worker's page is all zeros, the zero codeword.
+	for _, p := range []int{2, 9} {
+		w.strike(p, 0x5A, 0)
 	}
-	for _, s := range []int{2, 9} {
-		w.stuck[s], w.stored[s] = true, 0x5A
-		w.unlocated++
-	}
-	w.flipBit(8 * 14)
+	w.flipBits(8*14, 1)
 	acc := campaign.NewAcc()
 	w.doScrub(0.5, 0, acc)
-	if len(w.res.FailedStripes) != 1 || w.stored[14] == 0 || !w.settled {
-		t.Fatalf("first pass: failed stripes %v, symbol 14 = %#x, settled %t",
-			w.res.FailedStripes, w.stored[14], w.settled)
+	if len(w.fixed) != 0 || w.words[14] == 0 || !w.settled[0] {
+		t.Fatalf("first pass: corrected stripes %v, symbol 14 = %#x, settled %t",
+			w.fixed, w.words[14], w.settled[0])
 	}
 	w.doScrub(1.5, 0, acc)
-	if w.trialLocated != 2 || len(w.res.FailedStripes) != 0 || w.stored[14] != 0 {
-		t.Errorf("after location: %d located, failed stripes %v, symbol 14 = %#x",
-			w.trialLocated, w.res.FailedStripes, w.stored[14])
+	if w.trialLocated != 2 || len(w.fixed) != 1 || w.words[14] != 0 || w.words[2] != 0x5A || w.words[9] != 0x5A {
+		t.Errorf("after location: %d located, corrected stripes %v, symbols 2, 9, 14 = %#x, %#x, %#x",
+			w.trialLocated, w.fixed, w.words[2], w.words[9], w.words[14])
 	}
 }
 
-// hasMiscorrection reports whether a stripe decoded into w.res with a
-// payload that differs from data.
-func hasMiscorrection(w *worker, data []gf.Elem) bool {
-	depth := w.page.Depth()
-	failed := make([]bool, depth)
-	for _, s := range w.res.FailedStripes {
-		failed[s] = true
+// settledPage returns a fresh RS(20,16) worker for cfg holding a
+// random page with every stripe settled, as Trial leaves it.
+func settledPage(t *testing.T, cfg Config, rng *rand.Rand) *worker {
+	t.Helper()
+	cfg.N, cfg.Trials, cfg.Horizon = 20, 1, 48
+	cw, err := mustScenario(t, cfg).NewWorker()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range data {
-		if !failed[i%depth] && w.res.Data[i] != data[i] {
-			return true
+	w := cw.(*worker)
+	writePage(t, w, rng)
+	for s := range w.settled {
+		w.settled[s] = true
+	}
+	return w
+}
+
+// corruptBehindBack flips one symbol at position pos of every stripe
+// without telling the worker, so only a decode of the stripe can undo
+// it. It returns the page as corrupted.
+func corruptBehindBack(w *worker, pos int) []gf.Elem {
+	n := w.page.Code().N()
+	for s := range w.settled {
+		w.words[s*n+pos] ^= 0x81
+	}
+	return slices.Clone(w.words)
+}
+
+// checkStripes checks that the stripes in decoded hold their truth,
+// bar their stuck symbols, and that every other stripe still holds
+// what the page held before the pass.
+func checkStripes(t *testing.T, w *worker, before []gf.Elem, decoded ...int) {
+	t.Helper()
+	n := w.page.Code().N()
+	for s := range w.settled {
+		for i := s * n; i < (s+1)*n; i++ {
+			want := before[i]
+			switch {
+			case !slices.Contains(decoded, s):
+			case w.stuck[i]:
+				want = w.stuckVal[i]
+			default:
+				want = w.truth[i]
+			}
+			if w.words[i] != want {
+				t.Errorf("stripe %d position %d = %#x, want %#x (decoded stripes %v)", s, i-s*n, w.words[i], want, decoded)
+			}
 		}
 	}
-	return false
+	if !slices.Equal(w.fixed, decoded) {
+		t.Errorf("the pass corrected stripes %v, want %v", w.fixed, decoded)
+	}
+}
+
+// TestSettledStripeLeftAlone: a pass decodes the stripes a flip or a
+// strike touched and leaves every settled stripe's bytes alone — even
+// after the test corrupts them behind the worker's back, which a
+// decode would undo.
+func TestSettledStripeLeftAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	w := settledPage(t, Config{Depth: 4, ScrubPeriod: 1}, rng)
+	n := w.page.Code().N()
+	before := corruptBehindBack(w, 5)
+	// Stripe 1 takes an SEU at position 7, stripe 2 a stuck column at
+	// position 11 that drives a wrong value; stripes 0 and 3 stay
+	// settled.
+	w.flipBits((7*4+1)*8, 1)
+	w.strike(11*4+2, w.truth[2*n+11]^0x3C, 1)
+	w.doScrub(1, 0, campaign.NewAcc())
+	checkStripes(t, w, before, 1, 2)
+}
+
+// TestLocationDecodesOnlyItsStripe: a location unsettles the one
+// stripe it changes the erasure list of, and the next pass decodes
+// that stripe alone.
+func TestLocationDecodesOnlyItsStripe(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	w := settledPage(t, Config{Depth: 4, ScrubPeriod: 1, Detection: DetectLatency, DetectionLatency: 1}, rng)
+	n := w.page.Code().N()
+	// An unlocated dead column in stripe 2; the pass at 0.5 h corrects
+	// it as an error and settles the page again.
+	w.strike(11*4+2, w.truth[2*n+11]^0x3C, 0)
+	w.doScrub(0.5, 0, campaign.NewAcc())
+	if w.trialLocated != 0 || !slices.Equal(w.fixed, []int{2}) {
+		t.Fatalf("first pass: %d located, corrected stripes %v", w.trialLocated, w.fixed)
+	}
+	before := corruptBehindBack(w, 5)
+	w.doScrub(1.5, 0, campaign.NewAcc()) // the latency has elapsed
+	if w.trialLocated != 1 {
+		t.Fatalf("%d columns located, want 1", w.trialLocated)
+	}
+	checkStripes(t, w, before, 2)
+}
+
+// TestTrialZeroAllocs: a warm worker's trial — page write, faults,
+// scrub passes and the final read — allocates nothing.
+func TestTrialZeroAllocs(t *testing.T) {
+	scn := mustScenario(t, Config{
+		Depth: 4, LambdaBit: 2e-5, BurstPerKilobit: 0.05, BurstBits: 9,
+		LambdaColumn: 5e-5, ScrubPeriod: 1, Horizon: 48, Trials: 1, Seed: 21,
+	})
+	w, err := scn.NewWorker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := campaign.NewAcc()
+	const trials = 64
+	for i := 0; i < trials; i++ { // every counter key exists after these
+		if err := w.Trial(i, acc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(trials, func() {
+		if err := w.Trial(i, acc); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); allocs != 0 {
+		t.Errorf("a trial allocates %.1f times", allocs)
+	}
 }
 
 // batchGoldenCases are the fixed-seed configurations whose complete
