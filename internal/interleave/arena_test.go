@@ -110,19 +110,66 @@ func checkArenaMatch(t *testing.T, label string, p *Page, dec *rs.Decoder, arena
 	return bres
 }
 
-// TestArenaMatchesPage: the arena path reproduces Page.Encode and
-// Page.Decode exactly at depths 1 to 8 — clean pages, bursts, erasures
-// with random errors, and stripes overloaded past the code into failure
-// or miscorrection. A stripe the decode corrected is left in the arena
-// as a codeword, the encode of its own data, so a scrub may keep it as
-// the rewrite; a failed stripe is left exactly as received.
-func TestArenaMatchesPage(t *testing.T) {
+// outcomes tallies decoded stripes by outcome.
+type outcomes struct{ clean, corrected, failed, miscorrected int }
+
+// require fails the test unless every outcome occurred, so the faults
+// drawn reach failure and miscorrection as well as correction.
+func (o *outcomes) require(t *testing.T, label string) {
+	t.Helper()
+	if o.clean == 0 || o.corrected == 0 || o.failed == 0 || o.miscorrected == 0 {
+		t.Errorf("%s: %d clean, %d corrected, %d failed, %d miscorrected stripes",
+			label, o.clean, o.corrected, o.failed, o.miscorrected)
+	}
+}
+
+// checkStripes holds every stripe of a decoded arena to the
+// corrected-stripe contract a pagesim scrub relies on: a stripe the
+// decode accepted is left as a codeword, the encode of its own data,
+// so the scrub may keep it as the rewrite; a failed stripe is left
+// exactly as received. It tallies the outcomes into o, counting an
+// accepted stripe that differs from truth as miscorrected.
+func checkStripes(t *testing.T, label string, cd *rs.Code, bres *rs.BatchResult, arena, received, truth []gf.Elem, o *outcomes) {
+	t.Helper()
+	n, k := cd.N(), cd.K()
+	reenc := make([]gf.Elem, n)
+	for s, r := range bres.Words {
+		word := arena[s*n : (s+1)*n]
+		switch {
+		case r.Err != nil:
+			o.failed++
+			if !slices.Equal(word, received[s*n:(s+1)*n]) {
+				t.Fatalf("%s stripe %d: a failed stripe was modified", label, s)
+			}
+			continue
+		case r.Corrections == 0:
+			o.clean++
+		default:
+			o.corrected++
+		}
+		if err := cd.EncodeTo(reenc, word[:k]); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(word, reenc) {
+			t.Fatalf("%s stripe %d: decoded stripe is not the encode of its data", label, s)
+		}
+		if !slices.Equal(word, truth[s*n:(s+1)*n]) {
+			o.miscorrected++
+		}
+	}
+}
+
+// TestCodecMatchesPage: the page codec as pagesim runs it — the arena
+// path — reproduces Page.Encode and Page.Decode exactly at depths 1 to
+// 8: clean pages, bursts, erasures with random errors, and stripes
+// overloaded past the code into failure or miscorrection. Every
+// decoded arena also keeps the corrected-stripe contract.
+func TestCodecMatchesPage(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, cd := range []*rs.Code{code, rs.MustNew(f8, 20, 16)} {
 		n, k := cd.N(), cd.K()
 		dec := cd.NewDecoder()
-		reenc := make([]gf.Elem, n)
-		var clean, corrected, failed, miscorrected int
+		var o outcomes
 		for depth := 1; depth <= 8; depth++ {
 			p, err := New(cd, depth)
 			if err != nil {
@@ -168,35 +215,86 @@ func TestArenaMatchesPage(t *testing.T) {
 				lists = arenaErasures(p, lists, erasures)
 				label := fmt.Sprintf("RS(%d,%d) depth %d trial %d", n, k, depth, trial)
 				bres := checkArenaMatch(t, label, p, dec, arena, lists, want)
-				for s, r := range bres.Words {
-					word := arena[s*n : (s+1)*n]
-					switch {
-					case r.Err != nil:
-						failed++
-						if !slices.Equal(word, received[s*n:(s+1)*n]) {
-							t.Fatalf("%s stripe %d: a failed stripe was modified", label, s)
+				checkStripes(t, label, cd, bres, arena, received, truth, &o)
+			}
+		}
+		o.require(t, fmt.Sprintf("RS(%d,%d)", n, k))
+	}
+}
+
+// TestCorrectedStripeContract gives every stripe of a page up to n-k
+// erasures, some keeping their value, and up to t+2 errors at other
+// positions, sends them into the arena through Addr and decodes the
+// arena in place. Each stripe must come out as an independent
+// rs.Decoder.Decode of its received word and list says, and keep the
+// corrected-stripe contract; a decode refused as malformed must leave
+// every stripe as it was.
+func TestCorrectedStripeContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, cd := range []*rs.Code{code, rs.MustNew(f8, 20, 16)} {
+		n, k := cd.N(), cd.K()
+		dec, refDec := cd.NewDecoder(), cd.NewDecoder()
+		for _, depth := range []int{1, 3, 4} {
+			p, err := New(cd, depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lists [][]int
+			var o outcomes
+			var arena, received []gf.Elem
+			for trial := 0; trial < 200; trial++ {
+				arena = encodeArena(t, p, randPage(rng, p))
+				truth := append([]gf.Elem(nil), arena...)
+				stored := toPhysical(p, arena)
+				var erasures []int
+				perStripe := make([][]int, depth)
+				for s := 0; s < depth; s++ {
+					pos := rng.Perm(n)
+					ne, nerr := rng.Intn(cd.Redundancy()+1), rng.Intn(cd.T()+3)
+					for _, j := range pos[:ne] {
+						if rng.Intn(2) == 0 {
+							stored[j*depth+s] = gf.Elem(rng.Intn(256))
 						}
+						erasures = append(erasures, j*depth+s)
+						perStripe[s] = append(perStripe[s], j)
+					}
+					for _, j := range pos[ne : ne+nerr] {
+						stored[j*depth+s] ^= gf.Elem(1 + rng.Intn(255))
+					}
+				}
+				toArena(p, arena, stored)
+				received = append(received[:0], arena...)
+				lists = arenaErasures(p, lists, erasures)
+				bres, err := dec.DecodeAll(rs.Batch{Words: arena, Stride: n, Count: depth}, lists)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("RS(%d,%d) depth %d trial %d", n, k, depth, trial)
+				checkStripes(t, label, cd, bres, arena, received, truth, &o)
+				for s, r := range bres.Words {
+					ref, refErr := refDec.Decode(received[s*n:(s+1)*n], perStripe[s])
+					if (r.Err == nil) != (refErr == nil) {
+						t.Fatalf("%s stripe %d: arena decode error %v, word decode error %v", label, s, r.Err, refErr)
+					}
+					if refErr != nil {
 						continue
-					case r.Corrections == 0:
-						clean++
-					default:
-						corrected++
 					}
-					if err := cd.EncodeTo(reenc, word[:k]); err != nil {
-						t.Fatal(err)
+					if r.Corrections != ref.Corrections {
+						t.Fatalf("%s stripe %d: %d corrections, word decode made %d", label, s, r.Corrections, ref.Corrections)
 					}
-					if !slices.Equal(word, reenc) {
-						t.Fatalf("%s stripe %d: decoded stripe is not the encode of its data", label, s)
-					}
-					if !slices.Equal(word, truth[s*n:(s+1)*n]) {
-						miscorrected++
+					if !slices.Equal(arena[s*n:(s+1)*n], ref.Codeword) {
+						t.Fatalf("%s stripe %d: stripe differs from the word decode's codeword", label, s)
 					}
 				}
 			}
-		}
-		if clean == 0 || corrected == 0 || failed == 0 || miscorrected == 0 {
-			t.Errorf("RS(%d,%d): %d clean, %d corrected, %d failed, %d miscorrected stripes",
-				n, k, clean, corrected, failed, miscorrected)
+			o.require(t, fmt.Sprintf("RS(%d,%d) depth %d", n, k, depth))
+			copy(arena, received)
+			if _, err := dec.DecodeAll(rs.Batch{Words: arena, Stride: n, Count: depth}, lists[:depth-1]); err == nil {
+				t.Fatal("a batch with one erasure list too few was accepted")
+			}
+			if !slices.Equal(arena, received) {
+				t.Fatal("a refused decode modified the arena")
+			}
 		}
 	}
 }
